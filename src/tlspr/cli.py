@@ -338,15 +338,14 @@ ANALYZE_COLUMNS = [
 def _exact_snr_errors(rng, a, y, meas_db, sens_db):
     e_a = rng.normal(size=a.shape)
     e_y = rng.normal(size=y.shape)
-    if sens_db is not None:
-        e_a *= np.linalg.norm(a) * 10 ** (-sens_db / 20.0) / np.linalg.norm(e_a)
-    else:
-        e_a[:] = 0.0
-    if meas_db is not None:
-        e_y *= np.linalg.norm(y) * 10 ** (-meas_db / 20.0) / np.linalg.norm(e_y)
-    else:
-        e_y[:] = 0.0
-    return e_a, e_y
+    return _at_snr(e_a, a, sens_db), _at_snr(e_y, y, meas_db)
+
+
+def _at_snr(error, clean, target_db):
+    # No target, or an all-zero clean block, adds no error.
+    if target_db is None or not np.any(clean):
+        return np.zeros_like(error)
+    return noise._rescale(error, clean, target_db)
 
 
 def _expectation_variances(a, y, meas_db, sens_db):

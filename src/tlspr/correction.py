@@ -15,12 +15,20 @@ depressed cubics
     gamma = -lambda_a inner(a_m, x),
 
 whose positive real roots, rotated onto the phase of gamma (plus cubic) or
-its antipode (minus cubic), enumerate every candidate nu.  Evaluating f_m on
-the candidates and keeping the best one yields the global minimum.
+its antipode (minus cubic), enumerate every candidate nu.  Since r is a root
+of the minus cubic exactly when -r is a root of the plus cubic, one real
+solve suffices: the candidates are phase(gamma) * t over the nonzero real
+roots t of the plus cubic alone.  Along that line |nu - inner(a_m, x)| =
+|t + |inner(a_m, x)||, so f_m is evaluated on t in real arithmetic, and the
+best candidate yields the global minimum.
 
 When gamma = 0 (a_m orthogonal to x) the phase is arbitrary; candidates are
 placed on phase zero and nu = 0 is added, since the stationarity equation
 degenerates to alpha r^3 + beta r = 0.
+
+:func:`sweep_corrections` corrects all measurements at once;
+:func:`stationary_candidates` and :func:`correct_sensing_vector` are its
+single-measurement views.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatchError, inner
-from .cubic import POSITIVE_TOL, REAL_TOL, depressed_roots_batch, positive_real_roots
+from .cubic import POSITIVE_TOL, depressed_roots_batch
 
 # Ties in the candidate objective within this relative margin are broken by
 # the smaller perturbation ||v - a_m||.
@@ -81,35 +89,26 @@ def objective_on_vector(a_m, v, y_m: float, x, params: CorrectionParams) -> floa
     return params.lambda_a * float(np.vdot(diff, diff).real) + params.lambda_y * misfit**2
 
 
+def _sweep_one(a_m, y_m: float, x, params: CorrectionParams):
+    row = np.asarray(a_m, dtype=np.complex128)[None, :]
+    y = np.array([y_m], dtype=np.float64)
+    return sweep_corrections(row, y, x, params.lambda_a, params.lambda_y, candidates=True)
+
+
 def stationary_candidates(a_m, y_m: float, x, params: CorrectionParams) -> np.ndarray:
-    """All stationary values of nu = inner(v, x), as a complex array."""
-    a_m = np.asarray(a_m, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    norm_sq = float(np.vdot(x, x).real)
-    if norm_sq == 0.0:
-        raise ValueError("x must be nonzero")
-    nu_a = inner(a_m, x)
-    alpha = 2.0 * params.lambda_y * norm_sq
-    beta = params.lambda_a - 2.0 * params.lambda_y * y_m * norm_sq
-    gamma = -params.lambda_a * nu_a
-    phase = np.exp(1j * np.angle(gamma))
-    plus = positive_real_roots(alpha, beta, abs(gamma))
-    minus = positive_real_roots(alpha, beta, -abs(gamma))
-    cands = [phase * r for r in plus] + [-phase * r for r in minus]
-    if gamma == 0 or not cands:
-        # gamma = 0, or the only root fell below the positivity tolerance
-        # (|gamma| vanishing relative to beta): nu = 0 is then optimal to
-        # within that tolerance.
-        cands.append(0.0 + 0.0j)
-    return np.asarray(cands, dtype=np.complex128)
+    """All candidate values of nu = inner(v, x) for one measurement, as a
+    complex array: the stationary values, plus nu = 0 where gamma = 0 or
+    where no root cleared the positivity tolerance."""
+    cands = _sweep_one(a_m, y_m, x, params)[2][0]
+    return cands[~np.isnan(cands)]
 
 
 def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> CorrectionResult:
     """Globally minimize f_m over corrected vectors; see the module docstring.
 
-    Every candidate nu is mapped to a full vector with
-    :func:`reconstruct_from_nu` and f_m is evaluated on it; ties are broken
-    toward the smaller perturbation.
+    A one-row :func:`sweep_corrections`: the best candidate nu, ties broken
+    toward the smaller perturbation, mapped to a full vector with
+    :func:`reconstruct_from_nu`.
     """
     a_m = np.asarray(a_m, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
@@ -117,24 +116,12 @@ def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> Corr
         raise DimensionMismatchError(f"shape mismatch: {a_m.shape} vs {x.shape}")
     if not (np.all(np.isfinite(a_m)) and np.all(np.isfinite(x)) and np.isfinite(y_m)):
         raise ValueError("inputs must be finite")
-    candidates = stationary_candidates(a_m, y_m, x, params)
-    best = None
-    for nu in candidates:
-        v = reconstruct_from_nu(a_m, x, nu)
-        fval = objective_on_vector(a_m, v, y_m, x, params)
-        pert = float(np.linalg.norm(v - a_m))
-        if (
-            best is None
-            or fval < best[0] * (1.0 - TIE_REL_TOL)
-            or (fval <= best[0] * (1.0 + TIE_REL_TOL) and pert < best[2])
-        ):
-            best = (fval, nu, pert, v)
-    fval, nu, _, v = best
+    nu_star, f_star, cands = _sweep_one(a_m, y_m, x, params)
     return CorrectionResult(
-        corrected=v,
-        nu=complex(nu),
-        objective_value=float(fval),
-        candidates_evaluated=len(candidates),
+        corrected=reconstruct_from_nu(a_m, x, nu_star[0]),
+        nu=complex(nu_star[0]),
+        objective_value=float(f_star[0]),
+        candidates_evaluated=int(np.count_nonzero(~np.isnan(cands[0]))),
     )
 
 
@@ -145,7 +132,9 @@ def sweep_corrections(
     lambda_a: float,
     lambda_y: float,
     nu_a: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    *,
+    candidates: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Correct all M sensing vectors at once for a fixed x.
 
     Parameters
@@ -154,6 +143,8 @@ def sweep_corrections(
     y : (M,) measurements.
     x : (N,) current signal estimate, nonzero.
     nu_a : optional precomputed inner(a_m, x) per row.
+    candidates : also return the (M, 4) complex array of candidate nus
+        that were evaluated, NaN in the slots that were not.
 
     Returns ``(nu_star, f_star)``: the optimal nu per measurement and the
     attained f_m values.  The corrected vectors themselves are
@@ -171,38 +162,24 @@ def sweep_corrections(
         nu_a = vectors.conj() @ x
     alpha = 2.0 * lambda_y * norm_sq
     beta = lambda_a - 2.0 * lambda_y * norm_sq * y
-    gamma_abs = lambda_a * np.abs(nu_a)
+    nu_a_abs = np.abs(nu_a)
+    gamma_abs = lambda_a * nu_a_abs
     # Phase of gamma = -lambda_a * nu_a; zero maps to phase 0 like np.angle.
     safe = np.where(nu_a == 0, 1.0, -nu_a)
     phase = safe / np.abs(safe)
 
-    roots_plus = depressed_roots_batch(alpha, beta, gamma_abs)
-    roots_minus = depressed_roots_batch(alpha, beta, -gamma_abs)
+    # Candidate nus are phase * t, shape (M, 4): the nonzero real roots t of
+    # the plus cubic, and the nu = 0 slot, valid where gamma = 0 or as
+    # fallback when every root was filtered out.
+    roots = depressed_roots_batch(alpha, beta, gamma_abs)
+    nonzero = np.abs(roots) > POSITIVE_TOL
+    fallback = (gamma_abs == 0.0) | ~nonzero.any(axis=1)
+    valid = np.column_stack([nonzero, fallback])
+    t = np.column_stack([np.where(nonzero, roots, 0.0), np.zeros(len(y))])
 
-    def _real_positive(roots):
-        ok = (np.abs(roots.imag) <= REAL_TOL * np.maximum(1.0, np.abs(roots.real))) & (
-            roots.real > POSITIVE_TOL
-        )
-        return np.where(ok, roots.real, np.nan)
-
-    r_plus = _real_positive(roots_plus)
-    r_minus = _real_positive(roots_minus)
-    # Candidate nus, shape (M, 7): rotated roots plus the nu = 0 slot, valid
-    # where gamma = 0 or as fallback when every root was filtered out.
-    cands = np.concatenate(
-        [
-            phase[:, None] * r_plus,
-            -phase[:, None] * r_minus,
-            np.zeros((len(y), 1), dtype=np.complex128),
-        ],
-        axis=1,
-    )
-    valid = ~np.isnan(cands.real)
-    valid[:, -1] = (gamma_abs == 0.0) | ~valid[:, :-1].any(axis=1)
-    cands = np.where(valid, cands, 0.0)
-
-    pert_sq = np.abs(cands - nu_a[:, None]) ** 2 / norm_sq
-    fvals = lambda_a * pert_sq + lambda_y * (y[:, None] - np.abs(cands) ** 2) ** 2
+    # |phase * t - nu_a| = |t + |nu_a||, since phase = -nu_a / |nu_a|.
+    pert_sq = (t + nu_a_abs[:, None]) ** 2 / norm_sq
+    fvals = lambda_a * pert_sq + lambda_y * (y[:, None] - t * t) ** 2
     fvals = np.where(valid, fvals, np.inf)
 
     fmin = fvals.min(axis=1)
@@ -210,8 +187,10 @@ def sweep_corrections(
     pert_for_tie = np.where(tie, pert_sq, np.inf)
     pick = pert_for_tie.argmin(axis=1)
     rows = np.arange(len(y))
-    nu_star = cands[rows, pick]
+    nu_star = phase * t[rows, pick]
     f_star = fvals[rows, pick]
+    if candidates:
+        return nu_star, f_star, np.where(valid, phase[:, None] * t, np.nan)
     return nu_star, f_star
 
 

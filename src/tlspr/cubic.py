@@ -6,9 +6,22 @@ For a*x^3 + b*x^2 + c*x + d = 0 (a != 0) the three roots are
 
 with psi0 = b^2 - 3ac, psi1 = 2b^3 - 9abc + 27a^2 d,
 psi3 = cbrt((psi1 + sqrt(psi1^2 - 4 psi0^3)) / 2) and t the primitive cube
-root of unity.  Everything is computed in complex arithmetic so the
-casus-irreducibilis branch (three real roots, negative discriminant) needs no
-special casing; real roots are recovered with an imaginary-part threshold.
+root of unity.  :func:`all_roots` computes them in complex arithmetic, so
+complex coefficients and the casus irreducibilis need no special casing.
+
+The sensing-vector correction only needs the real roots of real depressed
+cubics alpha*t^3 + beta*t + const, which :func:`depressed_roots_batch` finds
+in real arithmetic.  With p = beta/alpha, q = const/alpha and discriminant
+D = (q/2)^2 + (p/3)^3:
+
+* D <= 0 and p < 0 (three real roots): Viete's trigonometric form
+  t_k = m cos(theta/3 - 2 pi k/3), m = 2 sqrt(-p/3),
+  cos(theta) = 3q / (p m); the root of smallest magnitude is then taken
+  from the product of the roots, -q / (t_0 t_2), which keeps its relative
+  accuracy when it is tiny.
+* otherwise (one real root): Cardano's formula arranged without
+  cancellation, t = -q / (A^2 + p/3 + B^2) with A = cbrt(|q|/2 + sqrt(D))
+  and B = p / (3A) (W. Kahan, "To solve a real cubic equation", 1986).
 """
 
 from __future__ import annotations
@@ -18,8 +31,6 @@ import numpy as np
 # Primitive cube root of unity.
 _OMEGA = complex(-0.5, 0.5 * np.sqrt(3.0))
 
-# Roots with |Im| <= REAL_TOL * max(1, |Re|) count as real.
-REAL_TOL = 1e-9
 # Positive roots must exceed this; smaller magnitudes are treated as zero.
 POSITIVE_TOL = 1e-12
 # Relative spacing under which two roots are merged as one.
@@ -92,52 +103,54 @@ def positive_real_roots(alpha: float, beta: float, gamma_const: float) -> np.nda
     Roots below POSITIVE_TOL are discarded; near-coincident roots are merged.
     Requires alpha > 0.
     """
-    if not (alpha > 0):
-        raise ValueError("alpha must be > 0")
-    roots = all_roots(alpha, 0.0, beta, gamma_const)
-    out = []
-    for z in roots:
-        if abs(z.imag) <= REAL_TOL * max(1.0, abs(z.real)) and z.real > POSITIVE_TOL:
-            out.append(z.real)
-    out.sort()
+    roots = depressed_roots_batch(alpha, [beta], [gamma_const])[0]
     merged: list[float] = []
-    for r in out:
+    for r in roots[roots > POSITIVE_TOL]:
         if merged and abs(r - merged[-1]) <= MERGE_TOL * max(abs(r), abs(merged[-1])):
             continue
-        merged.append(r)
+        merged.append(float(r))
     return np.asarray(merged, dtype=np.float64)
 
 
 def depressed_roots_batch(alpha: float, beta: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Roots of alpha*r^3 + beta_i*r + const_i for a whole batch at once.
+    """Real roots of alpha*t^3 + beta_i*t + const_i for a whole batch at once.
 
-    Returns an (len(beta), 3) complex array; no realness filtering or
-    de-duplication is applied (callers mask what they need).  alpha is a
-    shared positive scalar.
+    Returns an (len(beta), 3) float64 array whose rows hold the real roots in
+    ascending order, padded with NaN where a cubic has only one.  alpha is a
+    shared positive scalar.  See the module docstring for the closed forms;
+    each root then takes one guarded Newton step.
     """
     if not (alpha > 0):
         raise ValueError("alpha must be > 0")
-    beta = np.asarray(beta, dtype=np.float64)
-    const = np.asarray(const, dtype=np.float64)
-    psi0 = -3.0 * alpha * beta  # b = 0
-    psi1 = 27.0 * alpha * alpha * const
-    scale = np.maximum(np.abs(psi0) ** 1.5, np.abs(psi1))
-    disc_root = np.sqrt((psi1 * psi1 - 4.0 * psi0**3).astype(np.complex128))
-    plus = 0.5 * (psi1 + disc_root)
-    minus = 0.5 * (psi1 - disc_root)
-    half = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-    degenerate = np.abs(half) <= 1e-14 * scale
-    psi3 = np.where(degenerate, 1.0, half) ** (1.0 / 3.0)
-    units = np.array([1.0, _OMEGA, _OMEGA**2], dtype=np.complex128)
-    ks = psi3[:, None] * units[None, :]
-    roots = -(ks + psi0[:, None] / ks) / (3.0 * alpha)
-    if np.any(degenerate):
-        roots[degenerate, :] = 0.0  # triple root at -b/(3a) = 0
-    for _ in range(2):
-        p = (alpha * roots * roots + beta[:, None]) * roots + const[:, None]
-        dp = 3.0 * alpha * roots * roots + beta[:, None]
-        safe = np.abs(dp) > 0
-        candidate = np.where(safe, roots - p / np.where(safe, dp, 1.0), roots)
-        p_new = (alpha * candidate * candidate + beta[:, None]) * candidate + const[:, None]
-        roots = np.where(np.abs(p_new) < np.abs(p), candidate, roots)
-    return roots
+    p = np.asarray(beta, dtype=np.float64) / alpha
+    q = np.asarray(const, dtype=np.float64) / alpha
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    roots = np.full((p.shape[0], 3), np.nan)
+
+    is_three = (disc <= 0.0) & (p < 0.0)
+    three = np.flatnonzero(is_three)
+    if three.size:
+        p3, q3 = p[three], q[three]
+        m = 2.0 * np.sqrt(p3 / -3.0)
+        theta = np.arccos(np.clip(3.0 * q3 / (p3 * m), -1.0, 1.0)) / 3.0
+        low = m * np.cos(theta - 4.0 * np.pi / 3.0)
+        high = m * np.cos(theta)
+        roots[three, 0] = low
+        roots[three, 1] = -q3 / (low * high)
+        roots[three, 2] = high
+
+    one = np.flatnonzero(~is_three)
+    if one.size:
+        p1, q1 = p[one], q[one]
+        big = np.cbrt(0.5 * np.abs(q1) + np.sqrt(np.maximum(disc[one], 0.0)))
+        # big = 0 only for p = q = 0, where any big > 0 gives the root t = 0.
+        big[big == 0.0] = 1.0
+        small = p1 / (3.0 * big)
+        roots[one, 0] = -q1 / (big * big + p1 / 3.0 + small * small)
+
+    p, q = p[:, None], q[:, None]
+    f = (roots * roots + p) * roots + q
+    df = 3.0 * roots * roots + p
+    step = roots - f / np.where(df != 0.0, df, np.inf)
+    f_step = (step * step + p) * step + q
+    return np.where(np.abs(f_step) < np.abs(f), step, roots)

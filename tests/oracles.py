@@ -73,18 +73,110 @@ if _HAVE_NUMBA:
             _grid_scan(nu_a.real, nu_a.imag, float(y), lam_a, lam_y, norm_x_sq, radius, step)
         )
 
-else:  # pragma: no cover - slower row-streamed fallback
+else:  # pragma: no cover - numpy fallback, vectorized over blocks of rows
+
+    _GRID_BLOCK = 1 << 17  # grid points per block; 1 MB stays in cache
 
     def grid_min(nu_a, y, lam_a, lam_y, norm_x_sq, radius, step) -> float:
         axis = np.arange(-radius, radius + step, step)
+        # f(re, im) = row_pert(re) + col_pert(im) + (row_misfit(re) - im_sq(im))^2
+        # with sqrt(lam_y) folded into the misfit terms.
+        root_y = np.sqrt(lam_y)
+        row_pert = lam_a * (axis - nu_a.real) ** 2 / norm_x_sq
+        col_pert = lam_a * (axis - nu_a.imag) ** 2 / norm_x_sq
+        row_misfit = root_y * (y - axis**2)
+        im_sq = root_y * axis**2
+        rows = max(1, _GRID_BLOCK // axis.size)
+        buf = np.empty((rows, axis.size))
         best = np.inf
-        im_sq = axis**2
-        dim_sq = (axis - nu_a.imag) ** 2
-        for re in axis:
-            misfit = y - (re * re + im_sq)
-            f = lam_a * ((re - nu_a.real) ** 2 + dim_sq) / norm_x_sq + lam_y * misfit**2
-            best = min(best, float(f.min()))
+        for start in range(0, axis.size, rows):
+            block = buf[: min(rows, axis.size - start)]
+            np.subtract(row_misfit[start : start + rows, None], im_sq, out=block)
+            np.square(block, out=block)
+            block += col_pert
+            best = min(best, float((block.min(axis=1) + row_pert[start : start + rows]).min()))
         return best
+
+
+# Frozen copy of the scalar correction algorithm the package shipped before
+# its sweep moved to one real cubic per measurement: complex closed-form
+# roots of the plus and minus cubics, an imaginary-part filter, de-duplication
+# and a candidate loop on full vectors.  Regression reference only.
+_OMEGA = complex(-0.5, 0.5 * np.sqrt(3.0))
+
+
+def _cubic_roots_reference(a, b, c, d) -> np.ndarray:
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    coeffs = np.array([a, b, c, d], dtype=np.complex128)
+    psi0 = b * b - 3.0 * a * c
+    psi1 = 2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d
+    scale = max(abs(psi0) ** 1.5, abs(psi1))
+    disc_root = np.sqrt(complex(psi1 * psi1 - 4.0 * psi0**3))
+    plus = 0.5 * (psi1 + disc_root)
+    minus = 0.5 * (psi1 - disc_root)
+    half = plus if abs(plus) >= abs(minus) else minus
+    if abs(half) <= 1e-14 * scale or scale == 0.0:
+        return np.full(3, -b / (3.0 * a), dtype=np.complex128)
+    ks = half ** (1.0 / 3.0) * np.array([1.0, _OMEGA, _OMEGA**2], dtype=np.complex128)
+    roots = _polish_reference(coeffs, -(b + ks + psi0 / ks) / (3.0 * a))
+    top = max(abs(a), abs(b), abs(c), abs(d))
+    if any(abs(((a * z + b) * z + c) * z + d) > 0.5e-8 * top * max(1.0, abs(z)) ** 3 for z in roots):
+        roots = _polish_reference(coeffs, np.roots(coeffs).astype(np.complex128))
+    return roots
+
+
+def _polish_reference(coeffs, roots):
+    a, b, c, d = coeffs
+    for _ in range(2):
+        p = ((a * roots + b) * roots + c) * roots + d
+        dp = (3.0 * a * roots + 2.0 * b) * roots + c
+        safe = np.abs(dp) > 0
+        candidate = np.where(safe, roots - p / np.where(safe, dp, 1.0), roots)
+        p_new = ((a * candidate + b) * candidate + c) * candidate + d
+        roots = np.where(np.abs(p_new) < np.abs(p), candidate, roots)
+    return roots
+
+
+def _positive_roots_reference(alpha, beta, const) -> list[float]:
+    out = sorted(
+        z.real
+        for z in _cubic_roots_reference(alpha, 0.0, beta, const)
+        if abs(z.imag) <= 1e-9 * max(1.0, abs(z.real)) and z.real > 1e-12
+    )
+    merged: list[float] = []
+    for r in out:
+        if not (merged and abs(r - merged[-1]) <= 1e-9 * max(abs(r), abs(merged[-1]))):
+            merged.append(r)
+    return merged
+
+
+def correct_sensing_vector_reference(a_m, y_m, x, lam_a, lam_y):
+    """Best corrected vector and its objective value, by the frozen algorithm."""
+    a_m = np.asarray(a_m, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.complex128)
+    norm_sq = float(np.vdot(x, x).real)
+    nu_a = complex(np.vdot(a_m, x))
+    alpha = 2.0 * lam_y * norm_sq
+    beta = lam_a - 2.0 * lam_y * y_m * norm_sq
+    gamma = -lam_a * nu_a
+    phase = np.exp(1j * np.angle(gamma))
+    cands = [phase * r for r in _positive_roots_reference(alpha, beta, abs(gamma))]
+    cands += [-phase * r for r in _positive_roots_reference(alpha, beta, -abs(gamma))]
+    if gamma == 0 or not cands:
+        cands.append(0.0 + 0.0j)
+    best = None
+    for nu in cands:
+        v = a_m + np.conj(nu - nu_a) / norm_sq * x
+        diff = v - a_m
+        fval = lam_a * float(np.vdot(diff, diff).real) + lam_y * (y_m - abs(np.vdot(v, x)) ** 2) ** 2
+        pert = float(np.linalg.norm(diff))
+        if (
+            best is None
+            or fval < best[0] * (1.0 - 1e-12)
+            or (fval <= best[0] * (1.0 + 1e-12) and pert < best[1])
+        ):
+            best = (fval, pert, v)
+    return best[2], best[0]
 
 
 def wirtinger_gradient_fd(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tlspr import serialization
+from tlspr import cli, serialization
 from tlspr.cli import (
     ExperimentConfig,
     UsageError,
@@ -376,3 +376,41 @@ def test_analyze_ml_sweep(tmp_path):
     for row in rows:
         opt, arg = float(row[i_opt]), float(row[i_arg])
         assert abs(np.log10(opt) - np.log10(arg)) <= 0.1 + 1e-9
+
+
+def _exact_snr_errors_inline(rng, a, y, meas_db, sens_db):
+    # The analysis error draw as written before it shared noise._rescale.
+    e_a = rng.normal(size=a.shape)
+    e_y = rng.normal(size=y.shape)
+    if sens_db is not None:
+        e_a *= np.linalg.norm(a) * 10 ** (-sens_db / 20.0) / np.linalg.norm(e_a)
+    else:
+        e_a[:] = 0.0
+    if meas_db is not None:
+        e_y *= np.linalg.norm(y) * 10 ** (-meas_db / 20.0) / np.linalg.norm(e_y)
+    else:
+        e_y[:] = 0.0
+    return e_a, e_y
+
+
+def test_analyze_errors_byte_identical_to_inline_rescale(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(
+        seed=17,
+        n=12,
+        ratios=(4, 8),
+        trials=3,
+        real_mode=True,
+        measurement_snr_db=(None, 25.0),
+        sensing_snr_db=(30, None),
+        analysis_mode="first_order",
+    )
+    run_error_analysis(cfg, output=str(tmp_path / "shared.csv"))
+    monkeypatch.setattr(cli, "_exact_snr_errors", _exact_snr_errors_inline)
+    run_error_analysis(cfg, output=str(tmp_path / "inline.csv"))
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+    # a zero-norm clean block still gets a zero error, as inline
+    a, y = np.zeros((3, 2)), np.ones(3)
+    got = cli._exact_snr_errors(make_rng(1), a, y, 20.0, 10.0)
+    want = _exact_snr_errors_inline(make_rng(1), a, y, 20.0, 10.0)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

@@ -12,7 +12,7 @@ from tlspr.correction import (
     sweep_corrections,
 )
 
-from oracles import correction_objective, grid_min
+from oracles import correct_sensing_vector_reference, correction_objective, grid_min
 
 
 def _random_instance(rng, n_max=4, scale=1.0):
@@ -228,6 +228,37 @@ def test_grid_oracle_small_batch():
             float(np.vdot(x, x).real), radius, 1e-3,
         )
         assert res.objective_value <= oracle + 1e-6
+
+
+def test_grid_min_matches_point_loop():
+    rng = make_rng(14)
+    for _ in range(5):
+        nu_a = complex(rng.normal(), rng.normal())
+        y, lam_a, lam_y, norm_sq = (float(v) for v in np.abs(rng.normal(size=4)) + 0.1)
+        radius, step = 1.5, 0.05
+        axis = np.arange(-radius, radius + step, step)
+        want = min(
+            lam_a * abs(complex(re, im) - nu_a) ** 2 / norm_sq + lam_y * (y - re * re - im * im) ** 2
+            for re in axis
+            for im in axis
+        )
+        got = grid_min(nu_a, y, lam_a, lam_y, norm_sq, radius, step)
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+
+def test_never_worse_than_frozen_scalar_algorithm():
+    # Criterion-02 instances with x scaled by 10^U(-3, 3); the reference is
+    # the scalar algorithm with two complex cubic solves per measurement.
+    rng = make_rng(20_012)
+    for _ in range(3000):
+        n = int(rng.integers(1, 5))
+        a = 0.35 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        x = 0.35 * (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3)
+        y = float(abs(inner(a, x)) ** 2 * (1.0 + 0.6 * rng.normal()))
+        params = CorrectionParams(lambda_a=1.0, lambda_y=float(10.0 ** rng.uniform(-2, 2)))
+        res = correct_sensing_vector(a, y, x, params)
+        _, f_ref = correct_sensing_vector_reference(a, y, x, params.lambda_a, params.lambda_y)
+        assert res.objective_value <= f_ref * (1.0 + 1e-9)
 
 
 def test_rejects_zero_x():

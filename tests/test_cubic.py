@@ -10,6 +10,10 @@ from tlspr.cubic import (
 )
 
 
+# Roots of all_roots with |Im| <= REAL_TOL count as real.
+REAL_TOL = 1e-9
+
+
 def _poly(a, b, c, d, z):
     return ((a * z + b) * z + c) * z + d
 
@@ -107,7 +111,67 @@ def test_batch_matches_scalar():
     beta = rng.normal(size=200) * 3
     const = rng.normal(size=200) * 3
     batch = depressed_roots_batch(alpha, beta, const)
+    assert batch.shape == (200, 3) and batch.dtype == np.float64
     for i in range(200):
-        single = np.sort_complex(all_roots(alpha, 0.0, beta[i], const[i]))
-        got = np.sort_complex(batch[i])
+        single = all_roots(alpha, 0.0, beta[i], const[i])
+        single = np.sort(single[np.abs(single.imag) <= REAL_TOL].real)
+        got = batch[i][~np.isnan(batch[i])]
+        assert np.all(np.isnan(batch[i][got.size:]))
+        assert got.shape == single.shape
         assert np.allclose(single, got, atol=1e-9)
+
+
+def _real_roots(alpha, beta, const):
+    row = depressed_roots_batch(alpha, np.array([beta]), np.array([const]))[0]
+    return row[~np.isnan(row)]
+
+
+@pytest.mark.parametrize(
+    "beta, const, expect",
+    [
+        (-7.0, 6.0, [-3.0, 1.0, 2.0]),  # three real roots (Viete)
+        (3.0, 4.0, [-1.0]),  # one real root (Cardano): (t + 1)(t^2 - t + 4)
+        (0.0, -8.0, [2.0]),  # p = 0
+        (0.0, 8.0, [-2.0]),
+        (-4.0, 0.0, [-2.0, 0.0, 2.0]),  # const = 0, three roots
+        (4.0, 0.0, [0.0]),  # const = 0, one root
+        (0.0, 0.0, [0.0]),  # triple root at zero
+        (-3.0, 2.0, [-2.0, 1.0, 1.0]),  # double root (t - 1)^2 (t + 2)
+        (-3.0, -2.0, [-1.0, -1.0, 2.0]),
+    ],
+)
+def test_real_solver_cases(beta, const, expect):
+    got = _real_roots(1.0, beta, const)
+    assert got.shape == (len(expect),)
+    # A double root is only determined to about sqrt(machine epsilon).
+    tol = 1e-6 if len(set(expect)) < len(expect) else 1e-12
+    assert np.allclose(got, expect, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+def test_real_solver_either_side_of_double_root(delta):
+    # t^3 - 3t + 2 has the double root 1; lowering the constant splits it
+    # into two real roots, raising it leaves -2 as the only real root.
+    below = _real_roots(1.0, -3.0, 2.0 - delta)
+    above = _real_roots(1.0, -3.0, 2.0 + delta)
+    split = np.sqrt(delta / 3.0)
+    assert np.allclose(below, [-2.0, 1.0 - split, 1.0 + split], rtol=0, atol=delta)
+    assert above.size == 1 and abs(above[0] + 2.0) <= delta
+    for const, roots in ((2.0 - delta, below), (2.0 + delta, above)):
+        for t in roots:
+            assert abs(_poly(1.0, 0.0, -3.0, const, t)) <= 1e-14
+
+
+def test_real_solver_residuals_10k():
+    rng = make_rng(81)
+    alpha_all = np.abs(rng.normal(size=10_000)) * 10.0 ** rng.integers(-3, 4, size=10_000)
+    beta = rng.normal(size=10_000) * 10.0 ** rng.integers(-3, 4, size=10_000)
+    const = rng.normal(size=10_000) * 10.0 ** rng.integers(-3, 4, size=10_000)
+    for i in range(10_000):
+        alpha = float(alpha_all[i])
+        roots = _real_roots(alpha, beta[i], const[i])
+        assert roots.size in (1, 3)
+        assert np.all(np.diff(roots) >= 0)
+        for t in roots:
+            residual = abs(_poly(alpha, 0.0, beta[i], const[i], t))
+            assert residual <= 1e-8 * residual_scale(alpha, 0.0, beta[i], const[i], t)
