@@ -79,6 +79,13 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
+def inner_rows(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """inner(a_m, x) for every row a_m of ``vectors``, as conj(vectors @ conj(x)),
+    which reads the stored rows without making a conjugate copy of them."""
+    nu = vectors @ np.conj(x)
+    return np.conjugate(nu, out=nu)
+
+
 @dataclass(frozen=True)
 class SensingEnsemble:
     """M sensing vectors of common dimension N, stored as rows of ``vectors``.

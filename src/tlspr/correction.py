@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, inner
+from .core import DimensionMismatchError, inner, inner_rows
 from .cubic import POSITIVE_TOL, depressed_roots_batch
 
 # Ties in the candidate objective within this relative margin are broken by
@@ -159,7 +159,7 @@ def sweep_corrections(
     if norm_sq == 0.0:
         raise ValueError("x must be nonzero")
     if nu_a is None:
-        nu_a = vectors.conj() @ x
+        nu_a = inner_rows(vectors, x)
     alpha = 2.0 * lambda_y * norm_sq
     beta = lambda_a - 2.0 * lambda_y * norm_sq * y
     nu_a_abs = np.abs(nu_a)
@@ -197,6 +197,6 @@ def sweep_corrections(
 def apply_corrections(vectors: np.ndarray, x: np.ndarray, nu_star: np.ndarray) -> np.ndarray:
     """Materialize the corrected ensemble for the sweep output."""
     norm_sq = float(np.vdot(x, x).real)
-    nu_a = vectors.conj() @ x
+    nu_a = inner_rows(vectors, x)
     shift = np.conj(nu_star - nu_a) / norm_sq
     return vectors + np.outer(shift, x)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionMismatchError, SensingEnsemble, inner
+from .core import DimensionMismatchError, SensingEnsemble, inner, inner_rows
 
 
 def dist(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
@@ -73,8 +73,8 @@ def rel_corr(
     if va.shape != vd.shape or va.shape[1] != x_sharp.shape[0]:
         raise DimensionMismatchError("ensemble/signal dimensions disagree")
     phi = optimal_phase(x_sharp, x_dag)
-    ref = va.conj() @ x_sharp
-    got = vd.conj() @ (np.exp(1j * phi) * x_dag)
+    ref = inner_rows(va, x_sharp)
+    got = inner_rows(vd, np.exp(1j * phi) * x_dag)
     denom = np.linalg.norm(ref)
     if denom == 0.0:
         raise ValueError("reference inner products have zero norm")

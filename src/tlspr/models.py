@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, MeasurementSet, SensingEnsemble
+from .core import DimensionMismatchError, MeasurementSet, SensingEnsemble, inner_rows
 
 
 @dataclass(frozen=True)
@@ -88,5 +88,5 @@ def synthesize_measurements(ensemble: SensingEnsemble | np.ndarray, x: np.ndarra
         raise DimensionMismatchError(
             f"ensemble of shape {vectors.shape} incompatible with signal of length {x.shape[0]}"
         )
-    values = np.abs(vectors.conj() @ x) ** 2
+    values = np.abs(inner_rows(vectors, x)) ** 2
     return MeasurementSet(values)

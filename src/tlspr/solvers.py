@@ -14,6 +14,11 @@ lambda_a-weighted correction norms (the objective J tracked by the
 convergence test).  Iteration stops when the objective changes by less than
 ``threshold`` between consecutive iterates or at ``max_iters``.
 
+One iteration of either solver costs two products with the one stored
+(M, N) ensemble A and no copy of it: inner(a_m, x) for all rows as
+conj(A @ conj(x)) (:func:`~tlspr.core.inner_rows`), and the gradient as
+A^T w.  The TLS correction enters both only through length-M vectors.
+
 Defaults follow the tuned values for the Gaussian measurement model:
 mu = 0.5/lambda_a for TLS and mu = 0.02 for LS, with lambda_a =
 lambda_a_dag/N and lambda_y = lambda_y_dag/||x0||^4 (both daggers default 1).
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSet, SensingEnsemble, make_rng
+from .core import MeasurementSet, SensingEnsemble, as_cvector, inner_rows, make_rng
 from .correction import apply_corrections, sweep_corrections
 
 # Fixed internal seeds: power-method start vector and the fallback
@@ -116,9 +121,8 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
     if not real_data:
         u = u + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
-    conj_vectors = vectors.conj()
     for _ in range(power_iters):
-        t = conj_vectors @ u
+        t = inner_rows(vectors, u)
         u = vectors.T @ (yv * t)
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
@@ -152,7 +156,7 @@ def ls_gradient(x, ensemble, y) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if vectors.shape[1] != x.shape[0] or vectors.shape[0] != yv.shape[0]:
         raise ValueError("dimension mismatch")
-    nu = vectors.conj() @ x
+    nu = inner_rows(vectors, x)
     w = (np.abs(nu) ** 2 - yv) * nu / yv.shape[0]
     return vectors.T @ w
 
@@ -161,7 +165,7 @@ def objective_ls(x, ensemble, y) -> float:
     """(1/2M) sum (y_m - |inner(a_m, x)|^2)^2."""
     vectors = _as_vectors(ensemble)
     yv = _as_values(y)
-    nu = vectors.conj() @ np.asarray(x, dtype=np.complex128)
+    nu = inner_rows(vectors, np.asarray(x, dtype=np.complex128))
     return float(np.sum((yv - np.abs(nu) ** 2) ** 2) / (2.0 * yv.shape[0]))
 
 
@@ -172,7 +176,7 @@ def objective_tls(x, corrected, original, y, lambda_a: float, lambda_y: float) -
     yv = _as_values(y)
     if v.shape != a.shape or v.shape[0] != yv.shape[0]:
         raise ValueError("dimension mismatch")
-    nu = v.conj() @ np.asarray(x, dtype=np.complex128)
+    nu = inner_rows(v, np.asarray(x, dtype=np.complex128))
     corr = np.sum(np.abs(v - a) ** 2, axis=1)
     misfit = (yv - np.abs(nu) ** 2) ** 2
     return float(np.sum(lambda_a * corr + lambda_y * misfit) / (2.0 * yv.shape[0]))
@@ -194,68 +198,69 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
     return corrected.T @ w
 
 
-def _resolve_step(cfg: SolverConfig, lambda_a: float) -> float:
-    if cfg.step_size is not None:
-        return cfg.step_size
-    if cfg.mode == "tls":
-        return (0.4 if cfg.projection == "real_binary" else 0.5) / lambda_a
-    return 0.005 if cfg.projection == "real_binary" else 0.02
-
-
-def _initial_x(y, vectors, cfg, x0):
+def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
+    """Checked inputs, initial iterate, its squared norm, lambda_a and the
+    scaled step, shared by both solvers."""
+    if cfg.mode != mode:
+        raise ValueError(f"cfg.mode must be {mode!r}")
+    vectors = _as_vectors(ensemble)
+    yv = _as_values(y)
+    m, n = vectors.shape
+    if yv.shape != (m,):
+        raise ValueError(f"measurements have shape {yv.shape}, ensemble has M = {m}")
     if x0 is not None:
-        x = np.asarray(x0, dtype=np.complex128).copy()
+        x = as_cvector(x0, "x0").copy()
+        if x.shape[0] != n:
+            raise ValueError(f"x0 has length {x.shape[0]}, ensemble has N = {n}")
     else:
         try:
-            x = spectral_init(y, vectors, cfg.power_iters)
+            x = spectral_init(yv, vectors, cfg.power_iters)
         except ValueError:
-            x = fallback_init(vectors.shape[1], real_mode=bool(np.all(vectors.imag == 0.0)))
-    if cfg.projection == "real_binary":
+            x = fallback_init(n, real_mode=bool(np.all(vectors.imag == 0.0)))
+    binary = cfg.projection == "real_binary"
+    if binary:
         x = project_real_binary(x)
-    return x
+    norm0_sq = float(np.vdot(x, x).real)
+    if norm0_sq == 0.0:
+        raise SolverError("initial iterate has zero norm")
+    lambda_a = cfg.lambda_a_dag / n
+    if cfg.step_size is not None:
+        mu = cfg.step_size
+    elif mode == "tls":
+        mu = (0.4 if binary else 0.5) / lambda_a
+    else:
+        mu = 0.005 if binary else 0.02
+    return vectors, yv, x, norm0_sq, lambda_a, mu / norm0_sq
 
 
 def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     """Wirtinger-flow least squares solve."""
-    if cfg.mode != "ls":
-        raise ValueError("cfg.mode must be 'ls'")
-    vectors = _as_vectors(ensemble)
-    yv = _as_values(y)
-    x = _initial_x(yv, vectors, cfg, x0)
-    norm0_sq = float(np.vdot(x, x).real)
-    if norm0_sq == 0.0:
-        raise SolverError("initial iterate has zero norm")
-    lambda_a = cfg.lambda_a_dag / vectors.shape[1]
-    step = _resolve_step(cfg, lambda_a) / norm0_sq
+    vectors, yv, x, _, _, step = _start(y, ensemble, cfg, x0, "ls")
     m = yv.shape[0]
-    conj_vectors = vectors.conj()
-
     trace = []
-    loss_prev = None
     converged = False
-    iterations = 0
-    nu = conj_vectors @ x
+    # Residual r = |nu|^2 - y of the current iterate: its loss and next step.
+    nu = inner_rows(vectors, x)
+    r = nu.real**2 + nu.imag**2 - yv
     for it in range(cfg.max_iters):
-        w = (np.abs(nu) ** 2 - yv) * nu / m
-        x = x - step * (vectors.T @ w)
+        x = x - (step / m) * (vectors.T @ (r * nu))
         if cfg.projection == "real_binary":
             x = project_real_binary(x)
-        nu = conj_vectors @ x
+        nu = inner_rows(vectors, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = float(np.sum((yv - np.abs(nu) ** 2) ** 2) / (2.0 * m))
+            r = nu.real**2 + nu.imag**2 - yv
+            loss = float(r @ r) / (2.0 * m)
         if not np.isfinite(loss):
             raise SolverError(f"objective became non-finite at iteration {it + 1}")
         trace.append(loss)
-        iterations = it + 1
-        if loss_prev is not None and abs(loss - loss_prev) < cfg.threshold:
+        if it and abs(loss - trace[-2]) < cfg.threshold:
             converged = True
             break
-        loss_prev = loss
     return SolveResult(
         x_hat=x,
         corrected_ensemble=None,
         objective_trace=np.asarray(trace),
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
     )
 
@@ -269,28 +274,15 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     objective J (correction norms plus weighted misfit).  The returned
     ensemble holds the corrections from the final sweep.
     """
-    if cfg.mode != "tls":
-        raise ValueError("cfg.mode must be 'tls'")
-    vectors = _as_vectors(ensemble)
-    yv = _as_values(y)
+    vectors, yv, x, norm0_sq, lambda_a, step = _start(y, ensemble, cfg, x0, "tls")
     model_tag = ensemble.model_tag if isinstance(ensemble, SensingEnsemble) else "external"
-    m, n = vectors.shape
-    x = _initial_x(yv, vectors, cfg, x0)
-    norm0_sq = float(np.vdot(x, x).real)
-    if norm0_sq == 0.0:
-        raise SolverError("initial iterate has zero norm")
-    lambda_a = cfg.lambda_a_dag / n
+    m = yv.shape[0]
     lambda_y = cfg.lambda_y_dag / norm0_sq**2
-    step = _resolve_step(cfg, lambda_a) / norm0_sq
-    conj_vectors = vectors.conj()
-
     trace = []
-    loss_prev = None
     converged = False
-    iterations = 0
     sweep_shift = np.zeros(m, dtype=np.complex128)
     sweep_x = x
-    nu_a = conj_vectors @ x
+    nu_a = inner_rows(vectors, x)
     for it in range(cfg.max_iters):
         norm_x_sq = float(np.vdot(x, x).real)
         if norm_x_sq == 0.0:
@@ -306,7 +298,7 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
         x_new = x - step * grad
         if cfg.projection == "real_binary":
             x_new = project_real_binary(x_new)
-        nu_a_new = conj_vectors @ x_new
+        nu_a_new = inner_rows(vectors, x_new)
         # inner(v_m, x_new) for the swept v_m = a_m + shift_m * x.
         nu_corr_new = nu_a_new + np.conj(sweep_shift) * np.vdot(x, x_new)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -315,18 +307,17 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
         if not np.isfinite(loss):
             raise SolverError(f"objective became non-finite at iteration {it + 1}")
         trace.append(loss)
-        iterations = it + 1
         x = x_new
         nu_a = nu_a_new
-        if loss_prev is not None and abs(loss - loss_prev) < cfg.threshold:
+        if it and abs(loss - trace[-2]) < cfg.threshold:
             converged = True
             break
-        loss_prev = loss
-    corrected = vectors + np.outer(sweep_shift, sweep_x)
+    corrected = np.outer(sweep_shift, sweep_x)
+    corrected += vectors
     return SolveResult(
         x_hat=x,
         corrected_ensemble=SensingEnsemble(corrected, model_tag=model_tag, noise_tag="corrected"),
         objective_trace=np.asarray(trace),
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
     )

@@ -179,6 +179,84 @@ def correct_sensing_vector_reference(a_m, y_m, x, lam_a, lam_y):
     return best[2], best[0]
 
 
+def _project_real_binary_reference(x):
+    return np.minimum(np.abs(x), 1.0).astype(np.complex128)
+
+
+def solve_ls_reference(y, vectors, x0, mu, threshold, max_iters, real_binary=False):
+    """Frozen two-array least squares loop: products with a conjugate copy of
+    the ensemble and with its transpose, |nu|^2 as abs(nu)**2.
+
+    Returns ``(x_hat, iterations)``; ``mu`` is the unscaled step size.
+    """
+    x = np.array(x0, dtype=np.complex128)
+    if real_binary:
+        x = _project_real_binary_reference(x)
+    step = mu / float(np.vdot(x, x).real)
+    m = y.shape[0]
+    conj_vectors = vectors.conj()
+    loss_prev = None
+    iterations = 0
+    nu = conj_vectors @ x
+    for it in range(max_iters):
+        w = (np.abs(nu) ** 2 - y) * nu / m
+        x = x - step * (vectors.T @ w)
+        if real_binary:
+            x = _project_real_binary_reference(x)
+        nu = conj_vectors @ x
+        loss = float(np.sum((y - np.abs(nu) ** 2) ** 2) / (2.0 * m))
+        iterations = it + 1
+        if loss_prev is not None and abs(loss - loss_prev) < threshold:
+            break
+        loss_prev = loss
+    return x, iterations
+
+
+def solve_tls_reference(y, vectors, x0, mu, lambda_a, threshold, max_iters, sweep, real_binary=False):
+    """Frozen two-array total least squares loop, as :func:`solve_ls_reference`.
+
+    ``sweep`` is the package's correction sweep, passed in, so this checks
+    the iteration around it, not the correction.  ``mu`` is the
+    unscaled step size and ``lambda_y`` follows from ``||x0||`` as in the
+    solver.  Returns ``(x_hat, iterations, corrected_vectors)``.
+    """
+    x = np.array(x0, dtype=np.complex128)
+    if real_binary:
+        x = _project_real_binary_reference(x)
+    norm0_sq = float(np.vdot(x, x).real)
+    lambda_y = 1.0 / norm0_sq**2
+    step = mu / norm0_sq
+    m = y.shape[0]
+    conj_vectors = vectors.conj()
+    loss_prev = None
+    iterations = 0
+    sweep_shift = np.zeros(m, dtype=np.complex128)
+    sweep_x = x
+    nu_a = conj_vectors @ x
+    for it in range(max_iters):
+        norm_x_sq = float(np.vdot(x, x).real)
+        nu_star, _ = sweep(vectors, y, x, lambda_a, lambda_y, nu_a=nu_a)
+        sweep_shift = np.conj(nu_star - nu_a) / norm_x_sq
+        sweep_x = x
+        corr_term = lambda_a * float(np.sum(np.abs(nu_star - nu_a) ** 2)) / norm_x_sq / (2.0 * m)
+        w = (np.abs(nu_star) ** 2 - y) * nu_star / m
+        grad = vectors.T @ w + np.sum(w * sweep_shift) * x
+        x_new = x - step * grad
+        if real_binary:
+            x_new = _project_real_binary_reference(x_new)
+        nu_a_new = conj_vectors @ x_new
+        nu_corr_new = nu_a_new + np.conj(sweep_shift) * np.vdot(x, x_new)
+        data_term = lambda_y * float(np.sum((y - np.abs(nu_corr_new) ** 2) ** 2)) / (2.0 * m)
+        loss = corr_term + data_term
+        iterations = it + 1
+        x = x_new
+        nu_a = nu_a_new
+        if loss_prev is not None and abs(loss - loss_prev) < threshold:
+            break
+        loss_prev = loss
+    return x, iterations, vectors + np.outer(sweep_shift, sweep_x)
+
+
 def wirtinger_gradient_fd(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference Wirtinger gradient of a real scalar function.
 

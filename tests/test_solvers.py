@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tlspr.core import complex_gaussian_vector, inner, make_rng
 from tlspr.correction import apply_corrections, sweep_corrections
 from tlspr.metrics import rel_dist
-from tlspr.models import gaussian_ensemble, synthesize_measurements
+from tlspr.models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
+from tlspr.noise import NoiseSpec, inject
 from tlspr.solvers import (
     SolverConfig,
     SolverError,
@@ -18,7 +21,7 @@ from tlspr.solvers import (
     tls_objective_gradient,
 )
 
-from oracles import wirtinger_gradient_fd
+from oracles import solve_ls_reference, solve_tls_reference, wirtinger_gradient_fd
 
 
 def _clean_instance(seed, n, m, real_mode=False):
@@ -366,3 +369,109 @@ def test_solver_config_validation():
         SolverConfig(lambda_a_dag=0.0)
     with pytest.raises(ValueError):
         SolverConfig(projection="clamp")
+
+
+# ---------------------------------------------------------------------------
+# input validation at the solver boundary
+
+
+@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
+def test_solver_rejects_measurement_count_mismatch(solver):
+    x, ens, y = _clean_instance(30, 6, 48)
+    cfg = SolverConfig(mode=solver.__name__[len("solve_"):])
+    with pytest.raises(ValueError, match="ensemble has M = 48"):
+        solver(y.values[:1], ens, cfg, x0=x)
+
+
+@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
+def test_solver_rejects_x0_of_wrong_length(solver):
+    x, ens, y = _clean_instance(31, 6, 48)
+    cfg = SolverConfig(mode=solver.__name__[len("solve_"):])
+    with pytest.raises(ValueError, match="x0 has length 5"):
+        solver(y, ens, cfg, x0=x[:5])
+
+
+@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
+def test_solver_rejects_non_finite_x0(solver):
+    x, ens, y = _clean_instance(32, 6, 48)
+    x0 = x.copy()
+    x0[2] = np.nan
+    cfg = SolverConfig(mode=solver.__name__[len("solve_"):], max_iters=0)
+    with pytest.raises(ValueError, match="x0 contains non-finite entries"):
+        solver(y, ens, cfg, x0=x0)
+
+
+# ---------------------------------------------------------------------------
+# the solver loops against the frozen two-array loops
+
+
+# Tuned steps of the solvers module docstring; the TLS ones in units of 1/lambda_a.
+_TUNED_MU = {("ls", "none"): 0.02, ("tls", "none"): 0.5, ("ls", "real_binary"): 0.005, ("tls", "real_binary"): 0.4}
+
+
+def _oracle_instances():
+    """(y, ensemble, projection) for 24 seeded noisy instances: complex
+    Gaussian, CDP, and real-binary signals on Gaussian ensembles."""
+    spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0)
+    for seed in range(24):
+        rng = make_rng(4000 + seed)
+        kind = seed % 3
+        if kind == 1:
+            ens = cdp_ensemble(rng, CdpConfig(n=16, l=6))
+            x = complex_gaussian_vector(rng, 16)
+        else:
+            ens = gaussian_ensemble(rng, 16, 128)
+            x = complex_gaussian_vector(rng, 16)
+            if kind == 2:
+                x = (rng.random(16) < 0.5).astype(np.complex128)
+        y, noisy = inject(rng, synthesize_measurements(ens, x), ens, spec)
+        yield y, noisy, "real_binary" if kind == 2 else "none"
+
+
+def test_solvers_match_frozen_two_array_loops():
+    for y, ens, projection in _oracle_instances():
+        x0 = spectral_init(y, ens)
+        yv, vectors = y.values, ens.vectors
+        for mode, solver in (("ls", solve_ls), ("tls", solve_tls)):
+            cfg = SolverConfig(mode=mode, projection=projection)
+            res = solver(y, ens, cfg, x0=x0)
+            mu = _TUNED_MU[mode, projection]
+            binary = projection == "real_binary"
+            if mode == "ls":
+                x_ref, iters = solve_ls_reference(
+                    yv, vectors, x0, mu, cfg.threshold, cfg.max_iters, real_binary=binary
+                )
+            else:
+                lam_a = 1.0 / vectors.shape[1]
+                x_ref, iters, corrected = solve_tls_reference(
+                    yv, vectors, x0, mu / lam_a, lam_a, cfg.threshold, cfg.max_iters,
+                    sweep_corrections, real_binary=binary,
+                )
+                assert np.allclose(res.corrected_ensemble.vectors, corrected, rtol=1e-12, atol=0)
+            assert res.iterations == iters, (mode, projection)
+            assert np.linalg.norm(res.x_hat - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+# ---------------------------------------------------------------------------
+# memory: products read the one stored ensemble, no conjugate copy
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_solver_peak_allocation_stays_below_one_ensemble():
+    n, m = 128, 1024
+    x, ens, y = _clean_instance(33, n, m)
+    ens_bytes = 16 * m * n
+    assert _peak_bytes(spectral_init, y, ens) < 0.25 * ens_bytes
+    assert _peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.25 * ens_bytes
+    # solve_tls returns a corrected ensemble: one M x N result, copied once
+    # by the SensingEnsemble container.
+    assert _peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5)) < 2.25 * ens_bytes
