@@ -122,7 +122,7 @@ class SensingEnsemble:
         return self.vectors.shape[1]
 
     def is_real(self) -> bool:
-        return bool(np.all(self.vectors.imag == 0.0))
+        return not self.vectors.imag.any()
 
 
 @dataclass(frozen=True)

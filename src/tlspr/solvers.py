@@ -115,7 +115,7 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("measurements sum to a nonpositive value")
     n = vectors.shape[1]
-    real_data = bool(np.all(vectors.imag == 0.0))
+    real_data = not vectors.imag.any()
     rng = make_rng(_SPECTRAL_START_SEED)
     u = rng.normal(size=n).astype(np.complex128)
     if not real_data:
@@ -216,7 +216,7 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
         try:
             x = spectral_init(yv, vectors, cfg.power_iters)
         except ValueError:
-            x = fallback_init(n, real_mode=bool(np.all(vectors.imag == 0.0)))
+            x = fallback_init(n, real_mode=not vectors.imag.any())
     binary = cfg.projection == "real_binary"
     if binary:
         x = project_real_binary(x)

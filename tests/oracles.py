@@ -179,6 +179,70 @@ def correct_sensing_vector_reference(a_m, y_m, x, lam_a, lam_y):
     return best[2], best[0]
 
 
+# Frozen copy of the correction sweep the package shipped before it took the
+# smallest real root of the plus cubic directly: all real roots of that cubic
+# (Viete or Kahan's Cardano, one guarded Newton step), the nonzero ones and a
+# nu = 0 slot as candidates, f_m evaluated on each, ties broken toward the
+# smaller perturbation.  Regression reference only.
+def real_roots_reference(alpha, beta, const) -> np.ndarray:
+    p = np.asarray(beta, dtype=np.float64) / alpha
+    q = np.asarray(const, dtype=np.float64) / alpha
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    roots = np.full((p.shape[0], 3), np.nan)
+    is_three = (disc <= 0.0) & (p < 0.0)
+    three = np.flatnonzero(is_three)
+    if three.size:
+        p3, q3 = p[three], q[three]
+        m = 2.0 * np.sqrt(p3 / -3.0)
+        theta = np.arccos(np.clip(3.0 * q3 / (p3 * m), -1.0, 1.0)) / 3.0
+        low = m * np.cos(theta - 4.0 * np.pi / 3.0)
+        high = m * np.cos(theta)
+        roots[three, 0] = low
+        roots[three, 1] = -q3 / (low * high)
+        roots[three, 2] = high
+    one = np.flatnonzero(~is_three)
+    if one.size:
+        p1, q1 = p[one], q[one]
+        big = np.cbrt(0.5 * np.abs(q1) + np.sqrt(np.maximum(disc[one], 0.0)))
+        big[big == 0.0] = 1.0
+        small = p1 / (3.0 * big)
+        roots[one, 0] = -q1 / (big * big + p1 / 3.0 + small * small)
+    p, q = p[:, None], q[:, None]
+    f = (roots * roots + p) * roots + q
+    df = 3.0 * roots * roots + p
+    step = roots - f / np.where(df != 0.0, df, np.inf)
+    f_step = (step * step + p) * step + q
+    return np.where(np.abs(f_step) < np.abs(f), step, roots)
+
+
+def sweep_corrections_reference(vectors, y, x, lambda_a, lambda_y):
+    """``(nu_star, f_star, roots)`` by candidate enumeration; ``roots`` are
+    the (M, 3) real roots of the plus cubic, NaN-padded."""
+    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.complex128)
+    norm_sq = float(np.vdot(x, x).real)
+    nu_a = np.conj(np.asarray(vectors, dtype=np.complex128) @ np.conj(x))
+    alpha = 2.0 * lambda_y * norm_sq
+    beta = lambda_a - 2.0 * lambda_y * norm_sq * y
+    nu_a_abs = np.abs(nu_a)
+    gamma_abs = lambda_a * nu_a_abs
+    safe = np.where(nu_a == 0, 1.0, -nu_a)
+    phase = safe / np.abs(safe)
+    roots = real_roots_reference(alpha, beta, gamma_abs)
+    nonzero = np.abs(roots) > 1e-12
+    fallback = (gamma_abs == 0.0) | ~nonzero.any(axis=1)
+    valid = np.column_stack([nonzero, fallback])
+    t = np.column_stack([np.where(nonzero, roots, 0.0), np.zeros(len(y))])
+    pert_sq = (t + nu_a_abs[:, None]) ** 2 / norm_sq
+    fvals = lambda_a * pert_sq + lambda_y * (y[:, None] - t * t) ** 2
+    fvals = np.where(valid, fvals, np.inf)
+    fmin = fvals.min(axis=1)
+    tie = fvals <= fmin[:, None] * (1.0 + 1e-12) + 1e-300
+    pick = np.where(tie, pert_sq, np.inf).argmin(axis=1)
+    rows = np.arange(len(y))
+    return phase * t[rows, pick], fvals[rows, pick], roots
+
+
 def _project_real_binary_reference(x):
     return np.minimum(np.abs(x), 1.0).astype(np.complex128)
 

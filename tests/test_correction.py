@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tlspr.core import inner, make_rng
+from tlspr.core import inner, inner_rows, make_rng
 from tlspr.correction import (
     CorrectionParams,
     apply_corrections,
@@ -12,7 +12,12 @@ from tlspr.correction import (
     sweep_corrections,
 )
 
-from oracles import correct_sensing_vector_reference, correction_objective, grid_min
+from oracles import (
+    correct_sensing_vector_reference,
+    correction_objective,
+    grid_min,
+    sweep_corrections_reference,
+)
 
 
 def _random_instance(rng, n_max=4, scale=1.0):
@@ -259,6 +264,80 @@ def test_never_worse_than_frozen_scalar_algorithm():
         res = correct_sensing_vector(a, y, x, params)
         _, f_ref = correct_sensing_vector_reference(a, y, x, params.lambda_a, params.lambda_y)
         assert res.objective_value <= f_ref * (1.0 + 1e-9)
+
+
+def _orthogonal_block(rng, m):
+    # a_m orthogonal to x exactly: disjoint supports make every inner(a_m, x)
+    # an exact zero.  y spans both signs of beta = lambda_a - 2 lambda_y y ||x||^2.
+    x = np.zeros(4, dtype=complex)
+    x[:2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    a = np.zeros((m, 4), dtype=complex)
+    a[:, 2:] = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    norm_sq = float(np.vdot(x, x).real)
+    y = norm_sq * rng.uniform(-1.0, 1.0, size=m)
+    return a, y, x, 0.25, 1.0 / norm_sq**2
+
+
+def test_sweep_matches_frozen_candidate_enumeration():
+    rng = make_rng(20_014)
+    blocks = []
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        a = rng.normal(size=(2000, n)) + 1j * rng.normal(size=(2000, n))
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3)
+        # The factor's lower tail gives y <= 0 rows.
+        y = np.abs(inner_rows(a, x)) ** 2 * (1.0 + 0.6 * rng.normal(size=2000))
+        norm_sq = float(np.vdot(x, x).real)
+        blocks.append((a, y, x, 1.0 / n, float(10.0 ** rng.uniform(-2, 2)) / norm_sq**2))
+    blocks.append(_orthogonal_block(rng, 200))
+    rows = counts = 0
+    for a, y, x, lam_a, lam_y in blocks:
+        nu_star, f_star = sweep_corrections(a, y, x, lam_a, lam_y)
+        nu_ref, f_ref, roots = sweep_corrections_reference(a, y, x, lam_a, lam_y)
+        exact = ~np.any(np.abs(roots) <= 1e-12, axis=1)
+        assert np.array_equal(nu_star[exact].view(np.uint64), nu_ref[exact].view(np.uint64))
+        assert np.array_equal(f_star[exact].view(np.uint64), f_ref[exact].view(np.uint64))
+        # Rows whose reference roots fell under the positivity tolerance only
+        # need to do no worse; where a_m is orthogonal to x the two minimizers
+        # +/- sqrt(-p) tie up to rounding.
+        assert np.all(f_star[~exact] <= f_ref[~exact] * (1.0 + 1e-15))
+        rows += int(exact.sum())
+        counts += np.array([np.sum(np.isnan(roots[:, 1])), np.sum(~np.isnan(roots[:, 1])),
+                            np.sum(y <= 0.0)])
+    assert rows >= 100_000
+    assert np.all(counts > 0)  # one-root, three-root and y <= 0 rows all occur
+
+
+def test_orthogonal_rows_take_the_smallest_root_on_phase_zero():
+    a, y, x, lam_a, lam_y = _orthogonal_block(make_rng(20_015), 400)
+    nu_star, f_star = sweep_corrections(a, y, x, lam_a, lam_y)
+    _, f_ref, _ = sweep_corrections_reference(a, y, x, lam_a, lam_y)
+    norm_sq = float(np.vdot(x, x).real)
+    p = (lam_a - 2.0 * lam_y * norm_sq * y) / (2.0 * lam_y * norm_sq)
+    assert np.any(p < 0.0) and np.any(p >= 0.0)
+    assert np.allclose(nu_star, -np.sqrt(np.maximum(-p, 0.0)), rtol=1e-14, atol=0)
+    assert np.all(f_star <= f_ref * (1.0 + 1e-15))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-13, 1e-15])
+def test_sweep_finds_the_minimizer_at_small_signal_scale(scale):
+    # An absolute root tolerance once discarded the minimizer below x ~ 1e-12.
+    rng = make_rng(20_016)
+    n, m = 8, 2000
+    a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    c = np.abs(inner_rows(a, x))
+    y = c**2 * rng.uniform(0.2, 2.0, size=m)
+    norm_sq = float(np.vdot(x, x).real)
+    lam_a, lam_y = 1.0 / n, 1.0 / norm_sq**2
+    _, f_star = sweep_corrections(a, y, x, lam_a, lam_y)
+    # Along nu = phase(gamma) * t, f' < 0 for t < -max(c, sqrt(y)), and a
+    # minimizer has t <= 0; scan that interval densely, 250 rows at a time.
+    grid = np.linspace(-1.0, 0.0, 4001)
+    for rows in np.array_split(np.arange(m), 8):
+        t = np.maximum(c[rows], np.sqrt(y[rows]))[:, None] * grid
+        f = lam_a * (t + c[rows, None]) ** 2 / norm_sq + lam_y * (y[rows, None] - t * t) ** 2
+        assert np.all(f_star[rows] <= f.min(axis=1) * (1.0 + 1e-6))
 
 
 def test_rejects_zero_x():

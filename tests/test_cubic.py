@@ -7,7 +7,10 @@ from tlspr.cubic import (
     depressed_roots_batch,
     positive_real_roots,
     residual_scale,
+    smallest_real_root,
 )
+
+from oracles import real_roots_reference
 
 
 # Roots of all_roots with |Im| <= REAL_TOL count as real.
@@ -175,3 +178,28 @@ def test_real_solver_residuals_10k():
         for t in roots:
             residual = abs(_poly(alpha, 0.0, beta[i], const[i], t))
             assert residual <= 1e-8 * residual_scale(alpha, 0.0, beta[i], const[i], t)
+
+
+def test_smallest_real_root_matches_frozen_solver_bitwise():
+    # Coefficients over most of the float range, near-double roots
+    # (t - r)^2 (t + 2r) perturbed by a few ulps, where the branch test sits on
+    # D = 0, and non-finite, zero and subnormal entries.
+    rng = make_rng(82)
+    n = 200_000
+    beta = [rng.normal(size=n) * 10.0 ** rng.integers(-100, 100, n)]
+    const = [rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, n)]
+    r = rng.normal(size=n) * 10.0 ** rng.integers(-40, 40, n)
+    for rel in (0.0, 1e-16, 1e-14):
+        beta.append(-3.0 * r * r * (1.0 + rel * rng.normal(size=n)))
+        const.append(2.0 * r**3 * (1.0 + rel * rng.normal(size=n)))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 1e308, -1e308])
+    beta.append(np.repeat(special, special.size))
+    const.append(np.tile(special, special.size))
+    beta, const = np.concatenate(beta), np.concatenate(const)
+    for alpha in (1.0, 3.7e-5):
+        with np.errstate(all="ignore"):
+            got = smallest_real_root(alpha, beta, const)
+            want = real_roots_reference(alpha, beta, const)[:, 0]
+        same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all()
+        assert np.isnan(got).sum() <= special.size**2

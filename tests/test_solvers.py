@@ -475,3 +475,15 @@ def test_solver_peak_allocation_stays_below_one_ensemble():
     # solve_tls returns a corrected ensemble: one M x N result, copied once
     # by the SensingEnsemble container.
     assert _peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5)) < 2.25 * ens_bytes
+
+
+def test_real_data_check_makes_no_ensemble_sized_temporary():
+    # Deciding whether the data are real reads the imaginary parts in place;
+    # an M x N boolean temporary alone would be 1/16 of an ensemble.  The
+    # solvers' own length-M work vectors are 1/N = 0.008 ensemble each.
+    n, m = 128, 1024
+    x, ens, y = _clean_instance(33, n, m)
+    ens_bytes = 16 * m * n
+    assert _peak_bytes(ens.is_real) < 0.01 * ens_bytes
+    assert _peak_bytes(spectral_init, y, ens) < 0.04 * ens_bytes
+    assert _peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.04 * ens_bytes
