@@ -29,13 +29,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import analysis, metrics, noise, serialization
 from .core import MeasurementSet, SensingEnsemble, complex_gaussian_vector, make_rng
@@ -172,6 +169,8 @@ def load_config(path: str | None) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
+    import yaml  # only config files need it; deferred to keep start-up short
+
     try:
         data = yaml.safe_load(p.read_text()) or {}
     except yaml.YAMLError as exc:
@@ -287,6 +286,9 @@ def run_sweep(config: ExperimentConfig, output: str | None = None) -> str:
             tasks.append((config, combo_index, ratio, meas_db, sens_db, trial_index))
     workers = worker_count()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             results = list(pool.map(_trial_worker, tasks, chunksize=1))
     else:

@@ -86,6 +86,33 @@ def inner_rows(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conjugate(nu, out=nu)
 
 
+class _Owned:
+    """An array the library has just built, or one another container already
+    holds, and no caller can write to.  A container given one keeps the array
+    itself instead of the snapshot copy it takes of any other input."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _kept(data, dtype) -> np.ndarray:
+    """The array a container keeps for ``data``: the array of an
+    :class:`_Owned` itself, anything else copied."""
+    if isinstance(data, _Owned):
+        return np.asarray(data.array, dtype=dtype)
+    return np.array(data, dtype=dtype, copy=True)
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of a non-empty ``arr`` is finite.  A NaN or an
+    infinity shows as a non-finite min or max of its float64 view, so no
+    temporary of the array's size is made when it is contiguous."""
+    flat = arr.ravel(order="K").view(np.float64)
+    return bool(np.isfinite(flat.min()) and np.isfinite(flat.max()))
+
+
 @dataclass(frozen=True)
 class SensingEnsemble:
     """M sensing vectors of common dimension N, stored as rows of ``vectors``.
@@ -99,12 +126,12 @@ class SensingEnsemble:
     noise_tag: NoiseTag = "clean"
 
     def __post_init__(self):
-        arr = np.array(self.vectors, dtype=np.complex128, copy=True)
+        arr = _kept(self.vectors, np.complex128)
         if arr.ndim != 2:
             raise ValueError(f"ensemble must be 2-D (M, N), got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("ensemble requires M >= 1 and N >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("ensemble contains non-finite entries")
         if self.model_tag not in MODEL_TAGS:
             raise ValueError(f"unknown model_tag {self.model_tag!r}")
@@ -133,12 +160,12 @@ class MeasurementSet:
     ensemble_ref: str = ""
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = _kept(self.values, np.float64)
         if arr.ndim != 1:
             raise ValueError(f"measurements must be 1-D, got shape {arr.shape}")
         if arr.size < 1:
             raise ValueError("measurements require M >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("measurements contain non-finite entries")
         object.__setattr__(self, "values", arr)
         self.values.setflags(write=False)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatchError, inner, inner_rows
-from .cubic import POSITIVE_TOL, depressed_roots_batch, smallest_real_root
+from .cubic import depressed_roots_batch, smallest_real_root
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,14 @@ def objective_on_vector(a_m, v, y_m: float, x, params: CorrectionParams) -> floa
 
 def stationary_candidates(a_m, y_m: float, x, params: CorrectionParams) -> np.ndarray:
     """All candidate values of nu = inner(v, x) for one measurement, as a
-    complex array: the stationary values phase(gamma) * t for the real roots
-    |t| > POSITIVE_TOL of the plus cubic, plus nu = 0 where gamma = 0 or
-    where no root cleared that tolerance."""
+    complex array: the stationary values phase(gamma) * t for the nonzero
+    real roots t of the plus cubic, at any scale, plus nu = 0 where gamma = 0
+    or where every root is zero."""
     nu_a = inner(a_m, x)
     alpha = 2.0 * params.lambda_y * inner(x, x).real
     gamma_abs = params.lambda_a * abs(nu_a)
     roots = depressed_roots_batch(alpha, [params.lambda_a - alpha * y_m], [gamma_abs])[0]
-    t = roots[np.abs(roots) > POSITIVE_TOL]
+    t = roots[np.abs(roots) > 0.0]
     if gamma_abs == 0.0 or t.size == 0:
         t = np.append(t, 0.0)
     return (-nu_a / abs(nu_a) if nu_a != 0 else 1.0) * t

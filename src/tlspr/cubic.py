@@ -29,8 +29,6 @@ import numpy as np
 # Primitive cube root of unity.
 _OMEGA = complex(-0.5, 0.5 * np.sqrt(3.0))
 
-# Positive roots must exceed this; smaller magnitudes are treated as zero.
-POSITIVE_TOL = 1e-12
 # Relative spacing under which two roots are merged as one.
 MERGE_TOL = 1e-9
 
@@ -98,12 +96,12 @@ def residual_scale(a, b, c, d, root) -> float:
 def positive_real_roots(alpha: float, beta: float, gamma_const: float) -> np.ndarray:
     """Positive real roots of the depressed cubic alpha*r^3 + beta*r + gamma_const.
 
-    Roots below POSITIVE_TOL are discarded; near-coincident roots are merged.
-    Requires alpha > 0.
+    A root counts as positive when it is > 0, at any scale; near-coincident
+    roots are merged.  Requires alpha > 0.
     """
     roots = depressed_roots_batch(alpha, [beta], [gamma_const])[0]
     merged: list[float] = []
-    for r in roots[roots > POSITIVE_TOL]:
+    for r in roots[roots > 0.0]:
         if merged and abs(r - merged[-1]) <= MERGE_TOL * max(abs(r), abs(merged[-1])):
             continue
         merged.append(float(r))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, MeasurementSet, SensingEnsemble, inner_rows
+from .core import DimensionMismatchError, MeasurementSet, SensingEnsemble, _Owned, inner_rows
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def gaussian_ensemble(
         a = rng.normal(size=(m, n)).astype(np.complex128)
     else:
         a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    return SensingEnsemble(a, model_tag="gaussian", noise_tag="clean")
+    return SensingEnsemble(_Owned(a), model_tag="gaussian", noise_tag="clean")
 
 
 def octanary_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -70,7 +70,7 @@ def cdp_ensemble(rng: np.random.Generator, cfg: CdpConfig) -> SensingEnsemble:
     for _ in range(cfg.l):
         p = octanary_pattern(rng, n)
         blocks.append(np.conj(dft) * np.conj(p)[None, :])
-    return SensingEnsemble(np.vstack(blocks), model_tag="cdp", noise_tag="clean")
+    return SensingEnsemble(_Owned(np.vstack(blocks)), model_tag="cdp", noise_tag="clean")
 
 
 def cdp_measure(vectors_or_patterns, x: np.ndarray) -> np.ndarray:
@@ -89,4 +89,4 @@ def synthesize_measurements(ensemble: SensingEnsemble | np.ndarray, x: np.ndarra
             f"ensemble of shape {vectors.shape} incompatible with signal of length {x.shape[0]}"
         )
     values = np.abs(inner_rows(vectors, x)) ** 2
-    return MeasurementSet(values)
+    return MeasurementSet(_Owned(values))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSet, SensingEnsemble
+from .core import MeasurementSet, SensingEnsemble, _Owned
 
 NOISE_MODELS = ("gaussian", "handcrafted")
 
@@ -114,8 +114,8 @@ def _apply(clean_y, clean_a, e_y, e_a, spec):
         noisy = True
     tag = "noisy" if noisy else clean_a.noise_tag
     return (
-        MeasurementSet(y_out, ensemble_ref=clean_y.ensemble_ref),
-        SensingEnsemble(a_out, model_tag=clean_a.model_tag, noise_tag=tag),
+        MeasurementSet(_Owned(y_out), ensemble_ref=clean_y.ensemble_ref),
+        SensingEnsemble(_Owned(a_out), model_tag=clean_a.model_tag, noise_tag=tag),
     )
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MeasurementSet, SensingEnsemble, as_cvector
+from .core import MeasurementSet, SensingEnsemble, _Owned, as_cvector
 
 _MAGIC = b"TLSPRBIN"
 FORMAT_VERSION = 1
@@ -151,7 +151,7 @@ def _from_header(header: dict, path: Path, data):
             raise FileFormatError(f"{path}: ensemble requires m >= 1 and n >= 1")
         values = _to_complex(data, m, n, path)
         return SensingEnsemble(
-            values.reshape(m, n),
+            _Owned(values.reshape(m, n)),
             model_tag=header.get("model_tag", "external"),
             noise_tag=header.get("noise_tag", "clean"),
         )
@@ -162,7 +162,7 @@ def _from_header(header: dict, path: Path, data):
             raise FileFormatError(f"{path}: header says m={m} but payload has {arr.size} values")
         if m < 1:
             raise FileFormatError(f"{path}: empty measurement set")
-        return MeasurementSet(arr, ensemble_ref=header.get("ensemble_ref", ""))
+        return MeasurementSet(_Owned(arr), ensemble_ref=header.get("ensemble_ref", ""))
     raise FileFormatError(f"{path}: unknown kind {kind!r}")
 
 

@@ -19,6 +19,11 @@ One iteration of either solver costs two products with the one stored
 conj(A @ conj(x)) (:func:`~tlspr.core.inner_rows`), and the gradient as
 A^T w.  The TLS correction enters both only through length-M vectors.
 
+Both start from :func:`spectral_init`, power iteration on
+Y = A^T diag(y) conj(A).  When N^2 <= M and N <= 2 * power_iters, Y is built
+once as an N x N matrix (M N^2 multiply-adds) and an iteration costs N^2;
+otherwise every iteration applies Y matrix-free at 2 M N.
+
 Defaults follow the tuned values for the Gaussian measurement model:
 mu = 0.5/lambda_a for TLS and mu = 0.02 for LS, with lambda_a =
 lambda_a_dag/N and lambda_y = lambda_y_dag/||x0||^4 (both daggers default 1).
@@ -27,11 +32,12 @@ In real-binary projection mode the tuned steps are 0.4/lambda_a and 0.005.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSet, SensingEnsemble, as_cvector, inner_rows, make_rng
+from .core import MeasurementSet, SensingEnsemble, _Owned, as_cvector, inner_rows, make_rng
 from .correction import apply_corrections, sweep_corrections
 
 # Fixed internal seeds: power-method start vector and the fallback
@@ -98,12 +104,16 @@ def _as_values(y) -> np.ndarray:
 
 
 def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
-    """Leading eigenvector of sum_m y_m a_m a_m^* by power iteration.
+    """Leading eigenvector of Y = sum_m y_m a_m a_m^* = A^T diag(y) conj(A)
+    by power iteration, u <- Y u / ||Y u||.
 
-    The matrix is only applied (two matrix-vector products per iteration),
-    never materialized.  The eigenvector is scaled by the norm estimate
-    sqrt(sum_m y_m / (2M)).  Real-valued data yields a real start vector so
-    the iteration stays real.
+    When N^2 <= M and N <= 2 * power_iters, Y is built once as an N x N
+    matrix, at M N^2 multiply-adds (no more than the 2 M N per iteration of
+    applying it matrix-free), and each iteration then costs N^2.  Otherwise
+    Y is only applied, with two matrix-vector products over the ensemble per
+    iteration, and never materialized.  The eigenvector is scaled by the
+    norm estimate sqrt(sum_m y_m / (2M)).  Real-valued data yields a real
+    start vector so the iteration stays real.
     """
     vectors = _as_vectors(ensemble)
     yv = _as_values(y)
@@ -114,7 +124,8 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
     total = float(np.sum(yv))
     if total <= 0.0:
         raise ValueError("measurements sum to a nonpositive value")
-    n = vectors.shape[1]
+    m, n = vectors.shape
+    spectral = _spectral_matrix(vectors, yv) if n * n <= m and n <= 2 * power_iters else None
     real_data = not vectors.imag.any()
     rng = make_rng(_SPECTRAL_START_SEED)
     u = rng.normal(size=n).astype(np.complex128)
@@ -122,8 +133,11 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
         u = u + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
     for _ in range(power_iters):
-        t = inner_rows(vectors, u)
-        u = vectors.T @ (yv * t)
+        if spectral is None:
+            t = inner_rows(vectors, u)
+            u = vectors.T @ (yv * t)
+        else:
+            u = spectral @ u
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             u = rng.normal(size=n).astype(np.complex128)
@@ -133,6 +147,23 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
         u /= nrm
     scale = np.sqrt(total / (2.0 * yv.shape[0]))
     return scale * u
+
+
+def _spectral_matrix(vectors: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """The N x N matrix A^T diag(y) conj(A), summed over blocks of N rows, so
+    that no temporary is larger than the matrix itself."""
+    m, n = vectors.shape
+    spectral = np.zeros((n, n), dtype=np.complex128)
+    part = np.empty_like(spectral)
+    scaled = np.empty_like(spectral)
+    for start in range(0, m, n):
+        block = vectors[start : start + n]
+        s = np.conjugate(block, out=scaled[: block.shape[0]])
+        # Scale the float64 view in place; a complex product would cast y.
+        halves = s.view(np.float64)
+        halves *= yv[start : start + n, None]
+        spectral += np.matmul(block.T, s, out=part)
+    return spectral
 
 
 def fallback_init(n: int, real_mode: bool = False) -> np.ndarray:
@@ -237,25 +268,36 @@ def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     """Wirtinger-flow least squares solve."""
     vectors, yv, x, _, _, step = _start(y, ensemble, cfg, x0, "ls")
     m = yv.shape[0]
+    step_m = step / m
     trace = []
     converged = False
-    # Residual r = |nu|^2 - y of the current iterate: its loss and next step.
-    nu = inner_rows(vectors, x)
-    r = nu.real**2 + nu.imag**2 - yv
-    for it in range(cfg.max_iters):
-        x = x - (step / m) * (vectors.T @ (r * nu))
-        if cfg.projection == "real_binary":
-            x = project_real_binary(x)
+    # Residual r = |nu|^2 - y of the current iterate, its loss and its next
+    # step along A^T (r nu), kept in place with the weights w = r nu.
+    r, imag_sq = np.empty(m), np.empty(m)
+    w = np.empty(m, dtype=np.complex128)
+
+    def residual(nu):
+        np.multiply(nu.real, nu.real, out=r)
+        np.multiply(nu.imag, nu.imag, out=imag_sq)
+        np.add(r, imag_sq, out=r)
+        np.subtract(r, yv, out=r)
+
+    with np.errstate(over="ignore", invalid="ignore"):
         nu = inner_rows(vectors, x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = nu.real**2 + nu.imag**2 - yv
+        residual(nu)
+        for it in range(cfg.max_iters):
+            x = x - step_m * (vectors.T @ np.multiply(r, nu, out=w))
+            if cfg.projection == "real_binary":
+                x = project_real_binary(x)
+            nu = inner_rows(vectors, x)
+            residual(nu)
             loss = float(r @ r) / (2.0 * m)
-        if not np.isfinite(loss):
-            raise SolverError(f"objective became non-finite at iteration {it + 1}")
-        trace.append(loss)
-        if it and abs(loss - trace[-2]) < cfg.threshold:
-            converged = True
-            break
+            if not math.isfinite(loss):
+                raise SolverError(f"objective became non-finite at iteration {it + 1}")
+            trace.append(loss)
+            if it and abs(loss - trace[-2]) < cfg.threshold:
+                converged = True
+                break
     return SolveResult(
         x_hat=x,
         corrected_ensemble=None,
@@ -316,7 +358,7 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     corrected += vectors
     return SolveResult(
         x_hat=x,
-        corrected_ensemble=SensingEnsemble(corrected, model_tag=model_tag, noise_tag="corrected"),
+        corrected_ensemble=SensingEnsemble(_Owned(corrected), model_tag=model_tag, noise_tag="corrected"),
         objective_trace=np.asarray(trace),
         iterations=len(trace),
         converged=converged,

@@ -321,6 +321,32 @@ def solve_tls_reference(y, vectors, x0, mu, lambda_a, threshold, max_iters, swee
     return x, iterations, vectors + np.outer(sweep_shift, sweep_x)
 
 
+def spectral_init_reference(y, vectors, power_iters=50, start_seed=0x5066_494E):
+    """Frozen matrix-free power iteration of the spectral initialization:
+    each iteration applies A^T diag(y) conj(A) by two products over the
+    ensemble, conj(A conj(u)) and A^T w.  ``start_seed`` is the solvers'
+    fixed start-vector seed."""
+    y = np.asarray(y, dtype=np.float64)
+    n = vectors.shape[1]
+    real_data = not vectors.imag.any()
+    rng = np.random.Generator(np.random.PCG64(start_seed))
+    u = rng.normal(size=n).astype(np.complex128)
+    if not real_data:
+        u = u + 1j * rng.normal(size=n)
+    u /= np.linalg.norm(u)
+    for _ in range(power_iters):
+        t = np.conj(vectors @ np.conj(u))
+        u = vectors.T @ (y * t)
+        nrm = np.linalg.norm(u)
+        if nrm == 0.0:
+            u = rng.normal(size=n).astype(np.complex128)
+            if not real_data:
+                u = u + 1j * rng.normal(size=n)
+            nrm = np.linalg.norm(u)
+        u /= nrm
+    return np.sqrt(float(np.sum(y)) / (2.0 * y.shape[0])) * u
+
+
 def wirtinger_gradient_fd(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference Wirtinger gradient of a real scalar function.
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -414,3 +416,15 @@ def test_analyze_errors_byte_identical_to_inline_rescale(tmp_path, monkeypatch):
     want = _exact_snr_errors_inline(make_rng(1), a, y, 20.0, 10.0)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_importing_the_cli_loads_neither_yaml_nor_the_process_pool():
+    # Both load only where they are used: yaml for a config file, the pool
+    # for a sweep with more than one worker.
+    code = (
+        "import sys, tlspr.cli; "
+        "print(sorted(m for m in ('yaml', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,31 @@ def test_measurements_validation():
         MeasurementSet([])
     with pytest.raises(ValueError):
         MeasurementSet([1.0, np.inf])
+
+
+def test_ensemble_keeps_a_snapshot_of_the_callers_array():
+    arr = np.ones((3, 2), dtype=complex)
+    values = np.ones(3)
+    ens = SensingEnsemble(arr)
+    ms = MeasurementSet(values)
+    arr[0, 0] = 7.0
+    values[0] = 7.0
+    assert np.all(ens.vectors == 1.0)
+    assert np.all(ms.values == 1.0)
+
+
+def test_public_construction_peaks_at_its_one_copy():
+    # The snapshot copy is one ensemble; the finiteness check adds no
+    # temporary of the ensemble's size.
+    rng = make_rng(7)
+    m, n = 1024, 128
+    arr = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ens = SensingEnsemble(arr)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not np.shares_memory(ens.vectors, arr)
+    assert peak < 1.01 * 16 * m * n

@@ -182,6 +182,24 @@ def test_orthogonal_gamma_zero_path():
     assert abs(abs(res.nu) - np.sqrt(3.5)) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-13, 1e-15])
+def test_candidates_contain_the_minimizer_at_any_signal_scale(scale):
+    # An absolute root tolerance once left only nu = 0 in the list below
+    # signal scale ~1e-12, while the sweep returned the nonzero minimizer.
+    rng = make_rng(20_017)
+    n = 8
+    for _ in range(20):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        y = 1.5 * abs(inner(a, x)) ** 2
+        params = CorrectionParams(1.0 / n, 1.0 / inner(x, x).real ** 2)
+        res = correct_sensing_vector(a, y, x, params)
+        cands = stationary_candidates(a, y, x, params)
+        assert res.nu != 0.0
+        assert np.min(np.abs(cands - res.nu)) <= 1e-12 * abs(res.nu)
+        assert res.candidates_evaluated == cands.size
+
+
 def test_negative_measurement_supported():
     rng = make_rng(10)
     for _ in range(50):

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tlspr.core import complex_gaussian_vector, inner, make_rng
+from tlspr import solvers
+from tlspr.core import complex_gaussian_vector, inner, inner_rows, make_rng
 from tlspr.correction import apply_corrections, sweep_corrections
 from tlspr.metrics import rel_dist
 from tlspr.models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
@@ -21,7 +22,12 @@ from tlspr.solvers import (
     tls_objective_gradient,
 )
 
-from oracles import solve_ls_reference, solve_tls_reference, wirtinger_gradient_fd
+from oracles import (
+    solve_ls_reference,
+    solve_tls_reference,
+    spectral_init_reference,
+    wirtinger_gradient_fd,
+)
 
 
 def _clean_instance(seed, n, m, real_mode=False):
@@ -76,6 +82,59 @@ def test_spectral_init_real_data_stays_real():
     x, ens, y = _clean_instance(4, 12, 96, real_mode=True)
     x0 = spectral_init(y, ens)
     assert np.all(x0.imag == 0.0)
+
+
+def _noisy_spectral_instance(m, n, real_mode):
+    """Measurements with additive noise, some of them negative."""
+    x, ens, y = _clean_instance(50 + n, n, m, real_mode=real_mode)
+    yv = y.values + 0.5 * y.values.mean() * make_rng(m + n).normal(size=m)
+    assert np.any(yv < 0.0)
+    return ens, yv
+
+
+def _count_matrix_free_products(monkeypatch):
+    calls = []
+
+    def counted(vectors, x):
+        calls.append(1)
+        return inner_rows(vectors, x)
+
+    monkeypatch.setattr(solvers, "inner_rows", counted)
+    return calls
+
+
+# (M, N, power_iters, builds the N x N matrix): the rule is N^2 <= M and
+# N <= 2 * power_iters, and each shape pair sits on either side of it.
+# M = 300 leaves a last block of 300 mod 16 = 12 rows.
+_SPECTRAL_CASES = [
+    (4096, 32, 50, True),
+    (256, 16, 50, True),
+    (300, 16, 50, True),
+    (512, 64, 50, False),
+    (1024, 128, 50, False),
+    (255, 16, 50, False),
+    (256, 16, 8, True),
+    (256, 16, 7, False),
+]
+
+
+@pytest.mark.parametrize("real_mode", [False, True])
+@pytest.mark.parametrize("m, n, power_iters, builds_matrix", _SPECTRAL_CASES)
+def test_spectral_init_matches_frozen_matrix_free_iteration(
+    m, n, power_iters, builds_matrix, real_mode, monkeypatch
+):
+    ens, yv = _noisy_spectral_instance(m, n, real_mode)
+    ref = spectral_init_reference(yv, ens.vectors, power_iters)
+    calls = _count_matrix_free_products(monkeypatch)
+    got = spectral_init(yv, ens, power_iters)
+    assert len(calls) == (0 if builds_matrix else power_iters)
+    if builds_matrix:
+        # Same iterate in exact arithmetic, summed in another order.
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    else:
+        assert np.array_equal(got, ref)
+    if real_mode:
+        assert np.all(got.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +531,7 @@ def test_solver_peak_allocation_stays_below_one_ensemble():
     ens_bytes = 16 * m * n
     assert _peak_bytes(spectral_init, y, ens) < 0.25 * ens_bytes
     assert _peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.25 * ens_bytes
-    # solve_tls returns a corrected ensemble: one M x N result, copied once
-    # by the SensingEnsemble container.
+    # solve_tls returns a corrected ensemble, one M x N result.
     assert _peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5)) < 2.25 * ens_bytes
 
 
@@ -487,3 +545,19 @@ def test_real_data_check_makes_no_ensemble_sized_temporary():
     assert _peak_bytes(ens.is_real) < 0.01 * ens_bytes
     assert _peak_bytes(spectral_init, y, ens) < 0.04 * ens_bytes
     assert _peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.04 * ens_bytes
+
+
+def test_spectral_matrix_path_allocates_less_than_its_work_vectors():
+    # At M = 4096, N = 32 the matrix-free loop's two length-M work vectors
+    # alone are 2/N = 0.0625 ensemble; the N x N path keeps a few N x N
+    # arrays.
+    n, m = 32, 4096
+    x, ens, y = _clean_instance(34, n, m)
+    assert _peak_bytes(spectral_init, y, ens) < 0.04 * 16 * m * n
+
+
+def test_solve_tls_returns_its_corrected_ensemble_without_a_copy():
+    n, m = 128, 1024
+    x, ens, y = _clean_instance(33, n, m)
+    peak = _peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5))
+    assert peak < 1.25 * 16 * m * n
