@@ -70,6 +70,19 @@ def complex_gaussian_vector(rng: np.random.Generator, n: int, scale: float = 1.0
     return z
 
 
+def _complex_normal(rng: np.random.Generator, shape, real_mode: bool = False) -> np.ndarray:
+    """Complex128 array of the draws ``normal(size=shape) + 1j *
+    normal(size=shape)``, bit for bit (real mode: the first draw only, with
+    zero imaginary parts).  The draws go through one float64 buffer into the
+    real, then the imaginary parts, so no complex temporary is made."""
+    out = np.zeros(shape, dtype=np.complex128) if real_mode else np.empty(shape, dtype=np.complex128)
+    draws = np.empty(shape)
+    out.real = rng.standard_normal(out=draws)
+    if not real_mode:
+        out.imag = rng.standard_normal(out=draws)
+    return out
+
+
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Inner product conjugating the first argument: sum(conj(a_i) * b_i)."""
     a = np.asarray(a)
@@ -79,10 +92,11 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def inner_rows(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
+def inner_rows(vectors: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """inner(a_m, x) for every row a_m of ``vectors``, as conj(vectors @ conj(x)),
-    which reads the stored rows without making a conjugate copy of them."""
-    nu = vectors @ np.conj(x)
+    which reads the stored rows without making a conjugate copy of them.
+    ``out``, if given, is a complex128 array of length M that receives it."""
+    nu = np.matmul(vectors, np.conj(x), out=out)
     return np.conjugate(nu, out=nu)
 
 

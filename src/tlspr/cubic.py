@@ -20,9 +20,14 @@ q = const/alpha and discriminant D = (q/2)^2 + (p/3)^3:
 * otherwise (one real root): Cardano's formula arranged without
   cancellation, t = -q / (A^2 + p/3 + B^2) with A = cbrt(|q|/2 + sqrt(D))
   and B = p / (3A) (W. Kahan, "To solve a real cubic equation", 1986).
+
+:func:`depressed_real_roots` applies the same forms to one cubic t^3 + p t + q
+in ``math`` arithmetic, for callers that solve a single cubic per step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -180,3 +185,42 @@ def depressed_roots_batch(alpha: float, beta: np.ndarray, const: np.ndarray) -> 
     # Rounding can swap roots that nearly coincide; keep each row ascending.
     roots[three, 1:] = np.maximum(np.sort(upper, axis=1), t0[:, None])
     return roots
+
+
+def _newton_scalar(t: float, p: float, q: float) -> float:
+    """:func:`_newton_step` for one root."""
+    f = (t * t + p) * t + q
+    df = 3.0 * t * t + p
+    if df == 0.0:
+        return t
+    step = t - f / df
+    return step if abs((step * step + p) * step + q) < abs(f) else t
+
+
+def depressed_real_roots(p: float, q: float) -> tuple[float, ...]:
+    """Real roots of one depressed cubic t^3 + p*t + q with finite p and q,
+    ascending: one or three floats, from the closed forms and the guarded
+    Newton step of :func:`depressed_roots_batch`, in ``math`` arithmetic (a
+    length-1 batch costs ~100x more in numpy call overhead).  t is first
+    scaled by a power of two that brings p and q near one, which is exact
+    and keeps every intermediate clear of overflow and underflow."""
+    if p == 0.0 and q == 0.0:
+        return (0.0,)
+    k = math.frexp(max(math.sqrt(abs(p)), math.cbrt(abs(q))))[1]
+    p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
+    half, third = 0.5 * q, p / 3.0
+    # third**3, not third*third*third, like depressed_roots_batch: the root
+    # counts then differ only where the discriminant is rounding noise.
+    disc = half * half + third**3
+    if disc <= 0.0 and p < 0.0:
+        m = 2.0 * math.sqrt(-third)
+        theta = math.acos(min(max(3.0 * q / (p * m), -1.0), 1.0)) / 3.0
+        low = _newton_scalar(m * math.cos(theta - 4.0 * math.pi / 3.0), p, q)
+        high = 0.5 * (math.sqrt(max(-3.0 * low * low - 4.0 * p, 0.0)) - low)
+        mid, high = sorted((_newton_scalar(-q / (low * high), p, q), _newton_scalar(high, p, q)))
+        roots = (low, max(mid, low), max(high, low))
+    else:
+        big = math.cbrt(0.5 * abs(q) + math.sqrt(max(disc, 0.0)))
+        small = p / (3.0 * big)
+        roots = (_newton_scalar(-q / (big * big + third + small * small), p, q),)
+    return tuple(math.ldexp(t, k) for t in roots)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, MeasurementSet, SensingEnsemble, _Owned, inner_rows
+from .core import DimensionMismatchError, MeasurementSet, SensingEnsemble, _complex_normal, _Owned, inner_rows
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ def gaussian_ensemble(
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if real_mode:
-        a = rng.normal(size=(m, n)).astype(np.complex128)
-    else:
-        a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    a = _complex_normal(rng, (m, n), real_mode)
     return SensingEnsemble(_Owned(a), model_tag="gaussian", noise_tag="clean")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSet, SensingEnsemble, _Owned
+from .core import MeasurementSet, SensingEnsemble, _complex_normal, _Owned
 
 NOISE_MODELS = ("gaussian", "handcrafted")
 
@@ -48,22 +48,20 @@ def snr_db(clean: np.ndarray, error: np.ndarray) -> float:
 
 
 def _rescale(error: np.ndarray, clean: np.ndarray, target_db: float) -> np.ndarray:
+    """``error`` scaled in place to the SNR ``target_db`` against ``clean``."""
     clean_norm = np.linalg.norm(clean)
     if clean_norm == 0.0:
         raise ValueError("cannot hit a finite SNR target on zero-norm clean data")
     err_norm = np.linalg.norm(error)
     if err_norm == 0.0:
         raise ValueError("drawn error has zero norm")
-    return error * (clean_norm * 10.0 ** (-target_db / 20.0) / err_norm)
+    error *= clean_norm * 10.0 ** (-target_db / 20.0) / err_norm
+    return error
 
 
 def _draw_errors(rng: np.random.Generator, m: int, n: int, real_mode: bool):
     e_y = rng.normal(size=m)
-    if real_mode:
-        e_a = rng.normal(size=(m, n)).astype(np.complex128)
-    else:
-        e_a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    return e_y, e_a
+    return e_y, _complex_normal(rng, (m, n), real_mode)
 
 
 def inject_gaussian(
@@ -97,8 +95,8 @@ def inject_handcrafted(
     x_norm_sq = float(np.vdot(x_sharp, x_sharp).real)
     scales = handcrafted_row_scales(clean_y.values, x_norm_sq)
     e_y, e_a = _draw_errors(rng, clean_y.m, clean_a.n, spec.real_mode)
-    e_y = e_y * scales
-    e_a = e_a * scales[:, None]
+    e_y *= scales
+    e_a *= scales[:, None]
     return _apply(clean_y, clean_a, e_y, e_a, spec)
 
 
@@ -106,11 +104,14 @@ def _apply(clean_y, clean_a, e_y, e_a, spec):
     y_out = clean_y.values
     a_out = clean_a.vectors
     noisy = False
+    # The scaled draws become the noisy data in place.
     if spec.measurement_snr_db is not None:
-        y_out = y_out + _rescale(e_y, clean_y.values, spec.measurement_snr_db)
+        y_out = _rescale(e_y, clean_y.values, spec.measurement_snr_db)
+        y_out += clean_y.values
         noisy = True
     if spec.sensing_snr_db is not None:
-        a_out = a_out + _rescale(e_a, clean_a.vectors, spec.sensing_snr_db)
+        a_out = _rescale(e_a, clean_a.vectors, spec.sensing_snr_db)
+        a_out += clean_a.vectors
         noisy = True
     tag = "noisy" if noisy else clean_a.noise_tag
     return (

@@ -131,7 +131,8 @@ def load(path):
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
-    payload = np.frombuffer(raw[start + hlen :], dtype="<f8")
+    # A view of the payload bytes; slicing ``raw`` would copy them.
+    payload = np.frombuffer(raw, dtype="<f8", offset=start + hlen)
     return _from_header(header, path, payload)
 
 
@@ -157,7 +158,8 @@ def _from_header(header: dict, path: Path, data):
         )
     if kind == "measurements":
         m = int(header["m"])
-        arr = np.asarray(data, dtype=np.float64).ravel()
+        # A copy: a view of the payload bytes need not be 8-byte aligned.
+        arr = np.array(data, dtype=np.float64).ravel()
         if arr.size != m:
             raise FileFormatError(f"{path}: header says m={m} but payload has {arr.size} values")
         if m < 1:
@@ -175,10 +177,10 @@ def _to_complex(data, m: int, n: int, path: Path) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: header promises {m}x{n} complex values, payload has {arr.size} doubles"
             )
-        out = arr[0::2] + 1j * arr[1::2]
-        return out
     # JSON payload: nested [re, im] pairs
-    if arr.shape[-1] != 2 or arr.size != 2 * m * n:
+    elif arr.shape[-1] != 2 or arr.size != 2 * m * n:
         raise FileFormatError(f"{path}: JSON data does not match header dimensions {m}x{n}")
-    flat = arr.reshape(-1, 2)
-    return flat[:, 0] + 1j * flat[:, 1]
+    # Both hold (re, im) pairs in the order of complex128 memory.
+    out = np.empty(m * n, dtype=np.complex128)
+    out.view(np.float64)[:] = arr.reshape(-1)
+    return out

@@ -24,10 +24,15 @@ Y = A^T diag(y) conj(A).  When N^2 <= M and N <= 2 * power_iters, Y is built
 once as an N x N matrix (M N^2 multiply-adds) and an iteration costs N^2;
 otherwise every iteration applies Y matrix-free at 2 M N.
 
-Defaults follow the tuned values for the Gaussian measurement model:
-mu = 0.5/lambda_a for TLS and mu = 0.02 for LS, with lambda_a =
-lambda_a_dag/N and lambda_y = lambda_y_dag/||x0||^4 (both daggers default 1).
-In real-binary projection mode the tuned steps are 0.4/lambda_a and 0.005.
+The default TLS step is the tuned mu = 0.5/lambda_a for the Gaussian
+measurement model (0.4/lambda_a in real-binary projection mode), with
+lambda_a = lambda_a_dag/N and lambda_y = lambda_y_dag/||x0||^4 (both daggers
+default 1).  The default LS step is an exact line search (fixed 0.005 with
+projection; an explicit step is used as given): along g the LS loss is a
+quartic in the step, whose minimizer is a root of one real cubic (Jiang,
+Rajan & Liu, "Wirtinger flow method with optimal stepsize for phase
+retrieval", 2016).  It still costs two products per iteration:
+inner_rows(A, g) replaces inner_rows(A, x_new).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 
 from .core import MeasurementSet, SensingEnsemble, _Owned, as_cvector, inner_rows, make_rng
 from .correction import apply_corrections, sweep_corrections
+from .cubic import depressed_real_roots
 
 # Fixed internal seeds: power-method start vector and the fallback
 # initialization used when the spectral method is degenerate.
@@ -58,7 +64,9 @@ class SolverConfig:
     mode: str = "tls"
     lambda_a_dag: float = 1.0
     lambda_y_dag: float = 1.0
-    step_size: float | None = None  # None: tuned default for mode/projection
+    # None: TLS takes its tuned step; LS takes an exact line search (fixed
+    # 0.005 with projection).  An explicit step is used as given.
+    step_size: float | None = None
     threshold: float = 1e-6
     max_iters: int = 2500
     power_iters: int = 50
@@ -260,21 +268,65 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
     elif mode == "tls":
         mu = (0.4 if binary else 0.5) / lambda_a
     else:
-        mu = 0.005 if binary else 0.02
+        mu = 0.005  # used with projection only; LS otherwise searches its step
     return vectors, yv, x, norm0_sq, lambda_a, mu / norm0_sq
 
 
+def _exact_step(r, nu, nu_g, work, tmp) -> float:
+    """The step t that minimizes the least squares loss at x - t g exactly.
+
+    With nu = inner_rows(A, x), r = |nu|^2 - y and nu_g = inner_rows(A, g),
+    the loss times 2M is the quartic sum (r + b t + c t^2)^2, where
+    b = -2 Re(conj(nu) nu_g) and c = |nu_g|^2.  Its derivative over 4,
+    sum c^2 t^3 + 1.5 sum b c t^2 + sum (b^2/2 + r c) t + sum r b/2, is
+    depressed and solved by :func:`~tlspr.cubic.depressed_real_roots`, and
+    the root of least loss is kept.  A loss constant along g (g = 0 included)
+    gives t = 0; non-finite coefficients give NaN.  ``work`` (2M floats) and
+    ``tmp`` (M floats) are scratch.
+    """
+    m = r.shape[0]
+    half_b, c = work[:m], work[m:]  # half_b = -b/2
+    np.multiply(nu.real, nu_g.real, out=half_b)
+    np.multiply(nu.imag, nu_g.imag, out=tmp)
+    half_b += tmp
+    np.multiply(nu_g.real, nu_g.real, out=c)
+    np.multiply(nu_g.imag, nu_g.imag, out=tmp)
+    c += tmp
+    cc = float(c.dot(c))
+    if cc == 0.0:
+        return 0.0
+    bc, bb, rc, rb = float(half_b.dot(c)), float(half_b.dot(half_b)), float(r.dot(c)), float(r.dot(half_b))
+    # The monic derivative t^3 + 3 h t^2 + k t - rb/cc, shifted by t = s - h.
+    h, k = -bc / cc, (2.0 * bb + rc) / cc
+    p, q = k - 3.0 * h * h, (2.0 * h * h - k) * h - rb / cc
+    if not (math.isfinite(p) and math.isfinite(q)):
+        return math.nan
+
+    def loss(t):  # minus the constant sum r^2
+        return (((cc * t - 4.0 * bc) * t + 2.0 * (2.0 * bb + rc)) * t - 4.0 * rb) * t
+
+    return min((s - h for s in depressed_real_roots(p, q)), key=loss)
+
+
 def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
-    """Wirtinger-flow least squares solve."""
+    """Wirtinger-flow least squares solve.
+
+    With the default step and no projection every iteration moves to the
+    exact minimizer of the loss along the gradient g (:func:`_exact_step`),
+    and nu follows x as nu - t inner_rows(A, g).  Otherwise every iteration
+    takes the fixed step of the module docstring.
+    """
     vectors, yv, x, _, _, step = _start(y, ensemble, cfg, x0, "ls")
+    exact = cfg.step_size is None and cfg.projection == "none"
     m = yv.shape[0]
     step_m = step / m
     trace = []
     converged = False
     # Residual r = |nu|^2 - y of the current iterate, its loss and its next
-    # step along A^T (r nu), kept in place with the weights w = r nu.
+    # step along g = A^T (r nu), kept in place with the weights w = r nu.
     r, imag_sq = np.empty(m), np.empty(m)
     w = np.empty(m, dtype=np.complex128)
+    nu_g = np.empty(m, dtype=np.complex128) if exact else None
 
     def residual(nu):
         np.multiply(nu.real, nu.real, out=r)
@@ -286,10 +338,23 @@ def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
         nu = inner_rows(vectors, x)
         residual(nu)
         for it in range(cfg.max_iters):
-            x = x - step_m * (vectors.T @ np.multiply(r, nu, out=w))
-            if cfg.projection == "real_binary":
-                x = project_real_binary(x)
-            nu = inner_rows(vectors, x)
+            # w = r nu part by part: a float-complex product would cast r
+            # into an M-sized buffer.
+            np.multiply(nu.real, r, out=w.real)
+            np.multiply(nu.imag, r, out=w.imag)
+            g = vectors.T @ w
+            if exact:
+                inner_rows(vectors, g, out=nu_g)
+                # w is spent once g is formed; its float64 view holds b and c.
+                t = _exact_step(r, nu, nu_g, w.view(np.float64), imag_sq)
+                x -= t * g
+                nu_g *= t
+                nu -= nu_g
+            else:
+                x = x - step_m * g
+                if cfg.projection == "real_binary":
+                    x = project_real_binary(x)
+                nu = inner_rows(vectors, x)
             residual(nu)
             loss = float(r @ r) / (2.0 * m)
             if not math.isfinite(loss):

@@ -1,10 +1,13 @@
-"""Independent reference implementations used to check the package.
+"""Independent reference implementations used to check the package, and
+the allocation meter of the memory tests.
 
 Everything here is deliberately naive (loops, dense scans, finite
 differences) and shares no code with the production paths it validates.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -276,6 +279,43 @@ def solve_ls_reference(y, vectors, x0, mu, threshold, max_iters, real_binary=Fal
     return x, iterations
 
 
+def solve_ls_exact_reference(y, vectors, x0, threshold, max_iters):
+    """Plain exact-line-search least squares loop: each iteration recomputes
+    nu = conj(A) x directly, forms g = A^T ((|nu|^2 - y) nu) and steps to
+    the minimizer of sum (r + b t + c t^2)^2 over t, taken from the real
+    roots (by ``np.roots``) of its derivative and compared by the quartic
+    itself.  Returns ``(x_hat, iterations)``.
+    """
+    x = np.array(x0, dtype=np.complex128)
+    m = y.shape[0]
+    conj_vectors = vectors.conj()
+    loss_prev = None
+    iterations = 0
+    for it in range(max_iters):
+        nu = conj_vectors @ x
+        r = np.abs(nu) ** 2 - y
+        g = vectors.T @ (r * nu)
+        nu_g = conj_vectors @ g
+        b = -2.0 * np.real(np.conj(nu) * nu_g)
+        c = np.abs(nu_g) ** 2
+        t = 0.0
+        if np.any(c != 0.0):
+            deriv = [2.0 * np.sum(c * c), 3.0 * np.sum(b * c), np.sum(b * b + 2.0 * r * c), np.sum(r * b)]
+            roots = np.roots(deriv)
+            real = roots.real[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))]
+            if real.size == 0:
+                real = roots.real[np.argsort(np.abs(roots.imag))[:1]]
+            t = min(real, key=lambda s: float(np.sum((r + b * s + c * s * s) ** 2)))
+        x = x - t * g
+        nu = conj_vectors @ x
+        loss = float(np.sum((y - np.abs(nu) ** 2) ** 2) / (2.0 * m))
+        iterations = it + 1
+        if loss_prev is not None and abs(loss - loss_prev) < threshold:
+            break
+        loss_prev = loss
+    return x, iterations
+
+
 def solve_tls_reference(y, vectors, x0, mu, lambda_a, threshold, max_iters, sweep, real_binary=False):
     """Frozen two-array total least squares loop, as :func:`solve_ls_reference`.
 
@@ -370,3 +410,15 @@ def min_over_phase_grid(x_sharp, x_hat, angles: int = 10_000) -> float:
     for phi in phis:
         best = min(best, float(np.linalg.norm(x_sharp - np.exp(1j * phi) * x_hat)))
     return best
+
+
+def peak_bytes(fn, *args, **kwargs) -> int:
+    """Peak bytes that ``fn(*args, **kwargs)`` holds beyond what was allocated
+    before it, as traced by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

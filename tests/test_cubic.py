@@ -4,6 +4,7 @@ import pytest
 from tlspr.core import make_rng
 from tlspr.cubic import (
     all_roots,
+    depressed_real_roots,
     depressed_roots_batch,
     positive_real_roots,
     residual_scale,
@@ -203,3 +204,72 @@ def test_smallest_real_root_matches_frozen_solver_bitwise():
         same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
         assert same.all()
         assert np.isnan(got).sum() <= special.size**2
+
+
+def _scalar_against_batch(p, q):
+    """(count mismatches, worst relative root difference) of
+    depressed_real_roots against depressed_roots_batch with alpha = 1."""
+    batch = depressed_roots_batch(1.0, p, q)
+    mismatched, worst = 0, 0.0
+    for i in range(p.size):
+        got = np.array(depressed_real_roots(float(p[i]), float(q[i])))
+        want = batch[i][~np.isnan(batch[i])]
+        if got.size != want.size:
+            mismatched += 1
+            continue
+        diff = np.abs(got - want)
+        assert np.all((diff == 0.0) | (want != 0.0))
+        worst = max(worst, float(np.max(diff / np.where(want == 0.0, 1.0, np.abs(want)))))
+    return mismatched, worst
+
+
+def test_depressed_real_roots_matches_batch():
+    # Random cubics over 16 decades; near-double roots r, r(1 + d), -r(2 + d)
+    # for relative gaps d down to 1e-6; exact double roots (t - r)^2 (t + 2r)
+    # with r a power of two, so that p and q carry no rounding; near-triple
+    # roots at 0 (tiny p and q); p = q = 0.
+    rng = make_rng(83)
+    n = 4000
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    p = [rng.normal(size=n) * scale**2, -np.abs(rng.normal(size=n)) * scale**2]
+    q = [rng.normal(size=n) * scale**3, rng.normal(size=n) * scale**3]
+    r = rng.normal(size=n) * scale
+    gap = 10.0 ** rng.uniform(-6.0, -1.0, n) * rng.choice([-1.0, 1.0], n)
+    r2, r3 = r * (1.0 + gap), -r * (2.0 + gap)
+    p.append(r * r2 + r * r3 + r2 * r3)
+    q.append(-r * r2 * r3)
+    twos = 2.0 ** rng.integers(-30, 30, 400).astype(np.float64) * rng.choice([-1.0, 1.0], 400)
+    p.append(-3.0 * twos**2)
+    q.append(2.0 * twos**3)
+    p.append(-(10.0 ** rng.uniform(-100.0, -20.0, 400)))
+    q.append(rng.normal(size=400) * 10.0 ** rng.uniform(-150.0, -30.0, 400))
+    p.append(np.zeros(1))
+    q.append(np.zeros(1))
+    p, q = np.concatenate(p), np.concatenate(q)
+    assert p.size >= 10_000
+    mismatched, worst = _scalar_against_batch(p, q)
+    assert mismatched == 0
+    assert worst <= 1e-12
+    assert depressed_real_roots(0.0, 0.0) == (0.0,)
+    assert depressed_real_roots(-3.0, 2.0) == (-2.0, 1.0, 1.0)
+
+
+def test_depressed_real_roots_count_differs_only_on_rounding_noise():
+    # Where a double root is rounded into p and q, the discriminant is
+    # rounding noise: the batch's vectorized cube and the scalar cube may
+    # then split the double root or not, and only there may the counts differ.
+    rng = make_rng(84)
+    r = rng.normal(size=20_000) * 10.0 ** rng.uniform(-8.0, 8.0, 20_000)
+    p, q = -3.0 * r * r, 2.0 * r**3
+    batch = depressed_roots_batch(1.0, p, q)
+    for i in range(r.size):
+        got = depressed_real_roots(float(p[i]), float(q[i]))
+        want = batch[i][~np.isnan(batch[i])]
+        if len(got) == want.size:
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+            continue
+        disc = (0.5 * q[i]) ** 2 + (p[i] / 3.0) ** 3
+        assert abs(disc) <= 1e-14 * (0.5 * q[i]) ** 2
+        # The simple root -2r is found either way.
+        assert np.isclose(got, -2.0 * r[i], rtol=1e-12, atol=0).any()
+        assert np.isclose(want, -2.0 * r[i], rtol=1e-12, atol=0).any()

@@ -12,6 +12,8 @@ from tlspr.noise import (
     snr_db,
 )
 
+from oracles import peak_bytes
+
 
 def _clean_instance(seed, n=20, m=120, real_mode=False):
     rng = make_rng(seed)
@@ -131,3 +133,49 @@ def test_model_mismatch_rejected():
         inject_gaussian(rng, y, ens, NoiseSpec(measurement_snr_db=1.0, model="handcrafted"))
     with pytest.raises(ValueError):
         inject_handcrafted(rng, y, ens, x, NoiseSpec(measurement_snr_db=1.0, model="gaussian"))
+
+
+def _old_draw(rng, shape, real_mode):
+    """The complex draw as formed before it went through one float buffer."""
+    if real_mode:
+        return rng.normal(size=shape).astype(np.complex128)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("real_mode", [False, True])
+def test_seeded_data_is_bitwise_unchanged(real_mode):
+    n, m = 12, 96
+    ens = gaussian_ensemble(make_rng(91), n, m, real_mode=real_mode)
+    assert _bitwise_equal(ens.vectors, _old_draw(make_rng(91), (m, n), real_mode))
+    x = complex_gaussian_vector(make_rng(92), n)
+    y = synthesize_measurements(ens, x)
+    for model in ("gaussian", "handcrafted"):
+        spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0, model=model, real_mode=real_mode)
+        y_noisy, a_noisy = inject(make_rng(93), y, ens, spec, x_sharp=x)
+        rng = make_rng(93)
+        e_y, e_a = rng.normal(size=m), _old_draw(rng, (m, n), real_mode)
+        if model == "handcrafted":
+            scales = handcrafted_row_scales(y.values, float(np.vdot(x, x).real))
+            e_y, e_a = e_y * scales, e_a * scales[:, None]
+        for clean, error, db, got in ((y.values, e_y, 20.0, y_noisy.values), (ens.vectors, e_a, 10.0, a_noisy.vectors)):
+            factor = np.linalg.norm(clean) * 10.0 ** (-db / 20.0) / np.linalg.norm(error)
+            assert _bitwise_equal(got, clean + error * factor)
+
+
+def test_data_generation_makes_no_complex_temporary():
+    # The result is one ensemble and the float draw buffer half of one; a
+    # complex temporary beside them took the peak to 2.07 ensembles.
+    n, m = 128, 1024
+    ens_bytes = 16 * m * n
+    ens = gaussian_ensemble(make_rng(94), n, m)
+    x = complex_gaussian_vector(make_rng(95), n)
+    y = synthesize_measurements(ens, x)
+    for real_mode in (False, True):
+        assert peak_bytes(gaussian_ensemble, make_rng(94), n, m, real_mode=real_mode) < 1.52 * ens_bytes
+        for model in ("gaussian", "handcrafted"):
+            spec = NoiseSpec(20.0, 10.0, model=model, real_mode=real_mode)
+            assert peak_bytes(inject, make_rng(96), y, ens, spec, x_sharp=x) < 1.52 * ens_bytes

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,8 @@ from tlspr.solvers import (
 )
 
 from oracles import (
+    peak_bytes,
+    solve_ls_exact_reference,
     solve_ls_reference,
     solve_tls_reference,
     spectral_init_reference,
@@ -492,16 +492,18 @@ def test_solvers_match_frozen_two_array_loops():
         x0 = spectral_init(y, ens)
         yv, vectors = y.values, ens.vectors
         for mode, solver in (("ls", solve_ls), ("tls", solve_tls)):
-            cfg = SolverConfig(mode=mode, projection=projection)
-            res = solver(y, ens, cfg, x0=x0)
+            # The fixed-step loop runs for an explicit step; the default LS
+            # step without projection is the exact line search, checked below.
             mu = _TUNED_MU[mode, projection]
+            lam_a = 1.0 / vectors.shape[1]
+            cfg = SolverConfig(mode=mode, projection=projection, step_size=mu if mode == "ls" else mu / lam_a)
+            res = solver(y, ens, cfg, x0=x0)
             binary = projection == "real_binary"
             if mode == "ls":
                 x_ref, iters = solve_ls_reference(
                     yv, vectors, x0, mu, cfg.threshold, cfg.max_iters, real_binary=binary
                 )
             else:
-                lam_a = 1.0 / vectors.shape[1]
                 x_ref, iters, corrected = solve_tls_reference(
                     yv, vectors, x0, mu / lam_a, lam_a, cfg.threshold, cfg.max_iters,
                     sweep_corrections, real_binary=binary,
@@ -511,28 +513,104 @@ def test_solvers_match_frozen_two_array_loops():
             assert np.linalg.norm(res.x_hat - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
+def test_solve_ls_default_matches_exact_line_search_loop():
+    # Bounds from the first measured run: equal iteration counts on all 16
+    # instances and x_hat within 4.2e-13 relative at worst.
+    for y, ens, projection in _oracle_instances():
+        if projection != "none":
+            continue
+        x0 = spectral_init(y, ens)
+        cfg = SolverConfig(mode="ls")
+        res = solve_ls(y, ens, cfg, x0=x0)
+        x_ref, iters = solve_ls_exact_reference(y.values, ens.vectors, x0, cfg.threshold, cfg.max_iters)
+        assert res.iterations == iters
+        assert np.linalg.norm(res.x_hat - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+# ---------------------------------------------------------------------------
+# the exact least squares step
+
+
+def _quartic(r, nu, nu_g, t):
+    """sum (|nu - t nu_g|^2 - y)^2 with r = |nu|^2 - y, summed directly."""
+    b = -2.0 * np.real(np.conj(nu) * nu_g)
+    c = np.abs(nu_g) ** 2
+    return np.sum((r[:, None] + b[:, None] * t + c[:, None] * t * t) ** 2, axis=0)
+
+
+def test_exact_step_is_no_worse_than_a_dense_grid():
+    rng = make_rng(61)
+    for trial in range(100):
+        m = int(rng.integers(1, 40))
+        nu = complex_gaussian_vector(rng, m) * 10.0 ** rng.uniform(-3, 3)
+        nu_g = complex_gaussian_vector(rng, m) * 10.0 ** rng.uniform(-3, 3)
+        if trial % 2:
+            r = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+        else:  # r = |nu|^2 - y for positive y
+            r = np.abs(nu) ** 2 - np.abs(nu) ** 2 * rng.uniform(0.0, 2.0, m)
+        t = solvers._exact_step(r, nu, nu_g, np.empty(2 * m), np.empty(m))
+        # Every stationary point lies within the Cauchy bound of the cubic.
+        c = np.abs(nu_g) ** 2
+        b = -2.0 * np.real(np.conj(nu) * nu_g)
+        coeffs = np.array([1.5 * b @ c, 0.5 * b @ b + r @ c, 0.5 * r @ b]) / (c @ c)
+        bound = 1.0 + np.max(np.abs(coeffs))
+        # The whole range, and finer around t itself.
+        grid = np.concatenate([np.linspace(-bound, bound, 20_001), t + np.linspace(-1e-3, 1e-3, 2001) * abs(t)])
+        best = _quartic(r, nu, nu_g, grid).min()
+        got = _quartic(r, nu, nu_g, np.array([t]))[0]
+        assert got <= best * (1.0 + 1e-12) + 1e-12 * (r @ r)
+
+
+def test_exact_step_is_zero_along_a_zero_gradient():
+    m = 8
+    nu = complex_gaussian_vector(make_rng(62), m)
+    r = np.abs(nu) ** 2
+    assert solvers._exact_step(r, nu, np.zeros(m, dtype=complex), np.empty(2 * m), np.empty(m)) == 0.0
+
+
+def test_solve_ls_from_an_exact_solution_takes_zero_steps():
+    x, ens, _ = _clean_instance(63, 16, 128)
+    nu = inner_rows(ens.vectors, x)
+    # Measurements in the solver's own arithmetic, so that r and g are zero.
+    y = nu.real * nu.real + nu.imag * nu.imag
+    res = solve_ls(y, ens, SolverConfig(mode="ls"), x0=x)
+    assert res.converged and res.iterations == 2
+    assert np.array_equal(res.x_hat, x)
+    assert np.array_equal(res.objective_trace, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("shape", ["sweep-paper", "sweep-tall", "cdp"])
+def test_solve_ls_trace_ends_at_the_objective_of_x_hat(shape):
+    # The solver follows nu = inner_rows(A, x) by nu - t inner_rows(A, g)
+    # without refreshing it; the last traced loss is still the objective.
+    spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0)
+    for seed in range(3):
+        rng = make_rng(6400 + seed)
+        if shape == "cdp":
+            n, ens = 128, cdp_ensemble(rng, CdpConfig(n=128, l=8))
+        else:
+            n = 64 if shape == "sweep-paper" else 32
+            ens = gaussian_ensemble(rng, n, n * (8 if shape == "sweep-paper" else 128))
+        x = complex_gaussian_vector(rng, n)
+        y, noisy = inject(rng, synthesize_measurements(ens, x), ens, spec)
+        res = solve_ls(y, noisy, SolverConfig(mode="ls"))
+        assert res.converged
+        objective = objective_ls(res.x_hat, noisy, y)
+        assert abs(res.objective_trace[-1] - objective) <= 1e-12 * objective
+
+
 # ---------------------------------------------------------------------------
 # memory: products read the one stored ensemble, no conjugate copy
-
-
-def _peak_bytes(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_solver_peak_allocation_stays_below_one_ensemble():
     n, m = 128, 1024
     x, ens, y = _clean_instance(33, n, m)
     ens_bytes = 16 * m * n
-    assert _peak_bytes(spectral_init, y, ens) < 0.25 * ens_bytes
-    assert _peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.25 * ens_bytes
+    assert peak_bytes(spectral_init, y, ens) < 0.25 * ens_bytes
+    assert peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.25 * ens_bytes
     # solve_tls returns a corrected ensemble, one M x N result.
-    assert _peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5)) < 2.25 * ens_bytes
+    assert peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5)) < 2.25 * ens_bytes
 
 
 def test_real_data_check_makes_no_ensemble_sized_temporary():
@@ -542,9 +620,9 @@ def test_real_data_check_makes_no_ensemble_sized_temporary():
     n, m = 128, 1024
     x, ens, y = _clean_instance(33, n, m)
     ens_bytes = 16 * m * n
-    assert _peak_bytes(ens.is_real) < 0.01 * ens_bytes
-    assert _peak_bytes(spectral_init, y, ens) < 0.04 * ens_bytes
-    assert _peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.04 * ens_bytes
+    assert peak_bytes(ens.is_real) < 0.01 * ens_bytes
+    assert peak_bytes(spectral_init, y, ens) < 0.04 * ens_bytes
+    assert peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.04 * ens_bytes
 
 
 def test_spectral_matrix_path_allocates_less_than_its_work_vectors():
@@ -553,11 +631,11 @@ def test_spectral_matrix_path_allocates_less_than_its_work_vectors():
     # arrays.
     n, m = 32, 4096
     x, ens, y = _clean_instance(34, n, m)
-    assert _peak_bytes(spectral_init, y, ens) < 0.04 * 16 * m * n
+    assert peak_bytes(spectral_init, y, ens) < 0.04 * 16 * m * n
 
 
 def test_solve_tls_returns_its_corrected_ensemble_without_a_copy():
     n, m = 128, 1024
     x, ens, y = _clean_instance(33, n, m)
-    peak = _peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5))
+    peak = peak_bytes(solve_tls, y, ens, SolverConfig(mode="tls", max_iters=5))
     assert peak < 1.25 * 16 * m * n
