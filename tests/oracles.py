@@ -279,6 +279,22 @@ def solve_ls_reference(y, vectors, x0, mu, threshold, max_iters, real_binary=Fal
     return x, iterations
 
 
+def _line_search_reference(r, nu, nu_d):
+    """The t minimizing sum (r + b t + c t^2)^2, with b = -2 Re(conj(nu) nu_d)
+    and c = |nu_d|^2: the real root (by ``np.roots``) of its derivative that
+    gives the least quartic, or 0 when c = 0."""
+    b = -2.0 * np.real(np.conj(nu) * nu_d)
+    c = np.abs(nu_d) ** 2
+    if not np.any(c != 0.0):
+        return 0.0
+    deriv = [2.0 * np.sum(c * c), 3.0 * np.sum(b * c), np.sum(b * b + 2.0 * r * c), np.sum(r * b)]
+    roots = np.roots(deriv)
+    real = roots.real[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))]
+    if real.size == 0:
+        real = roots.real[np.argsort(np.abs(roots.imag))[:1]]
+    return min(real, key=lambda s: float(np.sum((r + b * s + c * s * s) ** 2)))
+
+
 def solve_ls_exact_reference(y, vectors, x0, threshold, max_iters):
     """Plain exact-line-search least squares loop: each iteration recomputes
     nu = conj(A) x directly, forms g = A^T ((|nu|^2 - y) nu) and steps to
@@ -295,18 +311,43 @@ def solve_ls_exact_reference(y, vectors, x0, threshold, max_iters):
         nu = conj_vectors @ x
         r = np.abs(nu) ** 2 - y
         g = vectors.T @ (r * nu)
-        nu_g = conj_vectors @ g
-        b = -2.0 * np.real(np.conj(nu) * nu_g)
-        c = np.abs(nu_g) ** 2
-        t = 0.0
-        if np.any(c != 0.0):
-            deriv = [2.0 * np.sum(c * c), 3.0 * np.sum(b * c), np.sum(b * b + 2.0 * r * c), np.sum(r * b)]
-            roots = np.roots(deriv)
-            real = roots.real[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))]
-            if real.size == 0:
-                real = roots.real[np.argsort(np.abs(roots.imag))[:1]]
-            t = min(real, key=lambda s: float(np.sum((r + b * s + c * s * s) ** 2)))
+        t = _line_search_reference(r, nu, conj_vectors @ g)
         x = x - t * g
+        nu = conj_vectors @ x
+        loss = float(np.sum((y - np.abs(nu) ** 2) ** 2) / (2.0 * m))
+        iterations = it + 1
+        if loss_prev is not None and abs(loss - loss_prev) < threshold:
+            break
+        loss_prev = loss
+    return x, iterations
+
+
+def solve_ls_cg_reference(y, vectors, x0, threshold, max_iters):
+    """Plain conjugate-direction least squares loop, as
+    :func:`solve_ls_exact_reference` but stepping along the Polak-Ribiere+
+    direction d = g + beta d_prev, beta = max(0, Re<g - g_prev, g> /
+    ||g_prev||^2), restarted at d = g on the first iteration, when
+    ||g_prev|| = 0 and when Re<g, d> <= 0.  Returns ``(x_hat, iterations)``.
+    """
+    x = np.array(x0, dtype=np.complex128)
+    m = y.shape[0]
+    conj_vectors = vectors.conj()
+    loss_prev = g_prev = d = None
+    iterations = 0
+    for it in range(max_iters):
+        nu = conj_vectors @ x
+        r = np.abs(nu) ** 2 - y
+        g = vectors.T @ (r * nu)
+        if g_prev is None or np.linalg.norm(g_prev) == 0.0:
+            d = g
+        else:
+            beta = max(0.0, float(np.real(np.vdot(g - g_prev, g))) / np.linalg.norm(g_prev) ** 2)
+            d = g + beta * d
+            if np.real(np.vdot(g, d)) <= 0.0:
+                d = g
+        g_prev = g
+        t = _line_search_reference(r, nu, conj_vectors @ d)
+        x = x - t * d
         nu = conj_vectors @ x
         loss = float(np.sum((y - np.abs(nu) ** 2) ** 2) / (2.0 * m))
         iterations = it + 1

@@ -22,6 +22,7 @@ from tlspr.solvers import (
 
 from oracles import (
     peak_bytes,
+    solve_ls_cg_reference,
     solve_ls_exact_reference,
     solve_ls_reference,
     solve_tls_reference,
@@ -514,17 +515,34 @@ def test_solvers_match_frozen_two_array_loops():
 
 
 def test_solve_ls_default_matches_exact_line_search_loop():
-    # Bounds from the first measured run: equal iteration counts on all 16
-    # instances and x_hat within 4.2e-13 relative at worst.
+    # First measured run: equal iteration counts on all 16 instances and
+    # x_hat within 3.0e-14 relative at worst.
     for y, ens, projection in _oracle_instances():
         if projection != "none":
             continue
         x0 = spectral_init(y, ens)
         cfg = SolverConfig(mode="ls")
         res = solve_ls(y, ens, cfg, x0=x0)
-        x_ref, iters = solve_ls_exact_reference(y.values, ens.vectors, x0, cfg.threshold, cfg.max_iters)
+        x_ref, iters = solve_ls_cg_reference(y.values, ens.vectors, x0, cfg.threshold, cfg.max_iters)
         assert res.iterations == iters
         assert np.linalg.norm(res.x_hat - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_solve_ls_conjugate_directions_halve_the_steepest_descent_iterations():
+    # First measured run: 532 against 2242 iterations (0.24x), final
+    # objectives within 6.5e-7 relative of steepest descent's, all lower.
+    total, total_sd = 0, 0
+    for y, ens, projection in _oracle_instances():
+        if projection != "none":
+            continue
+        x0 = spectral_init(y, ens)
+        cfg = SolverConfig(mode="ls")
+        res = solve_ls(y, ens, cfg, x0=x0)
+        x_sd, iters_sd = solve_ls_exact_reference(y.values, ens.vectors, x0, cfg.threshold, cfg.max_iters)
+        total, total_sd = total + res.iterations, total_sd + iters_sd
+        objective_sd = objective_ls(x_sd, ens, y)
+        assert abs(res.objective_trace[-1] - objective_sd) <= 1e-6 * objective_sd
+    assert total <= 0.5 * total_sd
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +586,21 @@ def test_exact_step_is_zero_along_a_zero_gradient():
     assert solvers._exact_step(r, nu, np.zeros(m, dtype=complex), np.empty(2 * m), np.empty(m)) == 0.0
 
 
+def test_pr_direction_restarts_at_the_gradient():
+    rng = make_rng(64)
+    g, d_prev = complex_gaussian_vector(rng, 8), complex_gaussian_vector(rng, 8)
+    # First iteration, and a zero previous gradient.
+    assert np.array_equal(solvers._pr_direction(g, None, None), g)
+    assert np.array_equal(solvers._pr_direction(g, np.zeros(8, dtype=complex), d_prev), g)
+    # The PR+ beta is negative: Re<g - 2g, g> < 0.
+    assert np.array_equal(solvers._pr_direction(g, 2.0 * g, d_prev), g)
+    # beta = 1 with g_prev orthogonal to g, but d = g + d_prev points uphill.
+    e0, e1 = np.eye(2, dtype=complex)
+    assert np.array_equal(solvers._pr_direction(e0, e1, -2.0 * e0), e0)
+    # Otherwise d = g + beta d_prev.
+    assert np.allclose(solvers._pr_direction(e0, e1, 1j * e1), e0 + 1j * e1, rtol=0, atol=1e-15)
+
+
 def test_solve_ls_from_an_exact_solution_takes_zero_steps():
     x, ens, _ = _clean_instance(63, 16, 128)
     nu = inner_rows(ens.vectors, x)
@@ -579,10 +612,10 @@ def test_solve_ls_from_an_exact_solution_takes_zero_steps():
     assert np.array_equal(res.objective_trace, [0.0, 0.0])
 
 
-@pytest.mark.parametrize("shape", ["sweep-paper", "sweep-tall", "cdp"])
-def test_solve_ls_trace_ends_at_the_objective_of_x_hat(shape):
-    # The solver follows nu = inner_rows(A, x) by nu - t inner_rows(A, g)
-    # without refreshing it; the last traced loss is still the objective.
+def _noisy_shape_instances(shape):
+    """(y, noisy ensemble) for three seeds at a benchmark workload's shape:
+    sweep-paper (N=64, M/N=8), sweep-tall (N=32, M/N=128) or cdp (N=128,
+    L=8), at 20 dB measurement and 10 dB sensing SNR."""
     spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0)
     for seed in range(3):
         rng = make_rng(6400 + seed)
@@ -592,11 +625,27 @@ def test_solve_ls_trace_ends_at_the_objective_of_x_hat(shape):
             n = 64 if shape == "sweep-paper" else 32
             ens = gaussian_ensemble(rng, n, n * (8 if shape == "sweep-paper" else 128))
         x = complex_gaussian_vector(rng, n)
-        y, noisy = inject(rng, synthesize_measurements(ens, x), ens, spec)
+        yield inject(rng, synthesize_measurements(ens, x), ens, spec)
+
+
+@pytest.mark.parametrize("shape", ["sweep-paper", "sweep-tall", "cdp"])
+def test_solve_ls_trace_ends_at_the_objective_of_x_hat(shape):
+    # The solver follows nu = inner_rows(A, x) by nu - t inner_rows(A, d)
+    # without refreshing it; the last traced loss is still the objective.
+    for y, noisy in _noisy_shape_instances(shape):
         res = solve_ls(y, noisy, SolverConfig(mode="ls"))
         assert res.converged
         objective = objective_ls(res.x_hat, noisy, y)
         assert abs(res.objective_trace[-1] - objective) <= 1e-12 * objective
+
+
+@pytest.mark.parametrize("shape", ["sweep-paper", "sweep-tall", "cdp"])
+def test_solve_ls_trace_never_increases(shape):
+    # Every conjugate direction is a descent direction and the exact step
+    # is no worse than t = 0.
+    for y, noisy in _noisy_shape_instances(shape):
+        trace = solve_ls(y, noisy, SolverConfig(mode="ls")).objective_trace
+        assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
