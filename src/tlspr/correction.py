@@ -33,6 +33,9 @@ beta >= 0) is a minimizer.
 :func:`sweep_corrections` corrects all measurements at once and
 :func:`correct_sensing_vector` is its one-measurement view;
 :func:`stationary_candidates` lists the stationary nu of one measurement.
+Both the sweep and the TLS solver find t_0, c and the phase in real
+arithmetic with :class:`LineRoots`, a fixed number of in-place passes over
+length-M buffers that a solver reuses from one iteration to the next.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatchError, inner, inner_rows
-from .cubic import depressed_roots_batch, smallest_real_root
+from .cubic import depressed_roots_batch, root_workspace, smallest_real_root_into
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,37 @@ def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> Corr
     )
 
 
+class LineRoots:
+    """Length-M buffers for the correction of M rows along their lines,
+    reused from one sweep to the next.  After :meth:`solve`, ``c`` holds
+    |inner(a_m, x)|, ``t0`` the smallest real root of the plus cubic and
+    ``phase`` = -inner(a_m, x) / c (1 where c = 0), so that
+    nu_star = phase * t0 and nu_star - inner(a_m, x) = phase * (t0 + c)."""
+
+    def __init__(self, m: int):
+        self.c = np.empty(m)
+        self.t0 = np.empty(m)
+        self.phase = np.empty(m, dtype=np.complex128)
+        self.rows, self.masks = root_workspace(m)
+
+    def solve(self, nu_a, y, lambda_a: float, lambda_y: float, norm_sq: float) -> None:
+        """Fill the buffers for the rows with inner(a_m, x) = ``nu_a`` at
+        ||x||^2 = ``norm_sq``.  The root and the rows with nu_a = 0 make
+        invalid operations, so call under
+        ``np.errstate(divide="ignore", invalid="ignore")``."""
+        alpha = 2.0 * lambda_y * norm_sq
+        c = np.abs(nu_a, out=self.c)
+        beta, const = self.rows[0], self.rows[1]
+        np.multiply(y, -alpha, out=beta)
+        beta += lambda_a
+        np.multiply(c, lambda_a, out=const)
+        smallest_real_root_into(self.t0, alpha, self.rows, self.masks)
+        # -nu_a * (1/c): bit for bit numpy's complex quotient -nu_a / (c + 0j).
+        np.multiply(nu_a, np.divide(-1.0, c, out=self.rows[0]), out=self.phase)
+        if np.count_nonzero(c) < c.size:
+            np.copyto(self.phase, 1.0, where=c == 0.0)
+
+
 def sweep_corrections(
     vectors: np.ndarray,
     y: np.ndarray,
@@ -154,15 +188,13 @@ def sweep_corrections(
         raise ValueError("x must be nonzero")
     if nu_a is None:
         nu_a = inner_rows(vectors, x)
-    alpha = 2.0 * lambda_y * norm_sq
-    nu_a_abs = np.abs(nu_a)
-    t0 = smallest_real_root(alpha, lambda_a - alpha * y, lambda_a * nu_a_abs)
-    # Phase of gamma = -lambda_a * nu_a; zero maps to phase 0 like np.angle.
-    safe = np.where(nu_a == 0, 1.0, -nu_a)
-    phase = safe / np.abs(safe)
+    line = LineRoots(y.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        line.solve(nu_a, y, lambda_a, lambda_y, norm_sq)
+    t0, c = line.t0, line.c
     # |phase * t0 - nu_a| = |t0 + |nu_a||, since phase = -nu_a / |nu_a|.
-    f_star = lambda_a * ((t0 + nu_a_abs) ** 2 / norm_sq) + lambda_y * (y - t0 * t0) ** 2
-    return phase * t0, f_star
+    f_star = lambda_a * ((t0 + c) ** 2 / norm_sq) + lambda_y * (y - t0 * t0) ** 2
+    return line.phase * t0, f_star
 
 
 def apply_corrections(vectors: np.ndarray, x: np.ndarray, nu_star: np.ndarray) -> np.ndarray:

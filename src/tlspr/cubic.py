@@ -113,13 +113,35 @@ def positive_real_roots(alpha: float, beta: float, gamma_const: float) -> np.nda
     return np.asarray(merged, dtype=np.float64)
 
 
-def _newton_step(t: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One Newton step on t^3 + p t + q, kept only where it lowers |residual|."""
-    f = (t * t + p) * t + q
-    df = 3.0 * t * t + p
-    step = t - f / np.where(df != 0.0, df, np.inf)
-    f_step = (step * step + p) * step + q
-    return np.where(np.abs(f_step) < np.abs(f), step, t)
+def _newton_step(t: np.ndarray, p, q, work: np.ndarray, keep: np.ndarray) -> None:
+    """One Newton step on t^3 + p t + q, in place, kept only where it lowers
+    |residual|.  ``work`` is a float array of shape (3,) + t.shape and
+    ``keep`` a bool array of t's shape.  Where the derivative is zero the
+    step is non-finite, its residual is not lower, and t stays (call under
+    ``np.errstate(divide="ignore", invalid="ignore")``)."""
+    f, f_step, step = work
+    np.multiply(t, t, out=f)
+    f += p
+    f *= t
+    f += q
+    np.multiply(t, 3.0, out=step)
+    step *= t
+    step += p
+    np.divide(f, step, out=step)
+    np.subtract(t, step, out=step)
+    np.multiply(step, step, out=f_step)
+    f_step += p
+    f_step *= step
+    f_step += q
+    np.abs(work[:2], out=work[:2])
+    np.less(f_step, f, out=keep)
+    np.copyto(t, step, where=keep)
+
+
+def root_workspace(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch of :func:`smallest_real_root_into` for M cubics: five float
+    rows and two bool rows of length M, reusable from one call to the next."""
+    return np.empty((5, m)), np.empty((2, m), dtype=bool)
 
 
 def smallest_real_root(alpha: float, beta: np.ndarray, const: np.ndarray) -> np.ndarray:
@@ -127,39 +149,77 @@ def smallest_real_root(alpha: float, beta: np.ndarray, const: np.ndarray) -> np.
     as a (len(beta),) float64 array; alpha is a shared positive scalar.  See
     the module docstring for the closed forms; the root then takes one
     guarded Newton step."""
+    beta = np.asarray(beta, dtype=np.float64)
+    t = np.empty_like(beta)
+    rows, masks = root_workspace(beta.shape[0])
+    rows[0], rows[1] = beta, const
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        smallest_real_root_into(t, alpha, rows, masks)
+    return t
+
+
+def smallest_real_root_into(t: np.ndarray, alpha: float, rows: np.ndarray, masks: np.ndarray) -> None:
+    """:func:`smallest_real_root` of the cubics with beta = ``rows[0]`` and
+    const = ``rows[1]``, written into ``t``; ``rows`` and ``masks`` are the
+    scratch of :func:`root_workspace` and are overwritten.
+
+    Viete's root and the Newton step run in place on all rows; only the rows
+    whose branch needs the exact discriminant are gathered.  Rows outside
+    Viete's branch make invalid operations, so call under
+    ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
     if not (alpha > 0):
         raise ValueError("alpha must be > 0")
-    p = np.asarray(beta, dtype=np.float64) / alpha
-    q = np.asarray(const, dtype=np.float64) / alpha
-    t = np.empty_like(p)
-
+    p, q, c, a, b = rows
+    sure, spare = masks
+    np.divide(rows[:2], alpha, out=rows[:2])
     # numpy's (p/3)**3 leaves its vectorized pow for p < 0 and is ~100x
     # slower than c*c*c, which is within 5e-16 |c|^3 of it.  Rows where c*c*c
     # gives D < -1e-15 |c|^3, clear of underflow, have three real roots for
     # certain; the others take D exactly as depressed_roots_batch does.
-    c = p / 3.0
-    cube = c * c * c
-    sure = ((0.5 * q) ** 2 + cube < 1e-15 * cube) & (cube < -1e-290)
-    rest = np.flatnonzero(~sure)
-    disc = (0.5 * q[rest]) ** 2 + c[rest] ** 3
-    is_three = (disc <= 0.0) & (p[rest] < 0.0)
-    three = np.concatenate([np.flatnonzero(sure), rest[is_three]])
-    if three.size:
-        p3, q3 = p[three], q[three]
-        m = 2.0 * np.sqrt(p3 / -3.0)
-        theta = np.arccos(np.clip(3.0 * q3 / (p3 * m), -1.0, 1.0)) / 3.0
-        t[three] = m * np.cos(theta - 4.0 * np.pi / 3.0)
+    np.divide(p, 3.0, out=c)
+    np.multiply(c, c, out=a)
+    a *= c
+    np.less(a, -1e-290, out=spare)
+    np.multiply(q, 0.5, out=b)
+    np.square(b, out=b)
+    b += a
+    a *= 1e-15
+    np.less(b, a, out=sure)
+    sure &= spare
+    rest = np.flatnonzero(np.logical_not(sure, out=sure))
+    pqc = rows[:3, rest]
+    disc = (0.5 * pqc[1]) ** 2 + pqc[2] ** 3
+    is_one = ~((disc <= 0.0) & (pqc[0] < 0.0))
 
-    one = rest[~is_three]
+    # Viete's lowest root m cos(theta - 4 pi/3), m = 2 sqrt(-p/3),
+    # cos(theta) = 3q / (p m), on every row; one-root rows are replaced.
+    np.divide(p, -3.0, out=a)
+    np.sqrt(a, out=a)
+    a *= 2.0
+    np.multiply(q, 3.0, out=b)
+    np.multiply(p, a, out=c)
+    b /= c
+    # np.clip's Python wrapper costs more than these two passes at small M.
+    np.maximum(b, -1.0, out=b)
+    np.minimum(b, 1.0, out=b)
+    np.arccos(b, out=b)
+    b /= 3.0
+    b -= 4.0 * np.pi / 3.0
+    np.cos(b, out=b)
+    np.multiply(a, b, out=t)
+
+    one = rest[is_one]
     if one.size:
-        p1, q1 = p[one], q[one]
-        big = np.cbrt(0.5 * np.abs(q1) + np.sqrt(np.maximum(disc[~is_three], 0.0)))
+        # Kahan's form; D >= 0 on these rows.
+        p1, q1, c1 = pqc[:, is_one]
+        big = np.cbrt(0.5 * np.abs(q1) + np.sqrt(disc[is_one]))
         # big = 0 only for p = q = 0, where any big > 0 gives the root t = 0.
         big[big == 0.0] = 1.0
         small = p1 / (3.0 * big)
-        t[one] = -q1 / (big * big + p1 / 3.0 + small * small)
+        t[one] = -q1 / (big * big + c1 + small * small)
 
-    return _newton_step(t, p, q)
+    _newton_step(t, p, q, rows[2:], spare)
 
 
 def depressed_roots_batch(alpha: float, beta: np.ndarray, const: np.ndarray) -> np.ndarray:
@@ -181,7 +241,9 @@ def depressed_roots_batch(alpha: float, beta: np.ndarray, const: np.ndarray) -> 
     high = 0.5 * (np.sqrt(np.maximum(-3.0 * t0 * t0 - 4.0 * p3, 0.0)) - t0)
     roots = np.full((low.size, 3), np.nan)
     roots[:, 0] = low
-    upper = _newton_step(np.column_stack([-q3 / (t0 * high), high]), p3[:, None], q3[:, None])
+    upper = np.column_stack([-q3 / (t0 * high), high])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _newton_step(upper, p3[:, None], q3[:, None], np.empty((3,) + upper.shape), np.empty(upper.shape, dtype=bool))
     # Rounding can swap roots that nearly coincide; keep each row ascending.
     roots[three, 1:] = np.maximum(np.sort(upper, axis=1), t0[:, None])
     return roots

@@ -18,6 +18,12 @@ One iteration of either solver costs two products with the one stored
 (M, N) ensemble A and no copy of it: inner(a_m, x) for all rows as
 conj(A @ conj(x)) (:func:`~tlspr.core.inner_rows`), and the gradient as
 A^T w.  The TLS correction enters both only through length-M vectors.
+Beside its two products a TLS iteration is a fixed sequence of in-place
+passes over length-M buffers made once per solve: the correction of every
+row lies on the real line through inner(a_m, x) and zero, so the sweep,
+the gradient weights and both terms of J are real arithmetic on
+|inner(a_m, x)| and the smallest root t0 (see :func:`solve_tls`), and no
+f_m is evaluated.
 
 Both start from :func:`spectral_init`, power iteration on
 Y = A^T diag(y) conj(A).  When N^2 <= M and N <= 2 * power_iters, Y is built
@@ -46,7 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MeasurementSet, SensingEnsemble, _Owned, as_cvector, inner_rows, make_rng
-from .correction import apply_corrections, sweep_corrections
+from .correction import LineRoots
+# Not called here; bench/harness.py traces the sweep under this name.
+from .correction import sweep_corrections  # noqa: F401
 from .cubic import depressed_real_roots
 
 # Fixed internal seeds: power-method start vector and the fallback
@@ -231,15 +239,41 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
 
     By the envelope theorem the inner minimizers are held fixed, giving
     lambda_y * (1/2M) sum 2*(|inner(v_m, x)|^2 - y_m)*inner(v_m, x)*v_m with
-    v_m the corrected vectors at x.
+    v_m the corrected vectors at x: lambda_y times the step direction of
+    :func:`solve_tls`, computed by the same :func:`_tls_gradient`.
     """
     vectors = _as_vectors(ensemble)
     yv = _as_values(y)
     x = np.asarray(x, dtype=np.complex128)
-    nu_star, _ = sweep_corrections(vectors, yv, x, lambda_a, lambda_y)
-    corrected = apply_corrections(vectors, x, nu_star)
-    w = lambda_y * (np.abs(nu_star) ** 2 - yv) * nu_star / yv.shape[0]
-    return corrected.T @ w
+    norm_sq = float(np.vdot(x, x).real)
+    if norm_sq == 0.0:
+        raise ValueError("x must be nonzero")
+    m = yv.shape[0]
+    line = LineRoots(m)
+    w = np.empty(m, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = _tls_gradient(vectors, yv, x, norm_sq, inner_rows(vectors, x), lambda_a, lambda_y, line, w)
+    return lambda_y * grad
+
+
+def _tls_gradient(vectors, yv, x, norm_sq, nu_a, lambda_a, lambda_y, line: LineRoots, w) -> np.ndarray:
+    """Correct every row at x (``nu_a`` = inner_rows(A, x)) and return the
+    gradient g(x) of the module docstring with the corrected rows fixed.
+    A corrected row is v_m = a_m + conj(phase) (t0 + c) x / ||x||^2 with
+    inner(v_m, x) = phase t0, so g = A^T (k phase) + (sum k (t0 + c) /
+    ||x||^2) x with the real k = (t0^2 - y) t0 / M.  Leaves t0 + c in
+    ``line.c`` and overwrites ``w``."""
+    line.solve(nu_a, yv, lambda_a, lambda_y, norm_sq)
+    t0, k = line.t0, line.rows[0]
+    g = np.add(line.c, t0, out=line.c)
+    np.multiply(t0, t0, out=k)
+    k -= yv
+    k *= t0
+    np.multiply(line.phase, k, out=w)
+    grad = vectors.T @ w
+    grad += (float(k @ g) / norm_sq) * x
+    grad /= yv.shape[0]
+    return grad
 
 
 def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
@@ -409,9 +443,10 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
 
     Each iteration (a) corrects every sensing vector in closed form at the
     current x, then (b) takes one gradient step on x with the corrected
-    vectors held fixed.  Convergence is declared on the change of the full
-    objective J (correction norms plus weighted misfit).  The returned
-    ensemble holds the corrections from the final sweep.
+    vectors held fixed (:func:`_tls_gradient`).  Convergence is declared on
+    the change of the full objective J (correction norms plus weighted
+    misfit).  The returned ensemble holds the corrections from the final
+    sweep.
     """
     vectors, yv, x, norm0_sq, lambda_a, step = _start(y, ensemble, cfg, x0, "tls")
     model_tag = ensemble.model_tag if isinstance(ensemble, SensingEnsemble) else "external"
@@ -419,39 +454,48 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     lambda_y = cfg.lambda_y_dag / norm0_sq**2
     trace = []
     converged = False
-    sweep_shift = np.zeros(m, dtype=np.complex128)
-    sweep_x = x
+    line = LineRoots(m)
+    # u = nu_star - nu_a = phase (t0 + c) of the last sweep; zero before one.
+    u = line.phase
+    u.fill(0.0)
+    sweep_x, sweep_norm_sq = x, norm0_sq
+    w = np.empty(m, dtype=np.complex128)
     nu_a = inner_rows(vectors, x)
-    for it in range(cfg.max_iters):
-        norm_x_sq = float(np.vdot(x, x).real)
-        if norm_x_sq == 0.0:
-            raise SolverError(f"iterate collapsed to zero norm at iteration {it + 1}")
-        # (a) closed-form correction sweep at the current x.
-        nu_star, _ = sweep_corrections(vectors, yv, x, lambda_a, lambda_y, nu_a=nu_a)
-        sweep_shift = np.conj(nu_star - nu_a) / norm_x_sq
-        sweep_x = x
-        corr_term = lambda_a * float(np.sum(np.abs(nu_star - nu_a) ** 2)) / norm_x_sq / (2.0 * m)
-        # (b) one gradient step with the corrected vectors fixed.
-        w = (np.abs(nu_star) ** 2 - yv) * nu_star / m
-        grad = vectors.T @ w + np.sum(w * sweep_shift) * x
-        x_new = x - step * grad
-        if cfg.projection == "real_binary":
-            x_new = project_real_binary(x_new)
-        nu_a_new = inner_rows(vectors, x_new)
-        # inner(v_m, x_new) for the swept v_m = a_m + shift_m * x.
-        nu_corr_new = nu_a_new + np.conj(sweep_shift) * np.vdot(x, x_new)
-        with np.errstate(over="ignore", invalid="ignore"):
-            data_term = lambda_y * float(np.sum((yv - np.abs(nu_corr_new) ** 2) ** 2)) / (2.0 * m)
-        loss = corr_term + data_term
-        if not np.isfinite(loss):
-            raise SolverError(f"objective became non-finite at iteration {it + 1}")
-        trace.append(loss)
-        x = x_new
-        nu_a = nu_a_new
-        if it and abs(loss - trace[-2]) < cfg.threshold:
-            converged = True
-            break
-    corrected = np.outer(sweep_shift, sweep_x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(cfg.max_iters):
+            norm_x_sq = float(np.vdot(x, x).real)
+            if norm_x_sq == 0.0:
+                raise SolverError(f"iterate collapsed to zero norm at iteration {it + 1}")
+            # (a) closed-form correction sweep at the current x and (b) one
+            # gradient step with the corrected vectors fixed.
+            grad = _tls_gradient(vectors, yv, x, norm_x_sq, nu_a, lambda_a, lambda_y, line, w)
+            g = line.c  # t0 + c
+            corr_term = lambda_a * float(g @ g) / norm_x_sq / (2.0 * m)
+            u *= g
+            sweep_x, sweep_norm_sq = x, norm_x_sq
+            x_new = x - step * grad
+            if cfg.projection == "real_binary":
+                x_new = project_real_binary(x_new)
+            # nu_a is spent once u is formed; it now takes inner(a_m, x_new).
+            inner_rows(vectors, x_new, out=nu_a)
+            # inner(v_m, x_new) for the swept v_m = a_m + conj(u_m) x / ||x||^2.
+            np.multiply(u, np.vdot(x, x_new) / norm_x_sq, out=w)
+            w += nu_a
+            r = np.abs(w, out=line.rows[0])
+            r *= r
+            r -= yv
+            data_term = lambda_y * float(r @ r) / (2.0 * m)
+            loss = corr_term + data_term
+            if not math.isfinite(loss):
+                raise SolverError(f"objective became non-finite at iteration {it + 1}")
+            trace.append(loss)
+            x = x_new
+            if it and abs(loss - trace[-2]) < cfg.threshold:
+                converged = True
+                break
+    shift = np.conjugate(u, out=w)
+    shift /= sweep_norm_sq
+    corrected = np.outer(shift, sweep_x)
     corrected += vectors
     return SolveResult(
         x_hat=x,

@@ -8,7 +8,9 @@ from tlspr.cubic import (
     depressed_roots_batch,
     positive_real_roots,
     residual_scale,
+    root_workspace,
     smallest_real_root,
+    smallest_real_root_into,
 )
 
 from oracles import real_roots_reference
@@ -204,6 +206,35 @@ def test_smallest_real_root_matches_frozen_solver_bitwise():
         same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
         assert same.all()
         assert np.isnan(got).sum() <= special.size**2
+
+
+def test_smallest_real_root_into_a_reused_workspace_matches_the_allocating_call():
+    # The cases of the bitwise test above, in blocks of equal length: wide
+    # exponents, near-double roots, and inf/nan/zero/subnormal entries.  One
+    # workspace serves every call, and the blocks alternate between mostly
+    # one-root and mostly three-root rows, so a value left from an earlier
+    # call would show.
+    rng = make_rng(83)
+    n = 20_000
+    r = rng.normal(size=n) * 10.0 ** rng.integers(-40, 40, n)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 1e308, -1e308])
+    blocks = [
+        (rng.normal(size=n) * 10.0 ** rng.integers(-100, 100, n), rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, n)),
+        (np.abs(rng.normal(size=n)), rng.normal(size=n)),
+        *((-3.0 * r * r * (1.0 + rel * rng.normal(size=n)), 2.0 * r**3 * (1.0 + rel * rng.normal(size=n)))
+          for rel in (0.0, 1e-16, 1e-14)),
+        (-np.abs(rng.normal(size=n)), 1e-3 * rng.normal(size=n)),
+        (np.resize(np.repeat(special, special.size), n), np.resize(np.tile(special, special.size), n)),
+    ]
+    rows, masks = root_workspace(n)
+    t = np.empty(n)
+    for alpha in (1.0, 3.7e-5):
+        for beta, const in blocks + blocks[::-1]:
+            with np.errstate(all="ignore"):
+                want = smallest_real_root(alpha, beta, const)
+                rows[0], rows[1] = beta, const
+                smallest_real_root_into(t, alpha, rows, masks)
+            assert np.array_equal(t.view(np.uint64), want.view(np.uint64))
 
 
 def _scalar_against_batch(p, q):

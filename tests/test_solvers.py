@@ -219,6 +219,36 @@ def test_tls_objective_gradient_matches_finite_differences():
     assert np.linalg.norm(fd - g) <= 1e-4 * np.linalg.norm(fd)
 
 
+def _gradient_instances():
+    """(x, ensemble, y) at a spectral start: noisy complex Gaussian, CDP and
+    real Gaussian data."""
+    spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0)
+    for kind in ("gaussian", "cdp", "real"):
+        rng = make_rng(4100 + len(kind))
+        if kind == "cdp":
+            ens = cdp_ensemble(rng, CdpConfig(n=16, l=6))
+            x = complex_gaussian_vector(rng, 16)
+        else:
+            ens = gaussian_ensemble(rng, 16, 128, real_mode=kind == "real")
+            x = rng.normal(size=16).astype(np.complex128) if kind == "real" else complex_gaussian_vector(rng, 16)
+        y, noisy = inject(rng, synthesize_measurements(ens, x), ens, spec)
+        yield spectral_init(y, noisy), noisy, y
+
+
+def test_tls_objective_gradient_matches_the_materialized_corrected_ensemble():
+    # The gradient as corrected.T @ w over the materialized ensemble, the
+    # form the solver's gradient helper replaced.
+    for x, ens, y in _gradient_instances():
+        vectors, yv = ens.vectors, y.values
+        m, n = vectors.shape
+        lam_a, lam_y = 1.0 / n, 1.0 / np.linalg.norm(x) ** 4
+        nu_star, _ = sweep_corrections(vectors, yv, x, lam_a, lam_y)
+        w = lam_y * (np.abs(nu_star) ** 2 - yv) * nu_star / m
+        want = apply_corrections(vectors, x, nu_star).T @ w
+        got = tls_objective_gradient(x, ens, y, lam_a, lam_y)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_tls_gradient_vanishes_at_truth_on_clean_data():
     x, ens, y = _clean_instance(12, 8, 48)
     lam_a, lam_y = 1.0 / 8, 1.0 / np.linalg.norm(x) ** 4
@@ -514,6 +544,44 @@ def test_solvers_match_frozen_two_array_loops():
             assert np.linalg.norm(res.x_hat - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
+def _orthogonal_start_instance(seed, binary):
+    """(y, ensemble, x0) where x0 lives on the first half of the coordinates
+    and a quarter of the rows on the second half, so inner(a_m, x0) = 0
+    exactly on those rows; with ``binary`` a real-binary signal and x0."""
+    rng = make_rng(seed)
+    n, m = 16, 128
+    ens = gaussian_ensemble(rng, n, m)
+    x = (rng.random(n) < 0.5).astype(np.complex128) if binary else complex_gaussian_vector(rng, n)
+    y, noisy = inject(rng, synthesize_measurements(ens, x), ens, NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0))
+    vectors = noisy.vectors.copy()
+    vectors[: m // 4, : n // 2] = 0.0
+    x0 = np.zeros(n, dtype=np.complex128)
+    x0[: n // 2] = np.ones(n // 2) if binary else complex_gaussian_vector(rng, n // 2)
+    return y, vectors, x0
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("max_iters", [1, 2500])
+def test_solve_tls_matches_frozen_loop_from_rows_orthogonal_to_x0(binary, max_iters):
+    y, vectors, x0 = _orthogonal_start_instance(4200 + binary, binary)
+    assert np.sum(inner_rows(vectors, x0) == 0) == vectors.shape[0] // 4
+    projection = "real_binary" if binary else "none"
+    cfg = SolverConfig(mode="tls", projection=projection, max_iters=max_iters)
+    res = solve_tls(y, vectors, cfg, x0=x0)
+    lam_a = 1.0 / vectors.shape[1]
+    x_ref, iters, corrected = solve_tls_reference(
+        y.values, vectors, x0, _TUNED_MU["tls", projection] / lam_a, lam_a, cfg.threshold, max_iters,
+        sweep_corrections, real_binary=binary,
+    )
+    assert res.iterations == iters
+    assert (iters == 1) == (max_iters == 1)
+    assert np.linalg.norm(res.x_hat - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    # Row by row: at convergence some corrected entries nearly cancel, and
+    # rounding differences in x_hat (~1e-13) show there at 2.5e-12 relative.
+    diff = np.linalg.norm(res.corrected_ensemble.vectors - corrected, axis=1)
+    assert np.all(diff <= 1e-12 * np.linalg.norm(corrected, axis=1))
+
+
 def test_solve_ls_default_matches_exact_line_search_loop():
     # First measured run: equal iteration counts on all 16 instances and
     # x_hat within 3.0e-14 relative at worst.
@@ -681,6 +749,16 @@ def test_spectral_matrix_path_allocates_less_than_its_work_vectors():
     n, m = 32, 4096
     x, ens, y = _clean_instance(34, n, m)
     assert peak_bytes(spectral_init, y, ens) < 0.04 * 16 * m * n
+
+
+def test_tls_objective_gradient_makes_no_ensemble_sized_temporary():
+    # First measured run: 0.062 ensemble, the sweep's length-M buffers; the
+    # materialized corrected ensemble took 1.15.
+    n, m = 128, 1024
+    x, ens, y = _clean_instance(33, n, m)
+    x0 = spectral_init(y, ens)
+    lam_a, lam_y = 1.0 / n, 1.0 / np.linalg.norm(x0) ** 4
+    assert peak_bytes(tls_objective_gradient, x0, ens, y, lam_a, lam_y) < 0.07 * 16 * m * n
 
 
 def test_solve_tls_returns_its_corrected_ensemble_without_a_copy():
