@@ -6,25 +6,30 @@ Subcommands
 ``solve``       run one solver on ensemble/measurement files
 ``sweep``       seeded trial sweeps over oversampling ratios and SNR combos
 ``analyze``     first-order error predictions and weight-ratio sweeps
-``selftest``    fast in-process property checks
+``selftest``    fast in-process checks of the paths the commands run: the
+                batched correction root against a grid of nu, metrics,
+                serialization, exact-SNR noise, clean recovery, sweep
+                determinism
 
 Every subcommand takes ``--seed``, ``--out`` and ``--config``.  Config files
 are YAML (key/value with nesting, see the README for the grammar); command
 line flags override file values.  The worker count for sweeps comes from the
-``TLSPR_WORKERS`` environment variable (default 1).
+``TLSPR_WORKERS`` environment variable, a positive integer (default 1).
+``analyze`` covers the real-valued Gaussian model with Gaussian errors only.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 
 Reproducibility: every trial owns a generator seeded as
 ``seed + 100003 * combination_index + trial_index``, and result rows are
-sorted by (combination, trial) before writing, so output is identical across
-runs and worker counts.  Wall-time columns are the only nondeterministic
+written in (combination, trial) order, so output is identical across runs
+and worker counts.  Wall-time columns are the only nondeterministic
 output and are excluded from determinism comparisons.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -35,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, metrics, noise, serialization
-from .core import MeasurementSet, SensingEnsemble, complex_gaussian_vector, make_rng
+from .core import MeasurementSet, SensingEnsemble, _complex_normal, complex_gaussian_vector, make_rng
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
 from .solvers import SolverConfig, SolverError, solve_ls, solve_tls, spectral_init
 
@@ -92,12 +97,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
+        if self.n < 1:
+            raise UsageError("n must be >= 1")
         if self.model not in ("gaussian", "cdp"):
             raise UsageError(f"unknown model {self.model!r}")
         if self.noise_model not in noise.NOISE_MODELS:
             raise UsageError(f"unknown noise model {self.noise_model!r}")
         if self.analysis_mode not in ("none", "first_order", "expected", "ml_sweep"):
             raise UsageError(f"unknown analysis_mode {self.analysis_mode!r}")
+        if self.grid_points < 2:
+            raise UsageError("grid_points must be >= 2")
         if self.model == "cdp":
             for r in self.ratios:
                 if float(r) != int(r):
@@ -197,18 +206,6 @@ def _write_csv(path: str, schema: str, columns: list[str], rows: list[dict]) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _draw_signal(rng: np.random.Generator, n: int, real_mode: bool) -> np.ndarray:
-    if real_mode:
-        return rng.normal(size=n).astype(np.complex128)
-    return complex_gaussian_vector(rng, n)
-
-
-def _draw_ensemble(rng, config: ExperimentConfig, ratio) -> SensingEnsemble:
-    if config.model == "cdp":
-        return cdp_ensemble(rng, CdpConfig(n=config.n, l=int(ratio)))
-    return gaussian_ensemble(rng, config.n, int(round(ratio * config.n)), real_mode=config.real_mode)
-
-
 def _noise_spec(config: ExperimentConfig, meas_db, sens_db) -> noise.NoiseSpec | None:
     if meas_db is None and sens_db is None:
         return None
@@ -220,18 +217,24 @@ def _noise_spec(config: ExperimentConfig, meas_db, sens_db) -> noise.NoiseSpec |
     )
 
 
+def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db, sens_db):
+    """Draw a signal and an ensemble, synthesize the measurements and inject
+    the configured errors: ``(x_sharp, y_obs, ens_obs, clean ensemble)``."""
+    x_sharp = _complex_normal(rng, config.n, config.real_mode)
+    if config.model == "cdp":
+        ens = cdp_ensemble(rng, CdpConfig(n=config.n, l=int(ratio)))
+    else:
+        ens = gaussian_ensemble(rng, config.n, int(round(ratio * config.n)), real_mode=config.real_mode)
+    y = synthesize_measurements(ens, x_sharp)
+    spec = _noise_spec(config, meas_db, sens_db)
+    y_obs, ens_obs = (y, ens) if spec is None else noise.inject(rng, y, ens, spec, x_sharp=x_sharp)
+    return x_sharp, y_obs, ens_obs, ens
+
+
 def run_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_seed: int, trial_index: int) -> dict:
     """One seeded comparison trial; both solvers share the initialization."""
     t_start = time.perf_counter()
-    rng = make_rng(trial_seed)
-    x_sharp = _draw_signal(rng, config.n, config.real_mode)
-    ens = _draw_ensemble(rng, config, ratio)
-    y_clean = synthesize_measurements(ens, x_sharp)
-    spec = _noise_spec(config, meas_db, sens_db)
-    if spec is None:
-        y_obs, ens_obs = y_clean, ens
-    else:
-        y_obs, ens_obs = noise.inject(rng, y_clean, ens, spec, x_sharp=x_sharp)
+    x_sharp, y_obs, ens_obs, ens = _simulate(make_rng(trial_seed), config, ratio, meas_db, sens_db)
     x0 = spectral_init(y_obs, ens_obs, config.power_iters)
     res_tls = solve_tls(y_obs, ens_obs, config.solver_config("tls"), x0=x0)
     res_ls = solve_ls(y_obs, ens_obs, config.solver_config("ls"), x0=x0)
@@ -254,37 +257,31 @@ def run_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_seed: int
     }
 
 
-def _combos(config: ExperimentConfig):
-    out = []
-    for ratio in config.ratios:
-        for meas_db in config.measurement_snr_db:
-            for sens_db in config.sensing_snr_db:
-                out.append((ratio, meas_db, sens_db))
-    return out
+def _summary_rows(combo_rows: list[dict], cols) -> list[dict]:
+    """``mean`` and ``std`` rows of ``cols`` over one combination's trial rows."""
+    keys = {k: combo_rows[0].get(k) for k in ("mode", "ratio", "meas_snr_db", "sensing_snr_db")}
+    return [
+        {"record": stat, **keys, **{col: float(fn([r[col] for r in combo_rows])) for col in cols}}
+        for stat, fn in (("mean", np.mean), ("std", np.std))
+    ]
 
 
 def _trial_worker(args) -> tuple:
-    config, combo_index, ratio, meas_db, sens_db, trial_index = args
+    trial, config, combo_index, ratio, meas_db, sens_db, trial_index = args
     seed = config.seed + _COMBO_SEED_STRIDE * combo_index + trial_index
-    row = run_trial(config, ratio, meas_db, sens_db, seed, trial_index)
-    return (combo_index, trial_index, row)
+    return combo_index, trial(config, ratio, meas_db, sens_db, seed, trial_index)
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TLSPR_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def run_sweep(config: ExperimentConfig, output: str | None = None) -> str:
-    """Run every (ratio, SNR combination, trial) and write the CSV."""
-    out_path = output or config.output
-    tasks = []
-    for combo_index, (ratio, meas_db, sens_db) in enumerate(_combos(config)):
-        for trial_index in range(config.trials):
-            tasks.append((config, combo_index, ratio, meas_db, sens_db, trial_index))
-    workers = worker_count()
+def _run_trials(config: ExperimentConfig, trial, cols, workers: int = 1) -> list[dict]:
+    """``trial`` rows for every (combination, trial index), in that order,
+    each combination followed by its ``mean`` and ``std`` rows over ``cols``."""
+    tasks = [
+        (trial, config, combo_index, ratio, meas_db, sens_db, trial_index)
+        for combo_index, (ratio, meas_db, sens_db) in enumerate(
+            itertools.product(config.ratios, config.measurement_snr_db, config.sensing_snr_db)
+        )
+        for trial_index in range(config.trials)
+    ]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -293,30 +290,27 @@ def run_sweep(config: ExperimentConfig, output: str | None = None) -> str:
             results = list(pool.map(_trial_worker, tasks, chunksize=1))
     else:
         results = [_trial_worker(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
     rows = []
-    per_combo: dict[int, list[dict]] = {}
-    for combo_index, _, row in results:
-        rows.append(row)
-        per_combo.setdefault(combo_index, []).append(row)
-    final_rows = []
-    for combo_index in sorted(per_combo):
-        combo_rows = per_combo[combo_index]
-        final_rows.extend(combo_rows)
-        base = combo_rows[0]
-        for stat, fn in (("mean", np.mean), ("std", np.std)):
-            final_rows.append(
-                {
-                    "record": stat,
-                    "ratio": base["ratio"],
-                    "meas_snr_db": base["meas_snr_db"],
-                    "sensing_snr_db": base["sensing_snr_db"],
-                    "rel_dist_tls": float(fn([r["rel_dist_tls"] for r in combo_rows])),
-                    "rel_dist_ls": float(fn([r["rel_dist_ls"] for r in combo_rows])),
-                    "rel_corr": float(fn([r["rel_corr"] for r in combo_rows])),
-                }
-            )
-    _write_csv(out_path, SWEEP_SCHEMA, SWEEP_COLUMNS, final_rows)
+    for _, group in itertools.groupby(results, key=lambda r: r[0]):
+        combo_rows = [row for _, row in group]
+        rows.extend(combo_rows)
+        if cols:
+            rows.extend(_summary_rows(combo_rows, cols))
+    return rows
+
+
+def worker_count() -> int:
+    value = os.environ.get("TLSPR_WORKERS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise UsageError(f"TLSPR_WORKERS must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def run_sweep(config: ExperimentConfig, output: str | None = None) -> str:
+    """Run every (ratio, SNR combination, trial) and write the CSV."""
+    out_path = output or config.output
+    rows = _run_trials(config, run_trial, ("rel_dist_tls", "rel_dist_ls", "rel_corr"), worker_count())
+    _write_csv(out_path, SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
     return out_path
 
 
@@ -337,94 +331,64 @@ ANALYZE_COLUMNS = [
 ]
 
 
-def _exact_snr_errors(rng, a, y, meas_db, sens_db):
-    e_a = rng.normal(size=a.shape)
-    e_y = rng.normal(size=y.shape)
-    return _at_snr(e_a, a, sens_db), _at_snr(e_y, y, meas_db)
-
-
-def _at_snr(error, clean, target_db):
-    # No target, or an all-zero clean block, adds no error.
-    if target_db is None or not np.any(clean):
-        return np.zeros_like(error)
-    return noise._rescale(error, clean, target_db)
-
-
-def _expectation_variances(a, y, meas_db, sens_db):
-    m, n = a.shape
-    s2_delta = 0.0 if sens_db is None else float(np.sum(a * a)) * 10 ** (-sens_db / 10.0) / (m * n)
-    s2_eta = 0.0 if meas_db is None else float(np.sum(y * y)) * 10 ** (-meas_db / 10.0) / m
-    return s2_delta, s2_eta
+def _analysis_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_seed: int, trial_index: int) -> dict:
+    """One seeded real Gaussian instance and its ``config.analysis_mode`` prediction."""
+    rng = make_rng(trial_seed)
+    x = rng.normal(size=config.n)
+    a = rng.normal(size=(int(round(ratio * config.n)), config.n))
+    y = (a @ x) ** 2
+    mode = config.analysis_mode
+    row = {
+        "record": "trial",
+        "mode": mode,
+        "ratio": ratio,
+        "meas_snr_db": meas_db,
+        "sensing_snr_db": sens_db,
+        "trial_index": trial_index,
+    }
+    if mode == "first_order":
+        e_a, e_y = noise.real_errors_at_snr(rng, a, y, meas_db, sens_db)
+        pred = analysis.first_order_errors(
+            analysis.ErrorAnalysisInputs(a, y, x, e_a, e_y, config.lambda_ratio)
+        )
+        row["rel_e_tls"] = pred.rel_e_tls
+        row["rel_e_ls"] = pred.rel_e_ls
+        return row
+    s2_delta, s2_eta = noise.error_variance(a, sens_db), noise.error_variance(y, meas_db)
+    if mode == "expected":
+        e_tls, e_ls = analysis.expected_squared_errors(
+            a, y, x, config.lambda_ratio, s2_delta, s2_eta
+        )
+        row["expected_sq_tls"] = e_tls
+        row["expected_sq_ls"] = e_ls
+        return row
+    if s2_delta <= 0 or s2_eta <= 0:
+        raise UsageError("ml_sweep needs finite SNR targets on both blocks")
+    optimal = s2_delta / s2_eta
+    grid = optimal * 10.0 ** np.linspace(
+        -config.grid_decades, config.grid_decades, config.grid_points
+    )
+    vals = [
+        analysis.expected_squared_errors(a, y, x, r, s2_delta, s2_eta)[0] for r in grid
+    ]
+    k = int(np.argmin(vals))
+    row["optimal_ratio"] = optimal
+    row["argmin_ratio"] = float(grid[k])
+    row["grid_step_decades"] = 2.0 * config.grid_decades / (config.grid_points - 1)
+    return row
 
 
 def run_error_analysis(config: ExperimentConfig, output: str | None = None) -> str:
     """First-order predictions, expectations, or the weight-ratio sweep."""
     if not config.real_mode:
         raise UsageError("error analysis requires real_mode: true")
+    if config.model != "gaussian" or config.noise_model != "gaussian":
+        raise UsageError("error analysis requires model: gaussian and noise.model: gaussian")
     if config.analysis_mode == "none":
         raise UsageError("analysis_mode must be first_order, expected or ml_sweep")
     out_path = output or config.output
-    rows: list[dict] = []
-    mode = config.analysis_mode
-    for combo_index, (ratio, meas_db, sens_db) in enumerate(_combos(config)):
-        combo_rows = []
-        for trial_index in range(config.trials):
-            rng = make_rng(config.seed + _COMBO_SEED_STRIDE * combo_index + trial_index)
-            x = rng.normal(size=config.n)
-            a = rng.normal(size=(int(round(ratio * config.n)), config.n))
-            y = (a @ x) ** 2
-            row = {
-                "record": "trial",
-                "mode": mode,
-                "ratio": ratio,
-                "meas_snr_db": meas_db,
-                "sensing_snr_db": sens_db,
-                "trial_index": trial_index,
-            }
-            if mode == "first_order":
-                e_a, e_y = _exact_snr_errors(rng, a, y, meas_db, sens_db)
-                pred = analysis.first_order_errors(
-                    analysis.ErrorAnalysisInputs(a, y, x, e_a, e_y, config.lambda_ratio)
-                )
-                row["rel_e_tls"] = pred.rel_e_tls
-                row["rel_e_ls"] = pred.rel_e_ls
-            elif mode == "expected":
-                s2_delta, s2_eta = _expectation_variances(a, y, meas_db, sens_db)
-                e_tls, e_ls = analysis.expected_squared_errors(
-                    a, y, x, config.lambda_ratio, s2_delta, s2_eta
-                )
-                row["expected_sq_tls"] = e_tls
-                row["expected_sq_ls"] = e_ls
-            else:  # ml_sweep
-                s2_delta, s2_eta = _expectation_variances(a, y, meas_db, sens_db)
-                if s2_delta <= 0 or s2_eta <= 0:
-                    raise UsageError("ml_sweep needs finite SNR targets on both blocks")
-                optimal = s2_delta / s2_eta
-                grid = optimal * 10.0 ** np.linspace(
-                    -config.grid_decades, config.grid_decades, config.grid_points
-                )
-                vals = [
-                    analysis.expected_squared_errors(a, y, x, r, s2_delta, s2_eta)[0] for r in grid
-                ]
-                k = int(np.argmin(vals))
-                row["optimal_ratio"] = optimal
-                row["argmin_ratio"] = float(grid[k])
-                row["grid_step_decades"] = 2.0 * config.grid_decades / (config.grid_points - 1)
-            combo_rows.append(row)
-        rows.extend(combo_rows)
-        if mode in ("first_order", "expected"):
-            cols = ("rel_e_tls", "rel_e_ls") if mode == "first_order" else ("expected_sq_tls", "expected_sq_ls")
-            for stat, fn in (("mean", np.mean), ("std", np.std)):
-                agg = {
-                    "record": stat,
-                    "mode": mode,
-                    "ratio": ratio,
-                    "meas_snr_db": meas_db,
-                    "sensing_snr_db": sens_db,
-                }
-                for col in cols:
-                    agg[col] = float(fn([r[col] for r in combo_rows]))
-                rows.append(agg)
+    cols = {"first_order": ("rel_e_tls", "rel_e_ls"), "expected": ("expected_sq_tls", "expected_sq_ls")}
+    rows = _run_trials(config, _analysis_trial, cols.get(config.analysis_mode, ()))
     _write_csv(out_path, ANALYZE_SCHEMA, ANALYZE_COLUMNS, rows)
     return out_path
 
@@ -459,11 +423,8 @@ def solve_single(
             )
         rng = make_rng(config.seed)
         y, ens = noise.inject(rng, y, ens, spec, x_sharp=x_sharp)
-    solver_cfg = config.solver_config(mode)
-    if mode == "tls":
-        result = solve_tls(y, ens, solver_cfg)
-    else:
-        result = solve_ls(y, ens, solver_cfg)
+    solver = solve_tls if mode == "tls" else solve_ls
+    result = solver(y, ens, config.solver_config(mode))
     out = Path(out_prefix)
     serialization.save(result.x_hat, str(out) + ".solution.tlspr")
     if result.corrected_ensemble is not None:
@@ -482,13 +443,8 @@ def solve_single(
 
 
 def run_synthesize(config: ExperimentConfig, out_prefix: str, meas_db=None, sens_db=None) -> list[str]:
-    rng = make_rng(config.seed)
-    x = _draw_signal(rng, config.n, config.real_mode)
-    ens = _draw_ensemble(rng, config, config.ratios[0])
-    y = synthesize_measurements(ens, x)
-    spec = _noise_spec(config, meas_db, sens_db)
-    if spec is not None:
-        y, ens = noise.inject(rng, y, ens, spec, x_sharp=x)
+    # Only the observed data are kept: the clean ensemble is freed before the saves.
+    x, y, ens = _simulate(make_rng(config.seed), config, config.ratios[0], meas_db, sens_db)[:3]
     out = Path(out_prefix)
     paths = [str(out) + ".ensemble.tlspr", str(out) + ".meas.tlspr", str(out) + ".signal.tlspr"]
     serialization.save(ens, paths[0])
@@ -501,43 +457,42 @@ def run_synthesize(config: ExperimentConfig, out_prefix: str, meas_db=None, sens
 # selftest
 
 
-def _selftest_checks(seed: int):
-    from . import cubic
-    from .correction import CorrectionParams, correct_sensing_vector, reconstruct_from_nu
-    from .core import inner
+def _selftest_checks(seed: int, tmp: Path):
+    from .core import inner_rows
+    from .correction import apply_corrections, sweep_corrections
 
     rng = make_rng(seed)
 
-    def cubic_residuals():
-        for _ in range(2000):
-            coeffs = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
-            if abs(coeffs[0]) < 1e-6:
-                coeffs[0] = 1.0
-            roots = cubic.all_roots(*coeffs)
-            a, b, c, d = coeffs
-            for z in roots:
-                res = abs(((a * z + b) * z + c) * z + d)
-                if res > 1e-8 * cubic.residual_scale(a, b, c, d, z):
-                    return False
-        return True
-
     def correction_optimality():
-        for _ in range(25):
-            n = int(rng.integers(1, 5))
-            a = rng.normal(size=n) + 1j * rng.normal(size=n)
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            y = float(rng.normal() ** 2 * 3)
-            params = CorrectionParams(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1))
-            res = correct_sensing_vector(a, y, x, params)
-            for _ in range(2000):
-                nu = rng.normal() * 3 + 1j * rng.normal() * 3
-                v = reconstruct_from_nu(a, x, nu)
-                f = params.lambda_a * float(np.vdot(v - a, v - a).real) + params.lambda_y * (
-                    y - abs(inner(v, x)) ** 2
-                ) ** 2
-                if f < res.objective_value - 1e-9:
-                    return False
-        return True
+        # The solvers' batched root against a polar grid of nu per row.  With
+        # r = lambda_a / alpha and q = r |inner(a_m, x)| the plus cubic is
+        # t^3 + (r - y_m) t + q: y_m < r leaves one real root, and
+        # y_m = r + 3 u q^(2/3) with u >= 1 gives three.
+        m = 64
+        x = complex_gaussian_vector(rng, 3)
+        vectors = gaussian_ensemble(rng, 3, m).vectors
+        lambda_a, lambda_y = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+        norm_sq = float(np.vdot(x, x).real)
+        nu_a = inner_rows(vectors, x)
+        r = lambda_a / (2.0 * lambda_y * norm_sq)
+        q = r * np.abs(nu_a)
+        three = np.arange(m) % 2 == 1
+        y = np.where(three, r + 3.0 * rng.uniform(1.0, 4.0, m) * q ** (2.0 / 3.0), r * rng.uniform(size=m))
+        nu_star, f_star = sweep_corrections(vectors, y, x, lambda_a, lambda_y)
+        v = apply_corrections(vectors, x, nu_star)
+        f_v = lambda_a * np.sum(np.abs(v - vectors) ** 2, axis=1) + lambda_y * (
+            y - np.abs(inner_rows(v, x)) ** 2
+        ) ** 2
+        # The closest vector to a_m with inner(v, x) = nu is at squared
+        # distance |nu - nu_a|^2 / ||x||^2; the minimizer has |nu| below
+        # sqrt(y_m) + cbrt(q_m).
+        radius = 1.5 * (np.sqrt(y) + np.cbrt(q))
+        nu = radius[:, None, None] * np.linspace(0.0, 1.0, 101)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+        f_grid = lambda_a * np.abs(nu - nu_a[:, None, None]) ** 2 / norm_sq + lambda_y * (
+            y[:, None, None] - np.abs(nu) ** 2
+        ) ** 2
+        tol = 1e-9 * (1.0 + f_star)
+        return np.all(np.abs(f_v - f_star) <= tol) and np.all(f_grid.min(axis=(1, 2)) >= f_star - tol)
 
     def metric_identities():
         for _ in range(50):
@@ -553,55 +508,38 @@ def _selftest_checks(seed: int):
         return True
 
     def serialization_roundtrip():
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            for idx in range(10):
-                ens = SensingEnsemble(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
-                p = Path(tmp) / f"e{idx}.tlspr"
-                serialization.save(ens, p)
-                back = serialization.load(p)
-                if not np.array_equal(back.vectors, ens.vectors):
-                    return False
+        for idx in range(10):
+            ens = SensingEnsemble(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+            p = tmp / f"e{idx}.tlspr"
+            serialization.save(ens, p)
+            back = serialization.load(p)
+            if not np.array_equal(back.vectors, ens.vectors):
+                return False
         return True
 
     def noise_exact_snr():
-        x = complex_gaussian_vector(rng, 16)
-        ens = gaussian_ensemble(rng, 16, 64)
-        y = synthesize_measurements(ens, x)
-        spec = noise.NoiseSpec(measurement_snr_db=37.0, sensing_snr_db=11.0)
-        y2, a2 = noise.inject_gaussian(rng, y, ens, spec)
-        ok_y = abs(noise.snr_db(y.values, y2.values - y.values) - 37.0) < 1e-9
-        ok_a = abs(noise.snr_db(ens.vectors, a2.vectors - ens.vectors) - 11.0) < 1e-9
+        x, y, ens_obs, ens = _simulate(rng, ExperimentConfig(n=16), 4, 37.0, 11.0)
+        clean = synthesize_measurements(ens, x).values
+        ok_y = abs(noise.snr_db(clean, y.values - clean) - 37.0) < 1e-9
+        ok_a = abs(noise.snr_db(ens.vectors, ens_obs.vectors - ens.vectors) - 11.0) < 1e-9
         return ok_y and ok_a
 
     def clean_recovery():
-        local = make_rng(seed + 1)
-        x = complex_gaussian_vector(local, 24)
-        ens = gaussian_ensemble(local, 24, 24 * 8)
-        y = synthesize_measurements(ens, x)
-        x0 = spectral_init(y, ens)
-        cfg = dict(threshold=1e-13, max_iters=4000)
-        r_ls = solve_ls(y, ens, SolverConfig(mode="ls", **cfg), x0=x0)
-        r_tls = solve_tls(y, ens, SolverConfig(mode="tls", **cfg), x0=x0)
-        return metrics.rel_dist(x, r_ls.x_hat) < 1e-4 and metrics.rel_dist(x, r_tls.x_hat) < 1e-4
+        row = run_trial(ExperimentConfig(n=24, threshold=1e-13, max_iters=4000), 8, None, None, seed + 1, 0)
+        return row["rel_dist_tls"] < 1e-4 and row["rel_dist_ls"] < 1e-4
 
     def sweep_determinism():
-        import tempfile
-
         cfg = ExperimentConfig(
             seed=seed, n=12, ratios=(4,), trials=2, max_iters=40,
             measurement_snr_db=(30.0,), sensing_snr_db=(20.0,),
         )
-        with tempfile.TemporaryDirectory() as tmp:
-            p1 = run_sweep(cfg, output=str(Path(tmp) / "a.csv"))
-            p2 = run_sweep(cfg, output=str(Path(tmp) / "b.csv"))
-            s1 = _strip_wall_time(Path(p1).read_text())
-            s2 = _strip_wall_time(Path(p2).read_text())
-            return s1 == s2
+        p1 = run_sweep(cfg, output=str(tmp / "a.csv"))
+        p2 = run_sweep(cfg, output=str(tmp / "b.csv"))
+        s1 = _strip_wall_time(Path(p1).read_text())
+        s2 = _strip_wall_time(Path(p2).read_text())
+        return s1 == s2
 
     return [
-        ("cubic root residuals", cubic_residuals),
         ("correction global optimality", correction_optimality),
         ("metric identities", metric_identities),
         ("serialization round-trip", serialization_roundtrip),
@@ -625,11 +563,14 @@ def _strip_wall_time(csv_text: str) -> str:
 
 
 def run_selftest(seed: int) -> bool:
+    import tempfile
+
     ok = True
-    for name, check in _selftest_checks(seed):
-        passed = bool(check())
-        print(f"selftest {name}: {'PASS' if passed else 'FAIL'}")
-        ok = ok and passed
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, check in _selftest_checks(seed, Path(tmp)):
+            passed = bool(check())
+            print(f"selftest {name}: {'PASS' if passed else 'FAIL'}")
+            ok = ok and passed
     return ok
 
 
@@ -637,50 +578,43 @@ def run_selftest(seed: int) -> bool:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
-    p.add_argument("--out", type=str, default=None, help="output path or prefix")
-    p.add_argument("--config", type=str, default=None, help="YAML experiment config")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tlspr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {
+        "synthesize": "generate ensemble/measurement/signal files",
+        "solve": "solve ensemble/measurement files",
+        "sweep": "seeded comparison sweep, CSV output",
+        "analyze": "first-order error analysis, CSV output",
+        "selftest": "run fast property checks",
+    }
+    subparsers = {name: sub.add_parser(name, help=text) for name, text in commands.items()}
+    for name, p in subparsers.items():
+        p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
+        p.add_argument("--out", type=str, default=None, help="output path or prefix")
+        p.add_argument("--config", type=str, default=None, help="YAML experiment config")
+        if name in ("synthesize", "solve"):
+            p.add_argument("--meas-snr-db", type=float, default=None)
+            p.add_argument("--sensing-snr-db", type=float, default=None)
+            p.add_argument("--noise-model", choices=noise.NOISE_MODELS, default=None)
+        if name in ("sweep", "analyze"):
+            p.add_argument("--trials", type=int, default=None)
 
-    p = sub.add_parser("synthesize", help="generate ensemble/measurement/signal files")
-    _add_common(p)
+    p = subparsers["synthesize"]
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--ratio", type=float, default=None, help="M/N (or pattern count for cdp)")
     p.add_argument("--model", choices=("gaussian", "cdp"), default=None)
     p.add_argument("--real", action="store_true", help="real-valued signal and ensemble")
-    p.add_argument("--meas-snr-db", type=float, default=None)
-    p.add_argument("--sensing-snr-db", type=float, default=None)
-    p.add_argument("--noise-model", choices=noise.NOISE_MODELS, default=None)
 
-    p = sub.add_parser("solve", help="solve ensemble/measurement files")
-    _add_common(p)
+    p = subparsers["solve"]
     p.add_argument("--ensemble", required=True)
     p.add_argument("--measurements", required=True)
     p.add_argument("--signal", default=None, help="optional ground-truth signal file")
     p.add_argument("--mode", choices=("tls", "ls"), default="tls")
-    p.add_argument("--meas-snr-db", type=float, default=None)
-    p.add_argument("--sensing-snr-db", type=float, default=None)
-    p.add_argument("--noise-model", choices=noise.NOISE_MODELS, default=None)
     p.add_argument("--step-size", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--projection", choices=("none", "real_binary"), default=None)
-
-    p = sub.add_parser("sweep", help="seeded comparison sweep, CSV output")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=None)
-
-    p = sub.add_parser("analyze", help="first-order error analysis, CSV output")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=None)
-
-    p = sub.add_parser("selftest", help="run fast property checks")
-    _add_common(p)
     return parser
 
 
@@ -688,24 +622,15 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    for attr, field_name in (
-        ("n", "n"),
-        ("model", "model"),
-        ("trials", "trials"),
-        ("noise_model", "noise_model"),
-        ("step_size", "step_size_tls"),
-        ("threshold", "threshold"),
-        ("max_iters", "max_iters"),
-        ("projection", "projection"),
-    ):
-        if getattr(args, attr, None) is not None:
-            updates[field_name] = getattr(args, attr)
+    for name in ("n", "model", "trials", "noise_model", "threshold", "max_iters", "projection"):
+        if getattr(args, name, None) is not None:
+            updates[name] = getattr(args, name)
     if getattr(args, "ratio", None) is not None:
         updates["ratios"] = (args.ratio,)
     if getattr(args, "real", False):
         updates["real_mode"] = True
     if getattr(args, "step_size", None) is not None:
-        updates["step_size_ls"] = args.step_size
+        updates["step_size_tls"] = updates["step_size_ls"] = args.step_size
     return replace(config, **updates)
 
 
@@ -734,13 +659,9 @@ def main(argv=None) -> int:
             )
             print(json.dumps({k: v for k, v in report.items() if k != "objective_trace"}))
             return 0
-        if args.command == "sweep":
-            path = run_sweep(config, output=args.out)
-            print(path)
-            return 0
-        if args.command == "analyze":
-            path = run_error_analysis(config, output=args.out)
-            print(path)
+        if args.command in ("sweep", "analyze"):
+            run = run_sweep if args.command == "sweep" else run_error_analysis
+            print(run(config, output=args.out))
             return 0
         if args.command == "selftest":
             return 0 if run_selftest(config.seed) else 2

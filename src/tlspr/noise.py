@@ -47,6 +47,12 @@ def snr_db(clean: np.ndarray, error: np.ndarray) -> float:
     return -20.0 * np.log10(np.linalg.norm(error) / np.linalg.norm(clean))
 
 
+def snr_scale(target_db: float) -> float:
+    """Error-to-clean Frobenius-norm ratio 10^(-dB/20) at the SNR ``target_db``;
+    ``snr_scale(2 * target_db)`` is the energy ratio 10^(-dB/10) bit for bit."""
+    return 10.0 ** (-target_db / 20.0)
+
+
 def _rescale(error: np.ndarray, clean: np.ndarray, target_db: float) -> np.ndarray:
     """``error`` scaled in place to the SNR ``target_db`` against ``clean``."""
     clean_norm = np.linalg.norm(clean)
@@ -55,8 +61,29 @@ def _rescale(error: np.ndarray, clean: np.ndarray, target_db: float) -> np.ndarr
     err_norm = np.linalg.norm(error)
     if err_norm == 0.0:
         raise ValueError("drawn error has zero norm")
-    error *= clean_norm * 10.0 ** (-target_db / 20.0) / err_norm
+    error *= clean_norm * snr_scale(target_db) / err_norm
     return error
+
+
+def error_variance(clean: np.ndarray, target_db: float | None) -> float:
+    """Per-entry variance ||clean||_F^2 10^(-dB/10) / clean.size of an iid
+    error block at the SNR ``target_db`` against ``clean``; 0 for no target."""
+    if target_db is None:
+        return 0.0
+    return float(np.sum(clean * clean)) * snr_scale(2 * target_db) / clean.size
+
+
+def real_errors_at_snr(rng: np.random.Generator, a: np.ndarray, y: np.ndarray, meas_db, sens_db):
+    """iid real Gaussian errors ``(e_a, e_y)``, drawn in that order and rescaled
+    to ``sens_db`` and ``meas_db``.  No target, or an all-zero clean block,
+    gets a zero error (:func:`inject` raises on the latter)."""
+    errors = rng.normal(size=a.shape), rng.normal(size=y.shape)
+    for error, clean, target_db in zip(errors, (a, y), (sens_db, meas_db)):
+        if target_db is None or not np.any(clean):
+            error[...] = 0.0
+        else:
+            _rescale(error, clean, target_db)
+    return errors
 
 
 def _draw_errors(rng: np.random.Generator, m: int, n: int, real_mode: bool):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tlspr import cli, serialization
+from tlspr import analysis, cli, correction, noise, serialization
 from tlspr.cli import (
     ExperimentConfig,
     UsageError,
@@ -55,6 +55,21 @@ def test_config_rejects_unknown_keys():
         config_from_mapping({"model": "cdp", "ratios": [2.5]})
 
 
+@pytest.mark.parametrize("grid_points", [0, 1])
+def test_config_rejects_grid_points_below_two(tmp_path, capsys, grid_points):
+    with pytest.raises(UsageError, match="grid_points"):
+        config_from_mapping({"analysis": {"grid_points": grid_points}})
+    config_path = tmp_path / "grid.yaml"
+    config_path.write_text(
+        "n: 8\nratios: [4]\ntrials: 1\nreal_mode: true\n"
+        "noise:\n  measurement_snr_db: 30\n  sensing_snr_db: 30\n"
+        f"analysis:\n  mode: ml_sweep\n  grid_points: {grid_points}\n"
+    )
+    rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "grid_points must be >= 2" in capsys.readouterr().err
+
+
 def _tiny_config(**overrides):
     base = dict(
         seed=13,
@@ -101,6 +116,25 @@ def test_sweep_worker_counts_agree(tmp_path):
         else:
             os.environ["TLSPR_WORKERS"] = old
     assert _strip_wall_time(open(p1).read()) == _strip_wall_time(open(p2).read())
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_sweep_rejects_a_worker_count_that_is_not_a_positive_integer(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("TLSPR_WORKERS", value)
+    with pytest.raises(UsageError, match=repr(value)):
+        cli.worker_count()
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text("n: 8\nratios: [4]\ntrials: 1\nsolver:\n  max_iters: 5\n")
+    rc = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert f"TLSPR_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_solve_step_size_flag_sets_both_solver_steps():
+    args = cli.build_parser().parse_args(["solve", "--ensemble", "e", "--measurements", "m", "--step-size", "0.25"])
+    config = cli._apply_overrides(ExperimentConfig(), args)
+    assert config.step_size_tls == config.step_size_ls == 0.25
 
 
 def test_run_trial_shares_initialization():
@@ -290,11 +324,40 @@ def test_cli_analyze_requires_real_mode(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("setting", ["model: cdp\n", "noise:\n  model: handcrafted\n"], ids=["cdp", "handcrafted"])
+def test_cli_analyze_rejects_cdp_and_handcrafted_errors(tmp_path, capsys, setting):
+    # The predictions are for the real Gaussian model with Gaussian errors;
+    # other settings were once ignored and gave Gaussian results.
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text("n: 8\nratios: [4]\ntrials: 1\nreal_mode: true\nanalysis:\n  mode: first_order\n" + setting)
+    rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "error analysis requires model: gaussian and noise.model: gaussian" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_selftest_smoke(capsys):
     rc = main(["selftest", "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out
+
+
+def test_selftest_fails_when_the_solvers_root_is_not_the_smallest(monkeypatch, capsys):
+    # The correction check runs the root the solvers run: hand LineRoots.solve
+    # the largest real root instead (the smallest root of the cubic with
+    # const negated, negated back) and the check must fail.
+    smallest = correction.smallest_real_root_into
+
+    def largest_real_root_into(t, alpha, rows, masks):
+        rows[1] *= -1.0
+        smallest(t, alpha, rows, masks)
+        t *= -1.0
+
+    monkeypatch.setattr(correction, "smallest_real_root_into", largest_real_root_into)
+    rc = main(["selftest", "--seed", "0"])
+    assert rc == 2
+    assert "selftest correction global optimality: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def test_sweep_clean_data_recovers_exactly(tmp_path):
@@ -407,15 +470,51 @@ def test_analyze_errors_byte_identical_to_inline_rescale(tmp_path, monkeypatch):
         analysis_mode="first_order",
     )
     run_error_analysis(cfg, output=str(tmp_path / "shared.csv"))
-    monkeypatch.setattr(cli, "_exact_snr_errors", _exact_snr_errors_inline)
+    shared = noise.real_errors_at_snr
+    monkeypatch.setattr(noise, "real_errors_at_snr", _exact_snr_errors_inline)
     run_error_analysis(cfg, output=str(tmp_path / "inline.csv"))
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
     # a zero-norm clean block still gets a zero error, as inline
     a, y = np.zeros((3, 2)), np.ones(3)
-    got = cli._exact_snr_errors(make_rng(1), a, y, 20.0, 10.0)
+    got = shared(make_rng(1), a, y, 20.0, 10.0)
     want = _exact_snr_errors_inline(make_rng(1), a, y, 20.0, 10.0)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("mode", ["expected", "ml_sweep"])
+def test_analyze_maps_snr_to_the_variance_of_each_block(tmp_path, mode):
+    cfg = ExperimentConfig(
+        seed=23,
+        n=10,
+        ratios=(4, 6),
+        trials=2,
+        real_mode=True,
+        measurement_snr_db=(30, 22.5),
+        sensing_snr_db=(35.0,),
+        analysis_mode=mode,
+        lambda_ratio=1.7,
+        grid_points=5,
+    )
+    lines = open(run_error_analysis(cfg, output=str(tmp_path / "an.csv"))).read().splitlines()
+    header = lines[1].split(",")
+    trials = [dict(zip(header, line.split(","))) for line in lines[2:] if line.startswith("trial,")]
+    combos = [(r, m, s) for r in cfg.ratios for m in cfg.measurement_snr_db for s in cfg.sensing_snr_db]
+    assert len(trials) == len(combos) * cfg.trials
+    for k, row in enumerate(trials):
+        ratio, meas_db, sens_db = combos[k // cfg.trials]
+        rng = make_rng(cfg.seed + 100003 * (k // cfg.trials) + k % cfg.trials)
+        x = rng.normal(size=cfg.n)
+        a = rng.normal(size=(ratio * cfg.n, cfg.n))
+        y = (a @ x) ** 2
+        # sigma^2 = ||C||_F^2 10^(-dB/10) / C.size for each clean block C
+        s2_delta = float(np.sum(a * a)) * 10 ** (-sens_db / 10.0) / a.size
+        s2_eta = float(np.sum(y * y)) * 10 ** (-meas_db / 10.0) / y.size
+        if mode == "expected":
+            e_tls, e_ls = analysis.expected_squared_errors(a, y, x, cfg.lambda_ratio, s2_delta, s2_eta)
+            assert (float(row["expected_sq_tls"]), float(row["expected_sq_ls"])) == (e_tls, e_ls)
+        else:
+            assert float(row["optimal_ratio"]) == s2_delta / s2_eta
 
 
 def test_importing_the_cli_loads_neither_yaml_nor_the_process_pool():
