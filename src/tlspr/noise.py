@@ -67,10 +67,11 @@ def _rescale(error: np.ndarray, clean: np.ndarray, target_db: float) -> np.ndarr
 
 def error_variance(clean: np.ndarray, target_db: float | None) -> float:
     """Per-entry variance ||clean||_F^2 10^(-dB/10) / clean.size of an iid
-    error block at the SNR ``target_db`` against ``clean``; 0 for no target."""
+    error block at the SNR ``target_db`` against ``clean``; 0 for no target.
+    The energy sums |c|^2, which for real input is c*c bit for bit."""
     if target_db is None:
         return 0.0
-    return float(np.sum(clean * clean)) * snr_scale(2 * target_db) / clean.size
+    return float(np.sum((clean * clean.conj()).real)) * snr_scale(2 * target_db) / clean.size
 
 
 def real_errors_at_snr(rng: np.random.Generator, a: np.ndarray, y: np.ndarray, meas_db, sens_db):

@@ -10,10 +10,16 @@ Binary layout (default, used for any path not ending in ``.json``):
 Header keys: ``format_version`` (currently 1), ``kind`` (``signal`` /
 ``ensemble`` / ``measurements``), ``n``, ``m`` (absent for signals),
 ``model_tag`` and ``noise_tag`` (ensembles), ``ensemble_ref`` (measurements)
-and ``dtype`` (always ``float64-le``).
+and ``dtype`` (always ``float64-le``; a file claiming any other is rejected).
 
 Payloads: signals and ensembles store interleaved (re, im) pairs in row-major
-order (2*N respectively 2*M*N doubles); measurement sets store M doubles.
+order (2*N respectively 2*M*N doubles), which is the memory of a row-major
+little-endian complex128 array; measurement sets store M doubles.  The
+payload goes straight between the file and the array's memory: :func:`save`
+writes the array's own buffer and :func:`load` reads into the one array it
+returns, so neither copies it.  The file stays little-endian on any host; a
+big-endian host swaps the bytes in memory.  :func:`load` checks the payload
+size the header promises against the size of the file before it allocates.
 
 A JSON variant is written when the path ends in ``.json``: the same header
 keys plus a ``data`` field holding nested ``[re, im]`` pairs (signals: list of
@@ -24,6 +30,8 @@ Round-trips are bit-exact for finite values in both formats.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -33,53 +41,35 @@ from .core import MeasurementSet, SensingEnsemble, _Owned, as_cvector
 
 _MAGIC = b"TLSPRBIN"
 FORMAT_VERSION = 1
+_DTYPE = "float64-le"
+# Per kind: the header's dimension keys, the payload's dtype in the file and
+# the dtype of the array ``load`` returns.
+_KINDS = {
+    "signal": (("n",), "<c16", np.complex128),
+    "ensemble": (("m", "n"), "<c16", np.complex128),
+    "measurements": (("m",), "<f8", np.float64),
+}
 
 
 class FileFormatError(ValueError):
     """File is not a valid container or is inconsistent with its header."""
 
 
-def _header(obj) -> dict:
+def _contents(obj) -> tuple[dict, np.ndarray]:
+    """The header of ``obj`` and its values as the payload's C-contiguous
+    little-endian array: ``obj``'s own memory whenever it already is one."""
     if isinstance(obj, SensingEnsemble):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "ensemble",
-            "n": obj.n,
-            "m": obj.m,
-            "model_tag": obj.model_tag,
-            "noise_tag": obj.noise_tag,
-            "dtype": "float64-le",
-        }
-    if isinstance(obj, MeasurementSet):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "measurements",
-            "m": obj.m,
-            "ensemble_ref": obj.ensemble_ref,
-            "dtype": "float64-le",
-        }
-    arr = as_cvector(obj, "signal")
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "signal",
-        "n": int(arr.shape[0]),
-        "dtype": "float64-le",
-    }
-
-
-def _payload(obj) -> np.ndarray:
-    if isinstance(obj, SensingEnsemble):
-        flat = np.empty(2 * obj.m * obj.n, dtype="<f8")
-        flat[0::2] = obj.vectors.real.ravel()
-        flat[1::2] = obj.vectors.imag.ravel()
-        return flat
-    if isinstance(obj, MeasurementSet):
-        return obj.values.astype("<f8")
-    arr = as_cvector(obj, "signal")
-    flat = np.empty(2 * arr.shape[0], dtype="<f8")
-    flat[0::2] = arr.real
-    flat[1::2] = arr.imag
-    return flat
+        fields = {"kind": "ensemble", "n": obj.n, "m": obj.m,
+                  "model_tag": obj.model_tag, "noise_tag": obj.noise_tag}
+        values = obj.vectors
+    elif isinstance(obj, MeasurementSet):
+        fields = {"kind": "measurements", "m": obj.m, "ensemble_ref": obj.ensemble_ref}
+        values = obj.values
+    else:
+        values = as_cvector(obj, "signal")
+        fields = {"kind": "signal", "n": int(values.shape[0])}
+    header = {"format_version": FORMAT_VERSION, **fields, "dtype": _DTYPE}
+    return header, np.ascontiguousarray(values, dtype=_KINDS[fields["kind"]][1])
 
 
 def save(obj, path) -> None:
@@ -89,26 +79,17 @@ def save(obj, path) -> None:
     container.
     """
     path = Path(path)
-    header = _header(obj)
+    header, values = _contents(obj)
     if path.suffix == ".json":
-        header["data"] = _json_data(obj)
+        if values.dtype.kind == "c":
+            values = values.view("<f8").reshape(*values.shape, 2)
+        header["data"] = values.tolist()
         path.write_text(json.dumps(header))
         return
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(_payload(obj).tobytes())
-
-
-def _json_data(obj):
-    if isinstance(obj, SensingEnsemble):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in obj.vectors]
-    if isinstance(obj, MeasurementSet):
-        return [float(v) for v in obj.values]
-    arr = as_cvector(obj, "signal")
-    return [[float(v.real), float(v.imag)] for v in arr]
+        fh.write(_MAGIC + struct.pack("<I", len(blob)) + blob)
+        fh.write(values)
 
 
 def load(path):
@@ -119,68 +100,86 @@ def load(path):
             header = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: invalid JSON container: {exc}") from exc
-        return _from_header(header, path, header.get("data"))
-    raw = path.read_bytes()
-    if len(raw) < len(_MAGIC) + 4 or raw[: len(_MAGIC)] != _MAGIC:
-        raise FileFormatError(f"{path}: not a TLSPRBIN container")
-    (hlen,) = struct.unpack("<I", raw[len(_MAGIC) : len(_MAGIC) + 4])
-    start = len(_MAGIC) + 4
-    if len(raw) < start + hlen:
-        raise FileFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: malformed header: {exc}") from exc
-    # A view of the payload bytes; slicing ``raw`` would copy them.
-    payload = np.frombuffer(raw, dtype="<f8", offset=start + hlen)
-    return _from_header(header, path, payload)
-
-
-def _from_header(header: dict, path: Path, data):
-    if header.get("format_version") != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format_version {header.get('format_version')!r}")
-    kind = header.get("kind")
-    if kind == "signal":
-        n = int(header["n"])
-        values = _to_complex(data, 1, n, path)
-        if n < 1:
-            raise FileFormatError(f"{path}: empty signal")
-        return values.reshape(n)
+        shape = _shape(header, path)
+        values = _json_values(header.get("data"), shape, header["kind"], path)
+    else:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = _binary_header(fh, size, path)
+            shape = _shape(header, path)
+            values = _read_payload(fh, size - fh.tell(), shape, header["kind"], path)
+    kind = header["kind"]
     if kind == "ensemble":
-        m, n = int(header["m"]), int(header["n"])
-        if m < 1 or n < 1:
-            raise FileFormatError(f"{path}: ensemble requires m >= 1 and n >= 1")
-        values = _to_complex(data, m, n, path)
         return SensingEnsemble(
-            _Owned(values.reshape(m, n)),
+            _Owned(values),
             model_tag=header.get("model_tag", "external"),
             noise_tag=header.get("noise_tag", "clean"),
         )
     if kind == "measurements":
-        m = int(header["m"])
-        # A copy: a view of the payload bytes need not be 8-byte aligned.
-        arr = np.array(data, dtype=np.float64).ravel()
-        if arr.size != m:
-            raise FileFormatError(f"{path}: header says m={m} but payload has {arr.size} values")
-        if m < 1:
-            raise FileFormatError(f"{path}: empty measurement set")
-        return MeasurementSet(_Owned(arr), ensemble_ref=header.get("ensemble_ref", ""))
-    raise FileFormatError(f"{path}: unknown kind {kind!r}")
+        return MeasurementSet(_Owned(values), ensemble_ref=header.get("ensemble_ref", ""))
+    return values
 
 
-def _to_complex(data, m: int, n: int, path: Path) -> np.ndarray:
+def _binary_header(fh, size: int, path: Path) -> dict:
+    prefix = fh.read(len(_MAGIC) + 4)
+    if len(prefix) < len(_MAGIC) + 4 or prefix[: len(_MAGIC)] != _MAGIC:
+        raise FileFormatError(f"{path}: not a TLSPRBIN container")
+    (hlen,) = struct.unpack("<I", prefix[len(_MAGIC) :])
+    if size < len(prefix) + hlen:
+        raise FileFormatError(f"{path}: truncated header")
+    try:
+        return json.loads(fh.read(hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"{path}: malformed header: {exc}") from exc
+
+
+def _shape(header, path: Path) -> tuple[int, ...]:
+    """The shape of the array the header describes, after checking the
+    header's version, dtype, kind and dimensions."""
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise FileFormatError(f"{path}: unsupported format_version {header.get('format_version')!r}")
+    if header.get("dtype", _DTYPE) != _DTYPE:
+        raise FileFormatError(f"{path}: unsupported dtype {header['dtype']!r}, expected {_DTYPE!r}")
+    kind = header.get("kind")
+    if kind not in _KINDS:
+        raise FileFormatError(f"{path}: unknown kind {kind!r}")
+    try:
+        shape = tuple(int(header[key]) for key in _KINDS[kind][0])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: {kind} header lacks a valid dimension: {exc!r}") from exc
+    if min(shape) < 1:
+        raise FileFormatError(f"{path}: empty {kind}, header dimensions {shape}")
+    return shape
+
+
+def _read_payload(fh, remaining: int, shape: tuple[int, ...], kind: str, path: Path) -> np.ndarray:
+    """Read the payload into a new array, after checking that the file holds
+    exactly the bytes the header promises."""
+    file_dtype, dtype = _KINDS[kind][1:]
+    nbytes = np.dtype(file_dtype).itemsize * math.prod(shape)
+    if remaining != nbytes:
+        raise FileFormatError(
+            f"{path}: header promises a {'x'.join(map(str, shape))} {kind} "
+            f"({nbytes // 8} doubles), payload has {remaining} bytes"
+        )
+    values = np.empty(shape, dtype=file_dtype)
+    if fh.readinto(values) != nbytes:
+        raise FileFormatError(f"{path}: payload ended early")
+    # A no-op on a little-endian host; a big-endian one swaps the bytes.
+    return values.astype(dtype, copy=False)
+
+
+def _json_values(data, shape: tuple[int, ...], kind: str, path: Path) -> np.ndarray:
     if data is None:
         raise FileFormatError(f"{path}: missing payload")
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:  # binary payload: interleaved pairs
-        if arr.size != 2 * m * n:
-            raise FileFormatError(
-                f"{path}: header promises {m}x{n} complex values, payload has {arr.size} doubles"
-            )
-    # JSON payload: nested [re, im] pairs
-    elif arr.shape[-1] != 2 or arr.size != 2 * m * n:
-        raise FileFormatError(f"{path}: JSON data does not match header dimensions {m}x{n}")
-    # Both hold (re, im) pairs in the order of complex128 memory.
-    out = np.empty(m * n, dtype=np.complex128)
-    out.view(np.float64)[:] = arr.reshape(-1)
-    return out
+    arr = np.array(data, dtype=np.float64)
+    if kind == "measurements":
+        if arr.size != shape[0]:
+            raise FileFormatError(f"{path}: header says m={shape[0]} but payload has {arr.size} values")
+        return arr.reshape(shape)
+    # Nested [re, im] pairs, in the order of complex128 memory.
+    if arr.shape[-1:] != (2,) or arr.size != 2 * math.prod(shape):
+        raise FileFormatError(f"{path}: JSON data does not match header dimensions {shape}")
+    return arr.reshape(-1).view(np.complex128).reshape(shape)

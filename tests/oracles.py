@@ -7,7 +7,10 @@ differences) and shares no code with the production paths it validates.
 
 from __future__ import annotations
 
+import json
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -426,6 +429,60 @@ def spectral_init_reference(y, vectors, power_iters=50, start_seed=0x5066_494E):
             nrm = np.linalg.norm(u)
         u /= nrm
     return np.sqrt(float(np.sum(y)) / (2.0 * y.shape[0])) * u
+
+
+def save_reference(obj, path) -> None:
+    """Frozen container writer that builds each payload by interleaving the
+    real and imaginary parts into a new float64 buffer.  Ensembles and
+    measurement sets are told apart by their ``vectors`` / ``values``
+    attribute; anything else is a signal."""
+    path = Path(path)
+    if hasattr(obj, "vectors"):
+        arr = obj.vectors
+        header = {"format_version": 1, "kind": "ensemble", "n": arr.shape[1], "m": arr.shape[0],
+                  "model_tag": obj.model_tag, "noise_tag": obj.noise_tag, "dtype": "float64-le"}
+    elif hasattr(obj, "values"):
+        arr = obj.values
+        header = {"format_version": 1, "kind": "measurements", "m": arr.shape[0],
+                  "ensemble_ref": obj.ensemble_ref, "dtype": "float64-le"}
+    else:
+        arr = np.asarray(obj, dtype=np.complex128)
+        header = {"format_version": 1, "kind": "signal", "n": int(arr.shape[0]), "dtype": "float64-le"}
+    if path.suffix == ".json":
+        if header["kind"] == "measurements":
+            header["data"] = [float(v) for v in arr]
+        elif header["kind"] == "ensemble":
+            header["data"] = [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+        else:
+            header["data"] = [[float(v.real), float(v.imag)] for v in arr]
+        path.write_text(json.dumps(header))
+        return
+    if header["kind"] == "measurements":
+        flat = arr.astype("<f8")
+    else:
+        flat = np.empty(2 * arr.size, dtype="<f8")
+        flat[0::2] = arr.real.ravel()
+        flat[1::2] = arr.imag.ravel()
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"TLSPRBIN")
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(flat.tobytes())
+
+
+def load_reference(path):
+    """Frozen binary container reader: ``(header, array)`` with the payload
+    taken from the whole file's bytes and complex values formed from its
+    interleaved halves."""
+    raw = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    flat = np.frombuffer(raw[12 + hlen :], dtype="<f8").astype(np.float64)
+    if header["kind"] == "measurements":
+        return header, flat
+    shape = (header["m"], header["n"]) if header["kind"] == "ensemble" else (header["n"],)
+    return header, (flat[0::2] + 1j * flat[1::2]).reshape(shape)
 
 
 def wirtinger_gradient_fd(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

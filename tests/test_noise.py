@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from tlspr.core import complex_gaussian_vector, make_rng
 from tlspr.models import gaussian_ensemble, synthesize_measurements
 from tlspr.noise import (
     NoiseSpec,
+    error_variance,
     handcrafted_row_scales,
     inject,
     inject_gaussian,
     inject_handcrafted,
     snr_db,
+    snr_scale,
 )
 
 from oracles import peak_bytes
@@ -179,3 +183,15 @@ def test_data_generation_makes_no_complex_temporary():
         for model in ("gaussian", "handcrafted"):
             spec = NoiseSpec(20.0, 10.0, model=model, real_mode=real_mode)
             assert peak_bytes(inject, make_rng(96), y, ens, spec, x_sharp=x) < 1.52 * ens_bytes
+
+
+def test_error_variance_sums_the_energy_of_complex_entries():
+    rng = make_rng(17)
+    clean = rng.normal(size=(512, 64)) + 1j * rng.normal(size=(512, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        var = error_variance(clean, 10.0)
+    assert var == pytest.approx(np.sum(np.abs(clean) ** 2) * 0.1 / clean.size, rel=1e-12)
+    assert var == pytest.approx(0.2, rel=0.01)
+    real = clean.real.copy()
+    assert error_variance(real, 10.0) == float(np.sum(real * real)) * snr_scale(20.0) / real.size

@@ -7,7 +7,7 @@ import pytest
 from tlspr.core import MeasurementSet, SensingEnsemble, make_rng
 from tlspr.serialization import FileFormatError, load, save
 
-from oracles import peak_bytes
+from oracles import load_reference, peak_bytes, save_reference
 
 
 def _random_objects(rng, count):
@@ -72,6 +72,21 @@ def test_empty_vector_errors(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        [1, "signal"],
+        {"format_version": 1, "kind": "signal", "data": [[1, 0]]},
+        {"format_version": 1, "kind": "ensemble", "m": "two", "n": 1, "data": [[[1, 0]]]},
+    ],
+)
+def test_malformed_header_errors(tmp_path, header):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(header))
+    with pytest.raises(FileFormatError, match="header (is not|lacks)"):
+        load(path)
+
+
 def test_bad_magic_errors(tmp_path):
     path = tmp_path / "junk.tlspr"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 20)
@@ -107,3 +122,92 @@ def test_ensemble_load_builds_its_complex_array_once(tmp_path):
     raw = np.frombuffer(path.read_bytes()[-16 * m * n :], dtype="<f8")
     assert np.array_equal(back.vectors, (raw[0::2] + 1j * raw[1::2]).reshape(m, n))
     assert peak_bytes(load, path) < 2.05 * 16 * m * n
+
+
+def _reference_inputs(rng):
+    """Random objects plus a strided signal view, a read-only signal,
+    ensembles of shape 1x1 and 1xN (an ensemble's array is always read-only)
+    and a one-value measurement set."""
+    wide = rng.normal(size=10) + 1j * rng.normal(size=10)
+    frozen = rng.normal(size=4) + 1j * rng.normal(size=4)
+    frozen.setflags(write=False)
+    row = rng.normal(size=(1, 7)) + 1j * rng.normal(size=(1, 7))
+    return _random_objects(rng, 40) + [
+        wide[1::3],
+        frozen,
+        SensingEnsemble(np.array([[0.5 - 2j]]), model_tag="cdp", noise_tag="corrected"),
+        SensingEnsemble(row),
+        MeasurementSet(np.array([3.25]), ensemble_ref="one"),
+    ]
+
+
+@pytest.mark.parametrize("suffix", [".tlspr", ".json"])
+def test_save_writes_the_reference_bytes(tmp_path, suffix):
+    for i, obj in enumerate(_reference_inputs(make_rng(13))):
+        ours, ref = tmp_path / f"ours{i}{suffix}", tmp_path / f"ref{i}{suffix}"
+        save(obj, ours)
+        save_reference(obj, ref)
+        assert ours.read_bytes() == ref.read_bytes(), i
+
+
+def test_load_returns_the_reference_arrays(tmp_path):
+    for i, obj in enumerate(_reference_inputs(make_rng(14))):
+        path = tmp_path / f"obj{i}.tlspr"
+        save_reference(obj, path)
+        header, expected = load_reference(path)
+        back = load(path)
+        if header["kind"] == "ensemble":
+            assert (back.model_tag, back.noise_tag) == (header["model_tag"], header["noise_tag"])
+            back = back.vectors
+        elif header["kind"] == "measurements":
+            assert back.ensemble_ref == header["ensemble_ref"]
+            back = back.values
+        assert back.dtype == expected.dtype and back.dtype.isnative
+        assert back.shape == expected.shape
+        assert np.array_equal(back, expected)
+
+
+@pytest.mark.parametrize(
+    "obj, cut",
+    [
+        (SensingEnsemble(np.arange(12.0).reshape(3, 4) * (1 - 1j)), 3),
+        (MeasurementSet(np.arange(1.0, 6.0)), 5),
+    ],
+)
+def test_payload_of_partial_doubles_errors_with_the_path(tmp_path, obj, cut):
+    path = tmp_path / "cut.tlspr"
+    save(obj, path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(FileFormatError, match=str(path)):
+        load(path)
+
+
+@pytest.mark.parametrize("suffix", [".tlspr", ".json"])
+def test_other_dtype_errors(tmp_path, suffix):
+    path = tmp_path / f"f32{suffix}"
+    # Eight float32 values fill the bytes of the four doubles the header's m
+    # promises, so only the dtype tells that they are not doubles.
+    values = np.arange(1.0, 9.0)
+    header = {"format_version": 1, "kind": "measurements", "m": 4, "dtype": "float32-le"}
+    if suffix == ".json":
+        path.write_text(json.dumps({**header, "data": values[:4].tolist()}))
+    else:
+        blob = json.dumps(header).encode()
+        path.write_bytes(b"TLSPRBIN" + struct.pack("<I", len(blob)) + blob + values.astype("<f4").tobytes())
+    with pytest.raises(FileFormatError, match="unsupported dtype 'float32-le'"):
+        load(path)
+
+
+def test_load_allocates_only_the_returned_ensemble(tmp_path):
+    m, n = 1024, 128
+    rng = make_rng(15)
+    path = tmp_path / "ens.tlspr"
+    save(SensingEnsemble(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))), path)
+    assert peak_bytes(load, path) < 1.05 * 16 * m * n
+
+
+def test_save_writes_the_ensemble_without_a_copy(tmp_path):
+    m, n = 1024, 128
+    rng = make_rng(16)
+    ens = SensingEnsemble(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+    assert peak_bytes(save, ens, tmp_path / "ens.tlspr") < 0.05 * 16 * m * n
