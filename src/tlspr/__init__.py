@@ -30,7 +30,7 @@ from .correction import (
     correct_sensing_vector,
     reconstruct_from_nu,
 )
-from .cubic import all_roots, positive_real_roots
+from .cubic import all_roots
 from .metrics import dist, recon_snr_db, rel_corr, rel_dist
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
 from .noise import NoiseSpec, inject, inject_gaussian, inject_handcrafted
@@ -82,7 +82,6 @@ __all__ = [
     "ml_parameters",
     "objective_ls",
     "objective_tls",
-    "positive_real_roots",
     "project_real_binary",
     "recon_snr_db",
     "reconstruct_from_nu",

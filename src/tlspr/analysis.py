@@ -107,20 +107,25 @@ def first_order_errors(inputs: ErrorAnalysisInputs) -> ErrorPrediction:
     return ErrorPrediction(e_tls, e_ls, e_tls / x_norm, e_ls / x_norm)
 
 
-def solve_matrices(
-    a_clean: np.ndarray, y_clean: np.ndarray, x_sharp: np.ndarray, lambda_ratio: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, M) maps R such that e = ||R w|| for TLS and LS."""
+def _solve_matrices(a_clean, y_clean, x_sharp, lambda_ratios):
+    """The TLS map R at each weight ratio in ``lambda_ratios``, one at a
+    time.  At ratio 0, D = I and R is the LS map, bit for bit."""
     a = _require_real(a_clean, "a_clean")
     y = _require_real(y_clean, "y_clean")
     x = _require_real(x_sharp, "x_sharp")
     if np.any(y <= 0):
         raise ValueError("all clean measurements must be > 0")
-    d = d_diagonal(y, float(np.linalg.norm(x)) ** 2, lambda_ratio)
-    yd = y * d
-    r_tls = _gated_solve(a.T @ (yd[:, None] * a), a.T * yd[None, :])
-    r_ls = _gated_solve(a.T @ (y[:, None] * a), a.T * y[None, :])
-    return r_tls, r_ls
+    x_norm_sq = float(np.linalg.norm(x)) ** 2
+    for ratio in lambda_ratios:
+        yd = y * d_diagonal(y, x_norm_sq, ratio)
+        yield _gated_solve(a.T @ (yd[:, None] * a), a.T * yd[None, :])
+
+
+def solve_matrices(
+    a_clean: np.ndarray, y_clean: np.ndarray, x_sharp: np.ndarray, lambda_ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, M) maps R such that e = ||R w|| for TLS and LS."""
+    return tuple(_solve_matrices(a_clean, y_clean, x_sharp, (lambda_ratio, 0.0)))
 
 
 def expected_squared_errors(
@@ -132,19 +137,30 @@ def expected_squared_errors(
     sigma_eta_sq: float,
 ) -> tuple[float, float]:
     """Closed-form E[e_tls^2], E[e_ls^2] under iid Gaussian error draws."""
+    ratios = (lambda_ratio, 0.0)
+    return tuple(expected_tls_errors(a_clean, y_clean, x_sharp, ratios, sigma_delta_sq, sigma_eta_sq))
+
+
+def expected_tls_errors(
+    a_clean: np.ndarray,
+    y_clean: np.ndarray,
+    x_sharp: np.ndarray,
+    lambda_ratios,
+    sigma_delta_sq: float,
+    sigma_eta_sq: float,
+) -> list[float]:
+    """E[e_tls^2] of :func:`expected_squared_errors` at each weight ratio in
+    ``lambda_ratios``, with no LS solve; at ratio 0 it is E[e_ls^2]."""
     if sigma_delta_sq < 0 or sigma_eta_sq < 0:
         raise ValueError("variances must be >= 0")
     y = _require_real(y_clean, "y_clean")
-    x = _require_real(x_sharp, "x_sharp")
-    r_tls, r_ls = solve_matrices(a_clean, y, x, lambda_ratio)
-    x_norm_sq = float(np.linalg.norm(x)) ** 2
-
-    def expectation(r: np.ndarray) -> float:
+    x_norm_sq = float(np.linalg.norm(_require_real(x_sharp, "x_sharp"))) ** 2
+    out = []
+    for r in _solve_matrices(a_clean, y, x_sharp, lambda_ratios):
         sensing_term = sigma_delta_sq * x_norm_sq * float(np.sum(r * r))
         meas_term = 0.25 * sigma_eta_sq * float(np.sum((r * r) / y[None, :]))
-        return sensing_term + meas_term
-
-    return expectation(r_tls), expectation(r_ls)
+        out.append(sensing_term + meas_term)
+    return out
 
 
 def ml_parameters(sigma_delta_sq: float, sigma_eta_sq: float):

@@ -29,6 +29,7 @@ output and are excluded from determinism comparisons.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -368,9 +369,7 @@ def _analysis_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_see
     grid = optimal * 10.0 ** np.linspace(
         -config.grid_decades, config.grid_decades, config.grid_points
     )
-    vals = [
-        analysis.expected_squared_errors(a, y, x, r, s2_delta, s2_eta)[0] for r in grid
-    ]
+    vals = analysis.expected_tls_errors(a, y, x, grid, s2_delta, s2_eta)
     k = int(np.argmin(vals))
     row["optimal_ratio"] = optimal
     row["argmin_ratio"] = float(grid[k])
@@ -618,6 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s tree, built once per process: parsing leaves
+    the parser unchanged."""
+    return build_parser()
+
+
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if args.seed is not None:
@@ -635,7 +641,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         config = _apply_overrides(config, args)

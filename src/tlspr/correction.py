@@ -31,11 +31,10 @@ thus has exactly one negative root, t_0: f falls up to t_0 and rises on
 beta >= 0) is a minimizer.
 
 :func:`sweep_corrections` corrects all measurements at once and
-:func:`correct_sensing_vector` is its one-measurement view;
-:func:`stationary_candidates` lists the stationary nu of one measurement.
-Both the sweep and the TLS solver find t_0, c and the phase in real
-arithmetic with :class:`LineRoots`, a fixed number of in-place passes over
-length-M buffers that a solver reuses from one iteration to the next.
+:func:`correct_sensing_vector` is its one-measurement view.  Both the sweep
+and the TLS solver find t_0, c and the phase in real arithmetic with
+:class:`LineRoots`, a fixed number of in-place passes over length-M buffers
+that a solver reuses from one iteration to the next.
 """
 
 from __future__ import annotations
@@ -45,7 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatchError, inner, inner_rows
-from .cubic import depressed_roots_batch, root_workspace, smallest_real_root_into
+# Not called here; bench/harness.py traces the cubic under this name.
+from .cubic import depressed_roots_batch  # noqa: F401
+from .cubic import root_workspace, smallest_real_root_into
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class CorrectionResult:
     corrected: np.ndarray
     nu: complex
     objective_value: float
-    candidates_evaluated: int
 
 
 def reconstruct_from_nu(a_m: np.ndarray, x: np.ndarray, nu: complex) -> np.ndarray:
@@ -81,30 +81,6 @@ def reconstruct_from_nu(a_m: np.ndarray, x: np.ndarray, nu: complex) -> np.ndarr
         raise ValueError("x must be nonzero")
     shift = np.conj(nu - inner(a_m, x)) / norm_sq
     return a_m + shift * x
-
-
-def objective_on_vector(a_m, v, y_m: float, x, params: CorrectionParams) -> float:
-    """f_m evaluated on a full candidate vector v."""
-    a_m = np.asarray(a_m, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    diff = v - a_m
-    misfit = y_m - abs(inner(v, np.asarray(x, dtype=np.complex128))) ** 2
-    return params.lambda_a * float(np.vdot(diff, diff).real) + params.lambda_y * misfit**2
-
-
-def stationary_candidates(a_m, y_m: float, x, params: CorrectionParams) -> np.ndarray:
-    """All candidate values of nu = inner(v, x) for one measurement, as a
-    complex array: the stationary values phase(gamma) * t for the nonzero
-    real roots t of the plus cubic, at any scale, plus nu = 0 where gamma = 0
-    or where every root is zero."""
-    nu_a = inner(a_m, x)
-    alpha = 2.0 * params.lambda_y * inner(x, x).real
-    gamma_abs = params.lambda_a * abs(nu_a)
-    roots = depressed_roots_batch(alpha, [params.lambda_a - alpha * y_m], [gamma_abs])[0]
-    t = roots[np.abs(roots) > 0.0]
-    if gamma_abs == 0.0 or t.size == 0:
-        t = np.append(t, 0.0)
-    return (-nu_a / abs(nu_a) if nu_a != 0 else 1.0) * t
 
 
 def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> CorrectionResult:
@@ -121,7 +97,6 @@ def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> Corr
         corrected=reconstruct_from_nu(a_m, x, nu_star[0]),
         nu=complex(nu_star[0]),
         objective_value=float(f_star[0]),
-        candidates_evaluated=stationary_candidates(a_m, y_m, x, params).size,
     )
 
 

@@ -34,9 +34,6 @@ import numpy as np
 # Primitive cube root of unity.
 _OMEGA = complex(-0.5, 0.5 * np.sqrt(3.0))
 
-# Relative spacing under which two roots are merged as one.
-MERGE_TOL = 1e-9
-
 
 def all_roots(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
     """All three roots of a*x^3 + b*x^2 + c*x + d, as a complex array."""
@@ -96,21 +93,6 @@ def residual_scale(a, b, c, d, root) -> float:
     """Bound scale used in tests: max coefficient times max(1, |x|)^3."""
     coeff = max(abs(a), abs(b), abs(c), abs(d))
     return coeff * max(1.0, abs(root)) ** 3
-
-
-def positive_real_roots(alpha: float, beta: float, gamma_const: float) -> np.ndarray:
-    """Positive real roots of the depressed cubic alpha*r^3 + beta*r + gamma_const.
-
-    A root counts as positive when it is > 0, at any scale; near-coincident
-    roots are merged.  Requires alpha > 0.
-    """
-    roots = depressed_roots_batch(alpha, [beta], [gamma_const])[0]
-    merged: list[float] = []
-    for r in roots[roots > 0.0]:
-        if merged and abs(r - merged[-1]) <= MERGE_TOL * max(abs(r), abs(merged[-1])):
-            continue
-        merged.append(float(r))
-    return np.asarray(merged, dtype=np.float64)
 
 
 def _newton_step(t: np.ndarray, p, q, work: np.ndarray, keep: np.ndarray) -> None:

@@ -24,7 +24,8 @@ size the header promises against the size of the file before it allocates.
 A JSON variant is written when the path ends in ``.json``: the same header
 keys plus a ``data`` field holding nested ``[re, im]`` pairs (signals: list of
 pairs; ensembles: list of rows of pairs; measurements: plain list of floats).
-Round-trips are bit-exact for finite values in both formats.
+Round-trips are bit-exact for finite values in both formats; :func:`load`
+rejects a non-finite value.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ def save(obj, path) -> None:
 
 
 def load(path):
-    """Read a container written by :func:`save`; returns the stored object."""
+    """Read a container written by :func:`save`; returns the stored object.
+
+    Raises :class:`FileFormatError`, naming the file, for a malformed file
+    and for values the object rejects, non-finite ones included."""
     path = Path(path)
     if path.suffix == ".json":
         try:
@@ -109,15 +113,18 @@ def load(path):
             shape = _shape(header, path)
             values = _read_payload(fh, size - fh.tell(), shape, header["kind"], path)
     kind = header["kind"]
-    if kind == "ensemble":
-        return SensingEnsemble(
-            _Owned(values),
-            model_tag=header.get("model_tag", "external"),
-            noise_tag=header.get("noise_tag", "clean"),
-        )
-    if kind == "measurements":
-        return MeasurementSet(_Owned(values), ensemble_ref=header.get("ensemble_ref", ""))
-    return values
+    try:
+        if kind == "ensemble":
+            return SensingEnsemble(
+                _Owned(values),
+                model_tag=header.get("model_tag", "external"),
+                noise_tag=header.get("noise_tag", "clean"),
+            )
+        if kind == "measurements":
+            return MeasurementSet(_Owned(values), ensemble_ref=header.get("ensemble_ref", ""))
+        return as_cvector(values, "signal")
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _binary_header(fh, size: int, path: Path) -> dict:

@@ -6,6 +6,7 @@ from tlspr.analysis import (
     IllConditionedError,
     d_diagonal,
     expected_squared_errors,
+    expected_tls_errors,
     finite_difference_jacobians,
     first_order_errors,
     ml_parameters,
@@ -129,6 +130,28 @@ def test_expected_squared_additivity():
     assert abs(both[1] - (only_delta[1] + only_eta[1])) <= 1e-15 * both[1]
     zero = expected_squared_errors(a, y, x, 1.3, 0.0, 0.0)
     assert zero == (0.0, 0.0)
+
+
+def _expected_reference(a, y, x, ratio, s2_delta, s2_eta, ls=False):
+    # The expectation as written when each call solved the TLS and the LS
+    # system separately.
+    x_norm_sq = float(np.linalg.norm(x)) ** 2
+    w = y if ls else y * (1.0 / (1.0 + 4.0 * ratio * x_norm_sq * y))
+    r = np.linalg.solve(a.T @ (w[:, None] * a), a.T * w[None, :])
+    return s2_delta * x_norm_sq * float(np.sum(r * r)) + 0.25 * s2_eta * float(np.sum((r * r) / y[None, :]))
+
+
+def test_expected_tls_errors_keep_the_arithmetic_of_both_solves():
+    _, a, x, y = _instance(12)
+    ratios = list(10.0 ** np.linspace(-3.0, 3.0, 13))
+    got = expected_tls_errors(a, y, x, ratios + [0.0], 2e-4, 3e-3)
+    want = [_expected_reference(a, y, x, r, 2e-4, 3e-3) for r in ratios]
+    want.append(_expected_reference(a, y, x, 0.0, 2e-4, 3e-3, ls=True))
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    pair = expected_squared_errors(a, y, x, ratios[4], 2e-4, 3e-3)
+    assert pair == (want[4], want[-1])
+    with pytest.raises(ValueError):
+        expected_tls_errors(a, y, x, ratios, -1.0, 3e-3)
 
 
 def test_expected_squared_monte_carlo():

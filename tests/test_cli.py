@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -137,6 +138,27 @@ def test_solve_step_size_flag_sets_both_solver_steps():
     assert config.step_size_tls == config.step_size_ls == 0.25
 
 
+def test_main_builds_the_parser_once_and_prints_its_help(tmp_path, monkeypatch, capsys):
+    build = cli.build_parser
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+
+    def help_text(parse, argv):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        assert info.value.code == 0
+        return capsys.readouterr().out
+
+    argvs = (["--help"], ["solve", "--help"])
+    helps = [help_text(main, argv) for argv in argvs + argvs]
+    assert main(["sweep", "--config", str(tmp_path / "absent.yaml")]) == 1
+    assert len(builds) == 1
+    # build_parser still returns a new parser, whose help the cached one prints.
+    assert build() is not build()
+    assert helps == [help_text(build().parse_args, argv) for argv in argvs + argvs]
+
+
 def test_run_trial_shares_initialization():
     cfg = _tiny_config(max_iters=30)
     row = run_trial(cfg, 4, 30.0, 20.0, trial_seed=99, trial_index=0)
@@ -214,6 +236,23 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_nonfinite_input_file_exit_code(tmp_path, capsys):
+    prefix = str(tmp_path / "nan")
+    assert main(["synthesize", "--n", "4", "--ratio", "2", "--seed", "3", "--out", prefix]) == 0
+    files = {"ensemble": prefix + ".ensemble.tlspr", "measurements": prefix + ".meas.tlspr",
+             "signal": prefix + ".signal.tlspr"}
+    for kind, path in files.items():
+        intact = open(path, "rb").read()
+        raw = bytearray(intact)
+        raw[-8:] = struct.pack("<d", np.nan)
+        open(path, "wb").write(raw)
+        args = [arg for name, file in files.items() for arg in (f"--{name}", file)]
+        assert main(["solve", *args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "non-finite" in err
+        open(path, "wb").write(intact)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
@@ -420,7 +459,10 @@ def test_analyze_first_order_trend_regimes(tmp_path):
         assert ls < tls, f"ratio {ratio}: expected LS < TLS at meas 40 dB"
 
 
-def test_analyze_ml_sweep(tmp_path):
+def test_analyze_ml_sweep(tmp_path, monkeypatch):
+    solves = []
+    gated_solve = analysis._gated_solve
+    monkeypatch.setattr(analysis, "_gated_solve", lambda *args: solves.append(1) or gated_solve(*args))
     cfg = ExperimentConfig(
         seed=3,
         n=16,
@@ -434,6 +476,8 @@ def test_analyze_ml_sweep(tmp_path):
         grid_decades=1.0,
     )
     path = run_error_analysis(cfg, output=str(tmp_path / "ml.csv"))
+    # One TLS solve per grid ratio; the LS system is never needed.
+    assert len(solves) == cfg.trials * cfg.grid_points
     rows = [l.split(",") for l in open(path).read().strip().splitlines()[2:]]
     header = open(path).read().splitlines()[1].split(",")
     i_opt = header.index("optimal_ratio")

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from tlspr import correction, cubic
 from tlspr.core import inner, inner_rows, make_rng
 from tlspr.correction import (
     CorrectionParams,
     apply_corrections,
     correct_sensing_vector,
-    objective_on_vector,
     reconstruct_from_nu,
-    stationary_candidates,
     sweep_corrections,
 )
 
 from oracles import (
+    _positive_roots_reference,
     correct_sensing_vector_reference,
     correction_objective,
     grid_min,
@@ -98,18 +98,17 @@ def test_one_dimensional_real_instance():
 
 
 def test_candidate_phase_structure():
+    # The minimizer, like every stationary nu, lies on the line through
+    # phase(gamma).
     rng = make_rng(4)
     for _ in range(200):
         a, x, y, params = _random_instance(rng)
         gamma = -params.lambda_a * inner(a, x)
-        if gamma == 0:
+        nu = correct_sensing_vector(a, y, x, params).nu
+        if gamma == 0 or nu == 0:
             continue
-        unit = gamma / abs(gamma)
-        for s in stationary_candidates(a, y, x, params):
-            if s == 0:
-                continue
-            ratio = (s / abs(s)) / unit
-            assert min(abs(ratio - 1.0), abs(ratio + 1.0)) < 1e-9
+        ratio = (nu / abs(nu)) / (gamma / abs(gamma))
+        assert min(abs(ratio - 1.0), abs(ratio + 1.0)) < 1e-9
 
 
 def test_stationarity_of_result():
@@ -172,11 +171,8 @@ def test_orthogonal_gamma_zero_path():
     a = np.array([0.0, 2.0], dtype=complex)
     params = CorrectionParams(1.0, 1.0)
     y = 4.0
-    cands = stationary_candidates(a, y, x, params)
-    # alpha = 2, beta = 1 - 8 = -7: roots 0 and sqrt(3.5) at phases 0, pi
-    mags = sorted(abs(c) for c in cands)
-    assert mags[0] == 0.0
-    assert abs(mags[-1] - np.sqrt(3.5)) < 1e-9
+    # alpha = 2, beta = 1 - 8 = -7: roots 0 and +/- sqrt(3.5)
+    assert np.allclose(_positive_roots_reference(2.0, -7.0, 0.0), [np.sqrt(3.5)], rtol=1e-9, atol=0)
     res = correct_sensing_vector(a, y, x, params)
     # correcting toward |nu|^2 = y is cheaper than leaving the misfit
     assert abs(abs(res.nu) - np.sqrt(3.5)) < 1e-9
@@ -184,8 +180,10 @@ def test_orthogonal_gamma_zero_path():
 
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-13, 1e-15])
 def test_candidates_contain_the_minimizer_at_any_signal_scale(scale):
-    # An absolute root tolerance once left only nu = 0 in the list below
-    # signal scale ~1e-12, while the sweep returned the nonzero minimizer.
+    # An absolute root tolerance once left only nu = 0 in the list of
+    # stationary nu below signal scale ~1e-12, while the sweep returned the
+    # nonzero minimizer.  The list is phase(gamma) times the real roots of
+    # the plus cubic, taken here from the frozen enumeration.
     rng = make_rng(20_017)
     n = 8
     for _ in range(20):
@@ -194,10 +192,11 @@ def test_candidates_contain_the_minimizer_at_any_signal_scale(scale):
         y = 1.5 * abs(inner(a, x)) ** 2
         params = CorrectionParams(1.0 / n, 1.0 / inner(x, x).real ** 2)
         res = correct_sensing_vector(a, y, x, params)
-        cands = stationary_candidates(a, y, x, params)
+        roots = sweep_corrections_reference(a[None, :], [y], x, params.lambda_a, params.lambda_y)[2][0]
+        nu_a = inner(a, x)
+        cands = -nu_a / abs(nu_a) * roots[~np.isnan(roots)]
         assert res.nu != 0.0
         assert np.min(np.abs(cands - res.nu)) <= 1e-12 * abs(res.nu)
-        assert res.candidates_evaluated == cands.size
 
 
 def test_negative_measurement_supported():
@@ -216,7 +215,7 @@ def test_objective_reduction_formula_matches_vector_evaluation():
         a, x, y, params = _random_instance(rng)
         nu = complex(rng.normal(), rng.normal())
         v = reconstruct_from_nu(a, x, nu)
-        full = objective_on_vector(a, v, y, x, params)
+        full = correction_objective(a, v, y, x, params.lambda_a, params.lambda_y)
         norm_sq = float(np.vdot(x, x).real)
         reduced = params.lambda_a * abs(nu - inner(a, x)) ** 2 / norm_sq + params.lambda_y * (
             y - abs(nu) ** 2
@@ -225,18 +224,51 @@ def test_objective_reduction_formula_matches_vector_evaluation():
 
 
 def test_sweep_matches_scalar_path():
+    # correct_sensing_vector is the one-row sweep mapped to a full vector,
+    # bit for bit, on random rows and on the last 8 rows, which are
+    # orthogonal to x; the full sweep agrees to rounding.
     rng = make_rng(12)
     n, m = 5, 40
-    a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    y = np.abs(a.conj() @ x) ** 2 * (1.0 + 0.3 * rng.normal(size=m))
-    params = CorrectionParams(0.7, 2.3)
-    nu_star, f_star = sweep_corrections(a, y, x, params.lambda_a, params.lambda_y)
-    corrected = apply_corrections(a, x, nu_star)
-    for i in range(m):
-        res = correct_sensing_vector(a[i], y[i], x, params)
-        assert abs(f_star[i] - res.objective_value) <= 1e-9 * (1.0 + res.objective_value)
-        assert np.allclose(corrected[i], res.corrected, atol=1e-9)
+    for scale in (1e-15, 1e-9, 1.0, 1e3):
+        a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        x[-2:] = 0.0
+        a[-8:, :-2] = 0.0
+        norm_sq = float(np.vdot(x, x).real)
+        y = np.abs(a.conj() @ x) ** 2 * (1.0 + 0.3 * rng.normal(size=m))
+        y[-8:] = norm_sq * rng.uniform(-1.0, 1.0, size=8)
+        params = CorrectionParams(0.7, 2.3 / norm_sq**2)
+        nu_star, f_star = sweep_corrections(a, y, x, params.lambda_a, params.lambda_y)
+        corrected = apply_corrections(a, x, nu_star)
+        for i in range(m):
+            res = correct_sensing_vector(a[i], y[i], x, params)
+            nu_row, f_row = sweep_corrections(a[i][None, :], [y[i]], x, params.lambda_a, params.lambda_y)
+            v_row = reconstruct_from_nu(a[i], x, nu_row[0])
+            assert np.array_equal(np.array([res.nu]).view(np.uint64), nu_row.view(np.uint64))
+            assert np.array_equal(np.array([res.objective_value]).view(np.uint64), f_row.view(np.uint64))
+            assert np.array_equal(res.corrected.view(np.uint64), v_row.view(np.uint64))
+            assert abs(f_star[i] - res.objective_value) <= 1e-9 * (1.0 + res.objective_value)
+            assert np.allclose(corrected[i], res.corrected, atol=1e-9)
+
+
+def test_one_correction_solves_one_cubic(monkeypatch):
+    calls = {"root": 0, "enumeration": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    root = counted("root", cubic.smallest_real_root_into)
+    enumeration = counted("enumeration", cubic.depressed_roots_batch)
+    for module in (cubic, correction):
+        monkeypatch.setattr(module, "smallest_real_root_into", root)
+        monkeypatch.setattr(module, "depressed_roots_batch", enumeration)
+    rng = make_rng(15)
+    a, x, y, params = _random_instance(rng)
+    correct_sensing_vector(a, y, x, params)
+    assert calls == {"root": 1, "enumeration": 0}
 
 
 def test_grid_oracle_small_batch():

@@ -6,7 +6,6 @@ from tlspr.cubic import (
     all_roots,
     depressed_real_roots,
     depressed_roots_batch,
-    positive_real_roots,
     residual_scale,
     root_workspace,
     smallest_real_root,
@@ -72,43 +71,11 @@ def test_complex_coefficients():
             assert abs(_poly(a, b, c, d, z)) <= 1e-8 * residual_scale(a, b, c, d, z)
 
 
-def test_positive_real_roots_examples():
-    assert np.allclose(positive_real_roots(1.0, 0.0, -8.0), [2.0])
-    got = positive_real_roots(1.0, -7.0, 6.0)
-    assert np.allclose(got, [1.0, 2.0])
-    assert positive_real_roots(2.0, 3.0, 5.0).size == 0
-
-
-def test_positive_real_roots_rejects_alpha():
+def test_smallest_real_root_rejects_alpha():
     with pytest.raises(ValueError):
-        positive_real_roots(0.0, 1.0, 1.0)
+        smallest_real_root(0.0, [1.0], [1.0])
     with pytest.raises(ValueError):
-        positive_real_roots(-1.0, 1.0, 1.0)
-
-
-def test_positive_roots_subset_of_all_roots():
-    rng = make_rng(79)
-    for _ in range(500):
-        alpha = float(10.0 ** rng.uniform(-2, 2))
-        beta = float(rng.normal() * 10.0 ** rng.integers(-2, 3))
-        const = float(rng.normal() * 10.0 ** rng.integers(-2, 3))
-        pos = positive_real_roots(alpha, beta, const)
-        full = all_roots(alpha, 0.0, beta, const)
-        for r in pos:
-            assert r > 1e-12
-            assert min(abs(r - z.real) for z in full) <= 1e-8 * max(1.0, r)
-
-
-def test_double_root_merge():
-    # (r - 1)^2 (r + 2) = r^3 - 3r + 2: positive root 1 has multiplicity 2
-    got = positive_real_roots(1.0, -3.0, 2.0)
-    assert got.size == 1
-    assert abs(got[0] - 1.0) < 1e-6
-
-
-def test_degenerate_all_zero_tail():
-    # alpha r^3 = 0: triple root at zero, not positive
-    assert positive_real_roots(3.0, 0.0, 0.0).size == 0
+        depressed_roots_batch(-1.0, [1.0], [1.0])
 
 
 def test_batch_matches_scalar():

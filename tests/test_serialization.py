@@ -211,3 +211,34 @@ def test_save_writes_the_ensemble_without_a_copy(tmp_path):
     rng = make_rng(16)
     ens = SensingEnsemble(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
     assert peak_bytes(save, ens, tmp_path / "ens.tlspr") < 0.05 * 16 * m * n
+
+
+def _write_by_hand(path, header, payload):
+    """A container whose payload ``save`` would refuse to write."""
+    header = {"format_version": 1, **header, "dtype": "float64-le"}
+    payload = np.asarray(payload, dtype=np.float64)
+    if path.suffix == ".json":
+        dims = [header[key] for key in ("m", "n") if key in header]
+        data = payload if header["kind"] == "measurements" else payload.reshape(*dims, 2)
+        path.write_text(json.dumps({**header, "data": data.tolist()}))
+    else:
+        blob = json.dumps(header).encode()
+        path.write_bytes(b"TLSPRBIN" + struct.pack("<I", len(blob)) + blob + payload.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("suffix", [".tlspr", ".json"])
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"kind": "signal", "n": 2}, "signal contains non-finite entries"),
+        ({"kind": "ensemble", "m": 1, "n": 2}, "ensemble contains non-finite entries"),
+        ({"kind": "measurements", "m": 4}, "measurements contain non-finite entries"),
+    ],
+)
+def test_nonfinite_payload_errors_with_the_path(tmp_path, suffix, header, message):
+    for bad in (np.nan, np.inf):
+        path = tmp_path / f"bad{suffix}"
+        _write_by_hand(path, header, [bad, 0.0, 1.0, 0.0])
+        with pytest.raises(FileFormatError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {message}"
