@@ -33,7 +33,7 @@ from .correction import (
 from .cubic import all_roots
 from .metrics import dist, recon_snr_db, rel_corr, rel_dist
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
-from .noise import NoiseSpec, inject, inject_gaussian, inject_handcrafted
+from .noise import NoiseSpec, inject
 from .serialization import load, save
 from .solvers import (
     SolveResult,
@@ -73,8 +73,6 @@ __all__ = [
     "first_order_errors",
     "gaussian_ensemble",
     "inject",
-    "inject_gaussian",
-    "inject_handcrafted",
     "inner",
     "load",
     "ls_gradient",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import SolveResult, SolverConfig, solve_ls, solve_tls
+from .solvers import SolverConfig, solve_ls, solve_tls
 
 COND_LIMIT = 1e12
 
@@ -172,35 +172,6 @@ def ml_parameters(sigma_delta_sq: float, sigma_eta_sq: float):
     return CorrectionParams(lambda_a=1.0 / sigma_delta_sq, lambda_y=1.0 / sigma_eta_sq)
 
 
-def _argmin_solve(
-    method: str,
-    a: np.ndarray,
-    y: np.ndarray,
-    x_start: np.ndarray,
-    lambda_a: float,
-    lambda_y: float,
-    step_size: float,
-    max_iters: int,
-    threshold: float,
-) -> SolveResult:
-    n = a.shape[1]
-    common = dict(
-        step_size=step_size,
-        threshold=threshold,
-        max_iters=max_iters,
-    )
-    if method == "tls":
-        cfg = SolverConfig(
-            mode="tls",
-            lambda_a_dag=lambda_a * n,
-            lambda_y_dag=lambda_y * float(np.linalg.norm(x_start)) ** 4,
-            **common,
-        )
-        return solve_tls(y, a.astype(np.complex128), cfg, x0=x_start)
-    cfg = SolverConfig(mode="ls", **common)
-    return solve_ls(y, a.astype(np.complex128), cfg, x0=x_start)
-
-
 def finite_difference_jacobians(
     a_clean: np.ndarray,
     y_clean: np.ndarray,
@@ -223,36 +194,34 @@ def finite_difference_jacobians(
     """
     a = _require_real(a_clean, "a_clean").copy()
     y = _require_real(y_clean, "y_clean").copy()
-    x = _require_real(x_sharp, "x_sharp")
+    x0 = _require_real(x_sharp, "x_sharp").astype(np.complex128)
     m, n = a.shape
     if method not in ("tls", "ls"):
         raise ValueError("method must be 'tls' or 'ls'")
     if step_size is None:
         step_size = 0.5 / lambda_a if method == "tls" else 0.02
-    x0 = x.astype(np.complex128)
+    weights = {}
+    if method == "tls":
+        weights = dict(lambda_a_dag=lambda_a * n, lambda_y_dag=lambda_y * float(np.linalg.norm(x0)) ** 4)
+    cfg = SolverConfig(mode=method, step_size=step_size, threshold=threshold, max_iters=max_iters, **weights)
+    solve = solve_tls if method == "tls" else solve_ls
 
-    def solve_at(a_mat, y_vec) -> np.ndarray:
-        res = _argmin_solve(method, a_mat, y_vec, x0, lambda_a, lambda_y, step_size, max_iters, threshold)
-        return res.x_hat.real
+    def central_difference(arr: np.ndarray, index) -> np.ndarray:
+        """d x_hat / d arr[index], with ``arr`` one of ``a`` and ``y``."""
+        orig = arr[index]
+        arr[index] = orig + h
+        plus = solve(y, a.astype(np.complex128), cfg, x0=x0).x_hat.real
+        arr[index] = orig - h
+        minus = solve(y, a.astype(np.complex128), cfg, x0=x0).x_hat.real
+        arr[index] = orig
+        return (plus - minus) / (2.0 * h)
 
     j_a = np.zeros((n, m * n))
     j_y = np.zeros((n, m))
     for k in range(m):
         for j in range(n):
-            orig = a[k, j]
-            a[k, j] = orig + h
-            plus = solve_at(a, y)
-            a[k, j] = orig - h
-            minus = solve_at(a, y)
-            a[k, j] = orig
-            j_a[:, k * n + j] = (plus - minus) / (2.0 * h)
-        orig = y[k]
-        y[k] = orig + h
-        plus = solve_at(a, y)
-        y[k] = orig - h
-        minus = solve_at(a, y)
-        y[k] = orig
-        j_y[:, k] = (plus - minus) / (2.0 * h)
+            j_a[:, k * n + j] = central_difference(a, (k, j))
+        j_y[:, k] = central_difference(y, k)
     return j_a, j_y
 
 

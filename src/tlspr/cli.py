@@ -29,6 +29,7 @@ output and are excluded from determinism comparisons.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -148,10 +149,40 @@ _NESTED_KEYS = {
 }
 
 
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(key: str, name: str, value):
+    """``value`` of the config key ``key`` if it fits the type of the field
+    ``name``, else a UsageError.  A float field also takes the strings that
+    float() parses, since YAML reads 1e-6 as a string.  Ratio and SNR lists
+    hold numbers, and SNRs may be null."""
+    kind = _FIELD_TYPES[name]
+    if kind.startswith("float") and isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = float(value)
+    items = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    fits = {
+        "bool": isinstance(value, bool),
+        "int": isinstance(value, int) and not isinstance(value, bool),
+        "str": isinstance(value, str),
+        "float": _is_number(value),
+        "float | None": value is None or _is_number(value),
+        "tuple": all(_is_number(v) or (v is None and name != "ratios") for v in items),
+    }
+    if not fits[kind]:
+        raise UsageError(f"config key {key} does not take {value!r}")
+    return items if kind == "tuple" else value
+
+
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    """Build a config from a (possibly nested) mapping; unknown keys error."""
+    """Build a config from a (possibly nested) mapping; unknown keys and
+    values of the wrong type error."""
     flat: dict = {}
-    valid = {f.name for f in fields(ExperimentConfig)}
     for key, value in (data or {}).items():
         if key in _NESTED_KEYS:
             if not isinstance(value, dict):
@@ -159,17 +190,12 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
             for sub, v in value.items():
                 if sub not in _NESTED_KEYS[key]:
                     raise UsageError(f"unknown config key {key}.{sub}")
-                flat[_NESTED_KEYS[key][sub]] = v
-        elif key in valid:
-            flat[key] = value
+                name = _NESTED_KEYS[key][sub]
+                flat[name] = _typed(f"{key}.{sub}", name, v)
+        elif key in _FIELD_TYPES:
+            flat[key] = _typed(key, key, value)
         else:
             raise UsageError(f"unknown config key {key!r}")
-    for name in ("ratios", "measurement_snr_db", "sensing_snr_db"):
-        if name in flat:
-            v = flat[name]
-            if not isinstance(v, (list, tuple)):
-                v = [v]
-            flat[name] = tuple(v)
     return ExperimentConfig(**flat)
 
 

@@ -87,65 +87,9 @@ def real_errors_at_snr(rng: np.random.Generator, a: np.ndarray, y: np.ndarray, m
     return errors
 
 
-def _draw_errors(rng: np.random.Generator, m: int, n: int, real_mode: bool):
-    e_y = rng.normal(size=m)
-    return e_y, _complex_normal(rng, (m, n), real_mode)
-
-
-def inject_gaussian(
-    rng: np.random.Generator,
-    clean_y: MeasurementSet,
-    clean_a: SensingEnsemble,
-    spec: NoiseSpec,
-) -> tuple[MeasurementSet, SensingEnsemble]:
-    """iid Gaussian errors rescaled to the exact target SNRs."""
-    if spec.model != "gaussian":
-        raise ValueError("spec.model must be 'gaussian'")
-    e_y, e_a = _draw_errors(rng, clean_y.m, clean_a.n, spec.real_mode)
-    return _apply(clean_y, clean_a, e_y, e_a, spec)
-
-
 def handcrafted_row_scales(clean_y: np.ndarray, x_norm_sq: float) -> np.ndarray:
     """Per-row amplification 1 + 4*||x#||^2*y_m applied before rescaling."""
     return 1.0 + 4.0 * x_norm_sq * np.asarray(clean_y, dtype=np.float64)
-
-
-def inject_handcrafted(
-    rng: np.random.Generator,
-    clean_y: MeasurementSet,
-    clean_a: SensingEnsemble,
-    x_sharp: np.ndarray,
-    spec: NoiseSpec,
-) -> tuple[MeasurementSet, SensingEnsemble]:
-    """Row-amplified errors; requires the clean measurements and ground truth."""
-    if spec.model != "handcrafted":
-        raise ValueError("spec.model must be 'handcrafted'")
-    x_norm_sq = float(np.vdot(x_sharp, x_sharp).real)
-    scales = handcrafted_row_scales(clean_y.values, x_norm_sq)
-    e_y, e_a = _draw_errors(rng, clean_y.m, clean_a.n, spec.real_mode)
-    e_y *= scales
-    e_a *= scales[:, None]
-    return _apply(clean_y, clean_a, e_y, e_a, spec)
-
-
-def _apply(clean_y, clean_a, e_y, e_a, spec):
-    y_out = clean_y.values
-    a_out = clean_a.vectors
-    noisy = False
-    # The scaled draws become the noisy data in place.
-    if spec.measurement_snr_db is not None:
-        y_out = _rescale(e_y, clean_y.values, spec.measurement_snr_db)
-        y_out += clean_y.values
-        noisy = True
-    if spec.sensing_snr_db is not None:
-        a_out = _rescale(e_a, clean_a.vectors, spec.sensing_snr_db)
-        a_out += clean_a.vectors
-        noisy = True
-    tag = "noisy" if noisy else clean_a.noise_tag
-    return (
-        MeasurementSet(_Owned(y_out), ensemble_ref=clean_y.ensemble_ref),
-        SensingEnsemble(_Owned(a_out), model_tag=clean_a.model_tag, noise_tag=tag),
-    )
 
 
 def inject(
@@ -155,9 +99,27 @@ def inject(
     spec: NoiseSpec,
     x_sharp: np.ndarray | None = None,
 ) -> tuple[MeasurementSet, SensingEnsemble]:
-    """Dispatch on ``spec.model``; handcrafted mode requires ``x_sharp``."""
-    if spec.model == "gaussian":
-        return inject_gaussian(rng, clean_y, clean_a, spec)
-    if x_sharp is None:
+    """Errors of ``spec.model`` at the exact target SNRs, the measurement
+    errors drawn first.  Handcrafted errors, amplified by
+    :func:`handcrafted_row_scales`, need the ground truth ``x_sharp``."""
+    if spec.model == "handcrafted" and x_sharp is None:
         raise ValueError("handcrafted errors need the ground-truth signal")
-    return inject_handcrafted(rng, clean_y, clean_a, x_sharp, spec)
+    e_y = rng.normal(size=clean_y.m)
+    e_a = _complex_normal(rng, (clean_y.m, clean_a.n), spec.real_mode)
+    if spec.model == "handcrafted":
+        scales = handcrafted_row_scales(clean_y.values, float(np.vdot(x_sharp, x_sharp).real))
+        e_y *= scales
+        e_a *= scales[:, None]
+    y_out = clean_y.values
+    a_out = clean_a.vectors
+    # The scaled draws become the noisy data in place.
+    if spec.measurement_snr_db is not None:
+        y_out = _rescale(e_y, clean_y.values, spec.measurement_snr_db)
+        y_out += clean_y.values
+    if spec.sensing_snr_db is not None:
+        a_out = _rescale(e_a, clean_a.vectors, spec.sensing_snr_db)
+        a_out += clean_a.vectors
+    return (
+        MeasurementSet(_Owned(y_out), ensemble_ref=clean_y.ensemble_ref),
+        SensingEnsemble(_Owned(a_out), model_tag=clean_a.model_tag, noise_tag="noisy"),
+    )

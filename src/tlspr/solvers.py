@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSet, SensingEnsemble, _Owned, as_cvector, inner_rows, make_rng
+from .core import MeasurementSet, SensingEnsemble, _complex_normal, _Owned, as_cvector, inner_rows, make_rng
 from .correction import LineRoots
 # Not called here; bench/harness.py traces the sweep under this name.
 from .correction import sweep_corrections  # noqa: F401
@@ -149,9 +149,7 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
     spectral = _spectral_matrix(vectors, yv) if n * n <= m and n <= 2 * power_iters else None
     real_data = not vectors.imag.any()
     rng = make_rng(_SPECTRAL_START_SEED)
-    u = rng.normal(size=n).astype(np.complex128)
-    if not real_data:
-        u = u + 1j * rng.normal(size=n)
+    u = _complex_normal(rng, n, real_data)
     u /= np.linalg.norm(u)
     for _ in range(power_iters):
         if spectral is None:
@@ -161,9 +159,7 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
             u = spectral @ u
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
-            u = rng.normal(size=n).astype(np.complex128)
-            if not real_data:
-                u = u + 1j * rng.normal(size=n)
+            u = _complex_normal(rng, n, real_data)
             nrm = np.linalg.norm(u)
         u /= nrm
     scale = np.sqrt(total / (2.0 * yv.shape[0]))
@@ -189,10 +185,7 @@ def _spectral_matrix(vectors: np.ndarray, yv: np.ndarray) -> np.ndarray:
 
 def fallback_init(n: int, real_mode: bool = False) -> np.ndarray:
     """Deterministic random unit vector used when spectral init fails."""
-    rng = make_rng(_FALLBACK_INIT_SEED)
-    v = rng.normal(size=n).astype(np.complex128)
-    if not real_mode:
-        v = v + 1j * rng.normal(size=n)
+    v = _complex_normal(make_rng(_FALLBACK_INIT_SEED), n, real_mode)
     return v / np.linalg.norm(v)
 
 
@@ -347,6 +340,15 @@ def _exact_step(r, nu, nu_d, work, tmp) -> float:
     return min((s - h for s in depressed_real_roots(p, q)), key=loss)
 
 
+def _record(trace: list, loss: float, threshold: float) -> bool:
+    """Both solvers' stopping rule: append ``loss`` to ``trace`` and return whether it
+    moved by less than ``threshold`` from the previous entry.  Non-finite raises SolverError."""
+    if not math.isfinite(loss):
+        raise SolverError(f"objective became non-finite at iteration {len(trace) + 1}")
+    trace.append(loss)
+    return len(trace) > 1 and abs(loss - trace[-2]) < threshold
+
+
 def _pr_direction(g, g_prev, d_prev) -> np.ndarray:
     """The Polak-Ribiere+ search direction d = g + beta d_prev, with
     beta = max(0, Re<g - g_prev, g> / ||g_prev||^2).
@@ -401,7 +403,7 @@ def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     with np.errstate(over="ignore", invalid="ignore"):
         nu = inner_rows(vectors, x)
         residual(nu)
-        for it in range(cfg.max_iters):
+        while not converged and len(trace) < cfg.max_iters:
             # w = r nu part by part: a float-complex product would cast r
             # into an M-sized buffer.
             np.multiply(nu.real, r, out=w.real)
@@ -422,13 +424,7 @@ def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
                     x = project_real_binary(x)
                 nu = inner_rows(vectors, x)
             residual(nu)
-            loss = float(r @ r) / (2.0 * m)
-            if not math.isfinite(loss):
-                raise SolverError(f"objective became non-finite at iteration {it + 1}")
-            trace.append(loss)
-            if it and abs(loss - trace[-2]) < cfg.threshold:
-                converged = True
-                break
+            converged = _record(trace, float(r @ r) / (2.0 * m), cfg.threshold)
     return SolveResult(
         x_hat=x,
         corrected_ensemble=None,
@@ -462,10 +458,10 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     w = np.empty(m, dtype=np.complex128)
     nu_a = inner_rows(vectors, x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(cfg.max_iters):
+        while not converged and len(trace) < cfg.max_iters:
             norm_x_sq = float(np.vdot(x, x).real)
             if norm_x_sq == 0.0:
-                raise SolverError(f"iterate collapsed to zero norm at iteration {it + 1}")
+                raise SolverError(f"iterate collapsed to zero norm at iteration {len(trace) + 1}")
             # (a) closed-form correction sweep at the current x and (b) one
             # gradient step with the corrected vectors fixed.
             grad = _tls_gradient(vectors, yv, x, norm_x_sq, nu_a, lambda_a, lambda_y, line, w)
@@ -485,14 +481,8 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
             r *= r
             r -= yv
             data_term = lambda_y * float(r @ r) / (2.0 * m)
-            loss = corr_term + data_term
-            if not math.isfinite(loss):
-                raise SolverError(f"objective became non-finite at iteration {it + 1}")
-            trace.append(loss)
             x = x_new
-            if it and abs(loss - trace[-2]) < cfg.threshold:
-                converged = True
-                break
+            converged = _record(trace, corr_term + data_term, cfg.threshold)
     shift = np.conjugate(u, out=w)
     shift /= sweep_norm_sq
     corrected = np.outer(shift, sweep_x)

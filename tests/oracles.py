@@ -55,6 +55,43 @@ def correction_objective(a_m, v, y_m, x, lam_a, lam_y) -> float:
     return lam_a * float(np.real(np.sum(diff.conj() * diff))) + lam_y * misfit**2
 
 
+_GRID_BLOCK = 1 << 17  # grid points per block; 1 MB stays in cache
+
+
+def grid_min_numpy(nu_a, y, lam_a, lam_y, norm_x_sq, radius, step) -> float:
+    """:func:`grid_min` in numpy, vectorized over blocks of rows.
+
+    Every value on row i is >= fl(min(col_pert) + row_pert[i]), because the
+    squared term is >= 0 and rounding is monotone.  So rows are visited in
+    ascending bound, and the scan stops at the first block whose smallest
+    bound exceeds the best value so far.  Each row is evaluated as in a
+    dense scan, so the minimum is the dense scan's, bit for bit.
+    """
+    axis = np.arange(-radius, radius + step, step)
+    # f(re, im) = row_pert(re) + col_pert(im) + (row_misfit(re) - im_sq(im))^2
+    # with sqrt(lam_y) folded into the misfit terms.
+    root_y = np.sqrt(lam_y)
+    row_pert = lam_a * (axis - nu_a.real) ** 2 / norm_x_sq
+    col_pert = lam_a * (axis - nu_a.imag) ** 2 / norm_x_sq
+    row_misfit = root_y * (y - axis**2)
+    im_sq = root_y * axis**2
+    bound = col_pert.min() + row_pert
+    order = np.argsort(bound)
+    rows = max(1, _GRID_BLOCK // axis.size)
+    buf = np.empty((rows, axis.size))
+    best = np.inf
+    for start in range(0, axis.size, rows):
+        picked = order[start : start + rows]
+        if bound[picked[0]] > best:
+            break
+        block = buf[: picked.size]
+        np.subtract(row_misfit[picked, None], im_sq, out=block)
+        np.square(block, out=block)
+        block += col_pert
+        best = min(best, float((block.min(axis=1) + row_pert[picked]).min()))
+    return best
+
+
 if _HAVE_NUMBA:
 
     @njit(cache=True)
@@ -79,29 +116,8 @@ if _HAVE_NUMBA:
             _grid_scan(nu_a.real, nu_a.imag, float(y), lam_a, lam_y, norm_x_sq, radius, step)
         )
 
-else:  # pragma: no cover - numpy fallback, vectorized over blocks of rows
-
-    _GRID_BLOCK = 1 << 17  # grid points per block; 1 MB stays in cache
-
-    def grid_min(nu_a, y, lam_a, lam_y, norm_x_sq, radius, step) -> float:
-        axis = np.arange(-radius, radius + step, step)
-        # f(re, im) = row_pert(re) + col_pert(im) + (row_misfit(re) - im_sq(im))^2
-        # with sqrt(lam_y) folded into the misfit terms.
-        root_y = np.sqrt(lam_y)
-        row_pert = lam_a * (axis - nu_a.real) ** 2 / norm_x_sq
-        col_pert = lam_a * (axis - nu_a.imag) ** 2 / norm_x_sq
-        row_misfit = root_y * (y - axis**2)
-        im_sq = root_y * axis**2
-        rows = max(1, _GRID_BLOCK // axis.size)
-        buf = np.empty((rows, axis.size))
-        best = np.inf
-        for start in range(0, axis.size, rows):
-            block = buf[: min(rows, axis.size - start)]
-            np.subtract(row_misfit[start : start + rows, None], im_sq, out=block)
-            np.square(block, out=block)
-            block += col_pert
-            best = min(best, float((block.min(axis=1) + row_pert[start : start + rows]).min()))
-        return best
+else:  # pragma: no cover
+    grid_min = grid_min_numpy
 
 
 # Frozen copy of the scalar correction algorithm the package shipped before

@@ -71,6 +71,61 @@ def test_config_rejects_grid_points_below_two(tmp_path, capsys, grid_points):
     assert "grid_points must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('n: "8"\n', "n"),
+        ("trials: true\n", "trials"),
+        ("seed: 1.5\n", "seed"),
+        ('real_mode: "no"\n', "real_mode"),
+        ("model: 3\n", "model"),
+        ("ratios: [4, x]\n", "ratios"),
+        ("ratios: [4, null]\n", "ratios"),
+        ("measurement_snr_db: abc\n", "measurement_snr_db"),
+        ("noise:\n  sensing_snr_db: [10, true]\n", "noise.sensing_snr_db"),
+        ("solver:\n  threshold: 1e-6x\n", "solver.threshold"),
+        ("solver:\n  threshold: true\n", "solver.threshold"),
+        ("solver:\n  step_size_ls: [0.1]\n", "solver.step_size_ls"),
+        ("solver:\n  max_iters: 10.0\n", "solver.max_iters"),
+        ("analysis:\n  grid_decades: null\n", "analysis.grid_decades"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text, key):
+    import yaml
+
+    with pytest.raises(UsageError, match=f"config key {key} does not take"):
+        config_from_mapping(yaml.safe_load(text))
+    config_path = tmp_path / "typed.yaml"
+    config_path.write_text(text)
+    rc = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: config key {key} does not take")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_takes_the_floats_yaml_reads_as_strings(tmp_path, capsys):
+    import yaml
+
+    # YAML 1.1 reads an exponent without a dot (1e-6) as a string.
+    bare = "solver:\n  threshold: 1e-7\n  step_size_tls: 2e-1\nanalysis:\n  lambda_ratio: 1e2\n"
+    dotted = "solver:\n  threshold: 1.0e-7\n  step_size_tls: 2.0e-1\nanalysis:\n  lambda_ratio: 1.0e+2\n"
+    assert yaml.safe_load(bare)["solver"]["threshold"] == "1e-7"
+    config = config_from_mapping(yaml.safe_load(bare))
+    assert config == config_from_mapping(yaml.safe_load(dotted))
+    assert (config.threshold, config.step_size_tls, config.lambda_ratio) == (1e-7, 0.2, 100.0)
+    # Ints stay ints in float fields, and null is an SNR that leaves a block clean.
+    config = config_from_mapping({"solver": {"lambda_a_dag": 2}, "noise": {"sensing_snr_db": [None, 10]}})
+    assert config.lambda_a_dag == 2 and type(config.lambda_a_dag) is int
+    assert config.sensing_snr_db == (None, 10)
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text("n: 8\nratios: [4]\ntrials: 1\nsolver:\n  max_iters: 5\n  threshold: 1e-7\n")
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s.csv")]) == 0
+    assert (tmp_path / "s.csv").exists()
+    capsys.readouterr()
+
+
 def _tiny_config(**overrides):
     base = dict(
         seed=13,

@@ -11,11 +11,13 @@ from tlspr.correction import (
     sweep_corrections,
 )
 
+import oracles
 from oracles import (
     _positive_roots_reference,
     correct_sensing_vector_reference,
     correction_objective,
     grid_min,
+    grid_min_numpy,
     sweep_corrections_reference,
 )
 
@@ -299,6 +301,27 @@ def test_grid_min_matches_point_loop():
         )
         got = grid_min(nu_a, y, lam_a, lam_y, norm_sq, radius, step)
         assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+
+@pytest.mark.parametrize("block", [oracles._GRID_BLOCK, 1])
+def test_pruned_grid_min_equals_the_dense_scan(monkeypatch, block):
+    # The dense scan forms every row as the pruned scan does; block = 1 puts
+    # one row in each block, so that the scan stops as early as it can.
+    monkeypatch.setattr(oracles, "_GRID_BLOCK", block)
+    rng = make_rng(16)
+    for _ in range(60):
+        a, x, y, params = _random_instance(rng, scale=0.6)
+        nu_a, norm_sq = inner(a, x), float(np.vdot(x, x).real)
+        lam_a, lam_y = params.lambda_a, params.lambda_y
+        radius = 3.0 * (abs(nu_a) + np.sqrt(max(y, 0.0))) + 1.0
+        step = radius / float(rng.integers(20, 200))
+        axis = np.arange(-radius, radius + step, step)
+        root_y = np.sqrt(lam_y)
+        row_pert = lam_a * (axis - nu_a.real) ** 2 / norm_sq
+        col_pert = lam_a * (axis - nu_a.imag) ** 2 / norm_sq
+        table = np.square(root_y * (y - axis**2)[:, None] - root_y * axis**2) + col_pert
+        dense = float((table.min(axis=1) + row_pert).min())
+        assert grid_min_numpy(nu_a, y, lam_a, lam_y, norm_sq, radius, step) == dense
 
 
 def test_never_worse_than_frozen_scalar_algorithm():

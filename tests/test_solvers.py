@@ -461,6 +461,33 @@ def test_solver_config_validation():
         SolverConfig(projection="clamp")
 
 
+@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
+def test_both_solvers_stop_by_one_rule(solver):
+    # converged holds exactly when the trace has two entries and its last
+    # change is below threshold; the run stops at the first such change.
+    rng = make_rng(33)
+    ens = gaussian_ensemble(rng, 8, 64)
+    x = complex_gaussian_vector(rng, 8)
+    y, noisy = inject(rng, synthesize_measurements(ens, x), ens, NoiseSpec(20.0, 10.0))
+    x0 = spectral_init(y, noisy)
+    mode = solver.__name__[len("solve_"):]
+    outcomes = set()
+    for threshold in (1e300, 1e-1, 1e-4, 1e-8, 1e-300):
+        for max_iters in (0, 1, 2, 3, 25, 2500):
+            res = solver(y, noisy, SolverConfig(mode=mode, threshold=threshold, max_iters=max_iters), x0=x0)
+            changes = np.abs(np.diff(res.objective_trace))
+            assert res.iterations == len(res.objective_trace) <= max_iters
+            assert res.converged == (len(changes) > 0 and changes[-1] < threshold)
+            assert np.all(changes[:-1] >= threshold)
+            if not res.converged:
+                assert res.iterations == max_iters
+            if max_iters == 0:
+                assert res.objective_trace.size == 0 and not res.converged
+            outcomes.add((res.converged, res.iterations == max_iters))
+    # Runs converged before the cap and runs capped unconverged both occurred.
+    assert {(True, False), (False, True)} <= outcomes
+
+
 # ---------------------------------------------------------------------------
 # input validation at the solver boundary
 
