@@ -7,9 +7,9 @@ Conventions used throughout the package:
 * The inner product conjugates its FIRST argument,
   ``inner(a, b) = sum(conj(a_i) * b_i)``.  Every formula in the package is
   written against this convention.
-* Randomness comes from numpy's PCG64 generator.  Per-trial streams are
-  derived as ``base_seed + trial_index`` so individual trials can be
-  reproduced in isolation.
+* Randomness comes from numpy's PCG64 generator.  A sweep seeds trial t of
+  combination c as ``seed + 100003 * c + t`` (see :mod:`tlspr.cli`), so
+  individual trials can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -35,17 +35,18 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
-    """Generator for one trial, derived as ``base_seed + trial_index``."""
+    """Generator seeded ``base_seed + trial_index``: a sweep's stream for
+    trial ``trial_index`` of combination 0 only."""
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
     return make_rng(int(base_seed) + int(trial_index))
 
 
-def as_cvector(x, name: str = "vector") -> np.ndarray:
+def as_cvector(x, name: str = "vector", n: int | None = None) -> np.ndarray:
     """Validate and return `x` as a 1-D complex128 array.
 
-    Rejects empty vectors and non-finite entries (NaN/Inf in either the real
-    or the imaginary part).
+    Rejects empty vectors, non-finite entries (NaN/Inf in either the real
+    or the imaginary part) and, given ``n``, a length other than ``n``.
     """
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim != 1:
@@ -54,6 +55,8 @@ def as_cvector(x, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must have length > 0")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    if n is not None and arr.shape[0] != n:
+        raise DimensionMismatchError(f"{name} has length {arr.shape[0]}, ensemble has N = {n}")
     return arr
 
 
@@ -140,13 +143,7 @@ class SensingEnsemble:
     noise_tag: NoiseTag = "clean"
 
     def __post_init__(self):
-        arr = _kept(self.vectors, np.complex128)
-        if arr.ndim != 2:
-            raise ValueError(f"ensemble must be 2-D (M, N), got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("ensemble requires M >= 1 and N >= 1")
-        if not _all_finite(arr):
-            raise ValueError("ensemble contains non-finite entries")
+        arr = ensemble_array(_kept(self.vectors, np.complex128))
         if self.model_tag not in MODEL_TAGS:
             raise ValueError(f"unknown model_tag {self.model_tag!r}")
         if self.noise_tag not in NOISE_TAGS:
@@ -174,16 +171,43 @@ class MeasurementSet:
     ensemble_ref: str = ""
 
     def __post_init__(self):
-        arr = _kept(self.values, np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"measurements must be 1-D, got shape {arr.shape}")
-        if arr.size < 1:
-            raise ValueError("measurements require M >= 1")
-        if not _all_finite(arr):
-            raise ValueError("measurements contain non-finite entries")
+        arr = measurement_array(_kept(self.values, np.float64), name="measurements")
         object.__setattr__(self, "values", arr)
         self.values.setflags(write=False)
 
     @property
     def m(self) -> int:
         return self.values.shape[0]
+
+
+def ensemble_array(ensemble, name: str = "ensemble") -> np.ndarray:
+    """The (M, N) complex128 rows of ``ensemble``: a :class:`SensingEnsemble`'s own
+    array, or any other input converted and checked as that class checks it."""
+    if isinstance(ensemble, SensingEnsemble):
+        return ensemble.vectors
+    arr = np.asarray(ensemble, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-D (M, N), got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{name} requires M >= 1 and N >= 1")
+    if not _all_finite(arr):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def measurement_array(y, m: int | None = None, name: str = "measurements y") -> np.ndarray:
+    """The float64 values of ``y``: a :class:`MeasurementSet`'s own array, or any
+    other input converted and checked as that class checks it; ``m`` of them."""
+    if isinstance(y, MeasurementSet):
+        arr = y.values
+    else:
+        arr = np.asarray(y, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+        if arr.size < 1:
+            raise ValueError(f"{name} require M >= 1")
+        if not _all_finite(arr):
+            raise ValueError(f"{name} contain non-finite entries")
+    if m is not None and arr.shape[0] != m:
+        raise DimensionMismatchError(f"{name} have shape {arr.shape}, ensemble has M = {m}")
+    return arr

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionMismatchError, SensingEnsemble, inner, inner_rows
+from .core import DimensionMismatchError, SensingEnsemble, as_cvector, ensemble_array, inner, inner_rows
 
 
 def dist(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
@@ -21,8 +21,8 @@ def dist(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
     accurate when the two vectors nearly coincide (the closed form cancels
     catastrophically near zero).
     """
-    x_sharp = np.asarray(x_sharp, dtype=np.complex128)
-    x_hat = np.asarray(x_hat, dtype=np.complex128)
+    x_sharp = as_cvector(x_sharp, "x_sharp")
+    x_hat = as_cvector(x_hat, "x_hat")
     if x_sharp.shape != x_hat.shape:
         raise DimensionMismatchError(f"shape mismatch: {x_sharp.shape} vs {x_hat.shape}")
     ip = np.vdot(x_hat, x_sharp)
@@ -66,12 +66,12 @@ def rel_corr(
     products [inner(a_1, x), ..., inner(a_M, x)], returns
     ||yv(a_sharp, x_sharp) - yv(a_dag, exp(j*phi)*x_dag)|| / ||yv(a_sharp, x_sharp)||.
     """
-    va = a_sharp.vectors if isinstance(a_sharp, SensingEnsemble) else np.asarray(a_sharp)
-    vd = a_dag.vectors if isinstance(a_dag, SensingEnsemble) else np.asarray(a_dag)
-    x_sharp = np.asarray(x_sharp, dtype=np.complex128)
-    x_dag = np.asarray(x_dag, dtype=np.complex128)
-    if va.shape != vd.shape or va.shape[1] != x_sharp.shape[0]:
-        raise DimensionMismatchError("ensemble/signal dimensions disagree")
+    va = ensemble_array(a_sharp, "a_sharp")
+    vd = ensemble_array(a_dag, "a_dag")
+    if va.shape != vd.shape:
+        raise DimensionMismatchError(f"a_sharp has shape {va.shape}, a_dag has shape {vd.shape}")
+    x_sharp = as_cvector(x_sharp, "x_sharp", va.shape[1])
+    x_dag = as_cvector(x_dag, "x_dag", va.shape[1])
     phi = optimal_phase(x_sharp, x_dag)
     ref = inner_rows(va, x_sharp)
     got = inner_rows(vd, np.exp(1j * phi) * x_dag)

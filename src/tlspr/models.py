@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, MeasurementSet, SensingEnsemble, _complex_normal, _Owned, inner_rows
+from .core import MeasurementSet, SensingEnsemble, _complex_normal, _Owned, as_cvector, ensemble_array, inner_rows
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,7 @@ def cdp_measure(vectors_or_patterns, x: np.ndarray) -> np.ndarray:
 
 def synthesize_measurements(ensemble: SensingEnsemble | np.ndarray, x: np.ndarray) -> MeasurementSet:
     """Clean quadratic measurements y_m = |inner(a_m, x)|^2."""
-    vectors = ensemble.vectors if isinstance(ensemble, SensingEnsemble) else np.asarray(ensemble)
-    x = np.asarray(x, dtype=np.complex128)
-    if vectors.ndim != 2 or vectors.shape[1] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"ensemble of shape {vectors.shape} incompatible with signal of length {x.shape[0]}"
-        )
+    vectors = ensemble_array(ensemble)
+    x = as_cvector(x, "x", vectors.shape[1])
     values = np.abs(inner_rows(vectors, x)) ** 2
     return MeasurementSet(_Owned(values))

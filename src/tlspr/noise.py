@@ -104,6 +104,8 @@ def inject(
     :func:`handcrafted_row_scales`, need the ground truth ``x_sharp``."""
     if spec.model == "handcrafted" and x_sharp is None:
         raise ValueError("handcrafted errors need the ground-truth signal")
+    if clean_y.m != clean_a.m:
+        raise ValueError(f"clean_y holds {clean_y.m} measurements, clean_a has {clean_a.m} rows")
     e_y = rng.normal(size=clean_y.m)
     e_a = _complex_normal(rng, (clean_y.m, clean_a.n), spec.real_mode)
     if spec.model == "handcrafted":

@@ -47,11 +47,13 @@ needs 0.24x the iterations of the same exact step along g.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSet, SensingEnsemble, _complex_normal, _Owned, as_cvector, inner_rows, make_rng
+from .core import SensingEnsemble, _complex_normal, _Owned, as_cvector, inner_rows, make_rng
+from .core import ensemble_array, measurement_array  # the input gate
 from .correction import LineRoots
 # Not called here; bench/harness.py traces the sweep under this name.
 from .correction import sweep_corrections  # noqa: F401
@@ -90,14 +92,15 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection {self.projection!r}")
-        if not (self.lambda_a_dag > 0 and self.lambda_y_dag > 0):
-            raise ValueError("regularization weights must be > 0")
-        if self.step_size is not None and not (self.step_size > 0):
-            raise ValueError("step_size must be > 0")
-        if not (self.threshold > 0):
-            raise ValueError("threshold must be > 0")
-        if self.max_iters < 0 or self.power_iters < 1:
-            raise ValueError("max_iters must be >= 0 and power_iters >= 1")
+        for name in ("lambda_a_dag", "lambda_y_dag", "step_size", "threshold"):
+            value = getattr(self, name)
+            if not (name == "step_size" and value is None or 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name, least in (("max_iters", 0), ("power_iters", 1)):
+            value = getattr(self, name)
+            integral = hasattr(type(value), "__index__") and not isinstance(value, bool)
+            if not (integral and operator.index(value) >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,21 +110,6 @@ class SolveResult:
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-
-
-def _as_vectors(ensemble) -> np.ndarray:
-    if isinstance(ensemble, SensingEnsemble):
-        return ensemble.vectors
-    arr = np.asarray(ensemble, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError("ensemble must be a (M, N) array")
-    return arr
-
-
-def _as_values(y) -> np.ndarray:
-    if isinstance(y, MeasurementSet):
-        return y.values
-    return np.asarray(y, dtype=np.float64)
 
 
 def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
@@ -136,10 +124,8 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
     norm estimate sqrt(sum_m y_m / (2M)).  Real-valued data yields a real
     start vector so the iteration stays real.
     """
-    vectors = _as_vectors(ensemble)
-    yv = _as_values(y)
-    if yv.shape[0] != vectors.shape[0]:
-        raise ValueError("measurement count does not match ensemble")
+    vectors = ensemble_array(ensemble)
+    yv = measurement_array(y, vectors.shape[0])
     if np.all(yv == 0.0):
         raise ValueError("all measurements are zero; spectral init undefined")
     total = float(np.sum(yv))
@@ -196,11 +182,7 @@ def project_real_binary(x: np.ndarray) -> np.ndarray:
 
 def ls_gradient(x, ensemble, y) -> np.ndarray:
     """Wirtinger gradient of the (1/2M)-normalized least squares misfit."""
-    vectors = _as_vectors(ensemble)
-    yv = _as_values(y)
-    x = np.asarray(x, dtype=np.complex128)
-    if vectors.shape[1] != x.shape[0] or vectors.shape[0] != yv.shape[0]:
-        raise ValueError("dimension mismatch")
+    vectors, yv, x = _checked(x, ensemble, y)
     nu = inner_rows(vectors, x)
     w = (np.abs(nu) ** 2 - yv) * nu / yv.shape[0]
     return vectors.T @ w
@@ -208,20 +190,18 @@ def ls_gradient(x, ensemble, y) -> np.ndarray:
 
 def objective_ls(x, ensemble, y) -> float:
     """(1/2M) sum (y_m - |inner(a_m, x)|^2)^2."""
-    vectors = _as_vectors(ensemble)
-    yv = _as_values(y)
-    nu = inner_rows(vectors, np.asarray(x, dtype=np.complex128))
+    vectors, yv, x = _checked(x, ensemble, y)
+    nu = inner_rows(vectors, x)
     return float(np.sum((yv - np.abs(nu) ** 2) ** 2) / (2.0 * yv.shape[0]))
 
 
 def objective_tls(x, corrected, original, y, lambda_a: float, lambda_y: float) -> float:
     """(1/2M) sum lambda_a ||a_m - v_m||^2 + lambda_y (y_m - |inner(v_m, x)|^2)^2."""
-    v = _as_vectors(corrected)
-    a = _as_vectors(original)
-    yv = _as_values(y)
-    if v.shape != a.shape or v.shape[0] != yv.shape[0]:
-        raise ValueError("dimension mismatch")
-    nu = inner_rows(v, np.asarray(x, dtype=np.complex128))
+    v, yv, x = _checked(x, corrected, y, "corrected")
+    a = ensemble_array(original, "original")
+    if v.shape != a.shape:
+        raise ValueError(f"corrected has shape {v.shape}, original has shape {a.shape}")
+    nu = inner_rows(v, x)
     corr = np.sum(np.abs(v - a) ** 2, axis=1)
     misfit = (yv - np.abs(nu) ** 2) ** 2
     return float(np.sum(lambda_a * corr + lambda_y * misfit) / (2.0 * yv.shape[0]))
@@ -235,9 +215,7 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
     v_m the corrected vectors at x: lambda_y times the step direction of
     :func:`solve_tls`, computed by the same :func:`_tls_gradient`.
     """
-    vectors = _as_vectors(ensemble)
-    yv = _as_values(y)
-    x = np.asarray(x, dtype=np.complex128)
+    vectors, yv, x = _checked(x, ensemble, y)
     norm_sq = float(np.vdot(x, x).real)
     if norm_sq == 0.0:
         raise ValueError("x must be nonzero")
@@ -247,6 +225,14 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         grad = _tls_gradient(vectors, yv, x, norm_sq, inner_rows(vectors, x), lambda_a, lambda_y, line, w)
     return lambda_y * grad
+
+
+def _checked(x, ensemble, y, name: str = "ensemble"):
+    """The rows of ``ensemble``, the values of ``y`` and the signal ``x``,
+    each checked against the others' dimensions."""
+    vectors = ensemble_array(ensemble, name)
+    m, n = vectors.shape
+    return vectors, measurement_array(y, m), as_cvector(x, "x", n)
 
 
 def _tls_gradient(vectors, yv, x, norm_sq, nu_a, lambda_a, lambda_y, line: LineRoots, w) -> np.ndarray:
@@ -274,18 +260,14 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
     scaled step, shared by both solvers."""
     if cfg.mode != mode:
         raise ValueError(f"cfg.mode must be {mode!r}")
-    vectors = _as_vectors(ensemble)
-    yv = _as_values(y)
+    vectors = ensemble_array(ensemble)
     m, n = vectors.shape
-    if yv.shape != (m,):
-        raise ValueError(f"measurements have shape {yv.shape}, ensemble has M = {m}")
+    yv = measurement_array(y, m)
     if x0 is not None:
-        x = as_cvector(x0, "x0").copy()
-        if x.shape[0] != n:
-            raise ValueError(f"x0 has length {x.shape[0]}, ensemble has N = {n}")
+        x = as_cvector(x0, "x0", n).copy()
     else:
-        try:
-            x = spectral_init(yv, vectors, cfg.power_iters)
+        try:  # the inputs as passed, so that a container is not checked twice
+            x = spectral_init(y, ensemble, cfg.power_iters)
         except ValueError:
             x = fallback_init(n, real_mode=not vectors.imag.any())
     binary = cfg.projection == "real_binary"

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tlspr.core import complex_gaussian_vector, make_rng
+from tlspr.core import MeasurementSet, complex_gaussian_vector, make_rng
 from tlspr.models import gaussian_ensemble, synthesize_measurements
 from tlspr.noise import (
     NoiseSpec,
@@ -185,3 +185,15 @@ def test_error_variance_sums_the_energy_of_complex_entries():
     assert var == pytest.approx(0.2, rel=0.01)
     real = clean.real.copy()
     assert error_variance(real, 10.0) == float(np.sum(real * real)) * snr_scale(20.0) / real.size
+
+
+@pytest.mark.parametrize("sensing_snr_db", [None, 10.0])
+def test_inject_rejects_a_measurement_count_other_than_m_before_drawing(sensing_snr_db):
+    rng, x, ens, y = _clean_instance(10, n=4, m=20)
+    short = MeasurementSet(y.values[:16])
+    spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=sensing_snr_db)
+    rng = make_rng(11)
+    with pytest.raises(ValueError, match="16 measurements, clean_a has 20 rows"):
+        inject(rng, short, ens, spec)
+    # No draw was taken: the stream is where a fresh generator starts.
+    assert rng.bit_generator.state == make_rng(11).bit_generator.state

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -459,6 +461,51 @@ def test_solver_config_validation():
         SolverConfig(lambda_a_dag=0.0)
     with pytest.raises(ValueError):
         SolverConfig(projection="clamp")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda_a_dag", np.inf),
+        ("lambda_y_dag", np.inf),
+        ("lambda_a_dag", np.nan),
+        ("lambda_y_dag", 0.0),
+        ("threshold", np.inf),
+        ("threshold", 0.0),
+        ("step_size", np.inf),
+        ("step_size", -1.0),
+        ("max_iters", 2.5),
+        ("max_iters", True),
+        ("max_iters", -1),
+        ("power_iters", 2.5),
+        ("power_iters", False),
+        ("power_iters", 0),
+    ],
+)
+def test_solver_config_rejects_non_finite_weights_and_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_takes_any_integer_count():
+    cfg = SolverConfig(max_iters=np.int64(3), power_iters=np.int32(2), step_size=None)
+    x, ens, y = _clean_instance(29, 6, 48)
+    assert solve_ls(y, ens, replace(cfg, mode="ls")).iterations <= 3
+
+
+@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
+def test_raw_arrays_and_containers_solve_bit_for_bit(solver):
+    # Without x0, so spectral_init runs on both paths too.
+    x, ens, y = _clean_instance(35, 8, 64)
+    y_obs, ens_obs = inject(make_rng(36), y, ens, NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0))
+    cfg = SolverConfig(mode=solver.__name__[len("solve_"):])
+    boxed = solver(y_obs, ens_obs, cfg)
+    raw = solver(y_obs.values.copy(), ens_obs.vectors.copy(), cfg)
+    assert raw.iterations == boxed.iterations and raw.converged == boxed.converged
+    assert raw.x_hat.tobytes() == boxed.x_hat.tobytes()
+    assert raw.objective_trace.tobytes() == boxed.objective_trace.tobytes()
+    if solver is solve_tls:
+        assert raw.corrected_ensemble.vectors.tobytes() == boxed.corrected_ensemble.vectors.tobytes()
 
 
 @pytest.mark.parametrize("solver", [solve_ls, solve_tls])
