@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import DimensionMismatchError, _check_positive, _finite_array
 from .solvers import SolverConfig, solve_ls, solve_tls
 
 COND_LIMIT = 1e12
@@ -40,13 +41,28 @@ class IllConditionedError(RuntimeError):
     """Normal matrix condition number exceeds COND_LIMIT."""
 
 
-def _require_real(arr, name: str) -> np.ndarray:
+def _real(arr, name: str, shape: tuple) -> np.ndarray:
+    """``arr`` as a float64 array of ``shape`` (None: any length) whose entries
+    are finite, with a zero imaginary part if it has one."""
     a = np.asarray(arr)
-    if np.iscomplexobj(a):
-        if np.any(a.imag != 0):
-            raise ValueError(f"{name} must be real-valued")
-        a = a.real
-    return np.asarray(a, dtype=np.float64)
+    if np.iscomplexobj(a) and np.any(a.imag != 0):
+        raise ValueError(f"{name} must be real-valued")
+    a = _finite_array(a.real, np.float64, len(shape), name)
+    if any(k not in (None, got) for k, got in zip(shape, a.shape)):
+        raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {shape} (None: any)")
+    return a
+
+
+def _real_problem(a_clean, y_clean, x_sharp, positive_y: bool = False):
+    """The checked (M, N) ``a_clean``, (M,) ``y_clean`` and (N,) ``x_sharp``;
+    ``positive_y`` for a predictor, which divides by y_clean."""
+    a = _real(a_clean, "a_clean", (None, None))
+    m, n = a.shape
+    y = _real(y_clean, "y_clean", (m,))
+    x = _real(x_sharp, "x_sharp", (n,))
+    if positive_y and np.any(y <= 0):
+        raise ValueError("all clean measurements y_clean must be > 0")
+    return a, y, x
 
 
 @dataclass(frozen=True)
@@ -59,18 +75,10 @@ class ErrorAnalysisInputs:
     lambda_ratio: float  # lambda_y / lambda_a, >= 0
 
     def __post_init__(self):
-        a = _require_real(self.a_clean, "a_clean")
-        y = _require_real(self.y_clean, "y_clean")
-        x = _require_real(self.x_sharp, "x_sharp")
-        ea = _require_real(self.e_a, "e_a")
-        ey = _require_real(self.e_y, "e_y")
-        m, n = a.shape
-        if y.shape != (m,) or x.shape != (n,) or ea.shape != (m, n) or ey.shape != (m,):
-            raise ValueError("inconsistent dimensions")
-        if np.any(y <= 0):
-            raise ValueError("all clean measurements must be > 0")
-        if not (self.lambda_ratio >= 0):
-            raise ValueError("lambda_ratio must be >= 0")
+        a, y, x = _real_problem(self.a_clean, self.y_clean, self.x_sharp, positive_y=True)
+        ea = _real(self.e_a, "e_a", a.shape)
+        ey = _real(self.e_y, "e_y", y.shape)
+        _check_positive(allow_zero=True, lambda_ratio=self.lambda_ratio)
         for name, val in (("a_clean", a), ("y_clean", y), ("x_sharp", x), ("e_a", ea), ("e_y", ey)):
             object.__setattr__(self, name, val)
 
@@ -107,16 +115,12 @@ def first_order_errors(inputs: ErrorAnalysisInputs) -> ErrorPrediction:
     return ErrorPrediction(e_tls, e_ls, e_tls / x_norm, e_ls / x_norm)
 
 
-def _solve_matrices(a_clean, y_clean, x_sharp, lambda_ratios):
-    """The TLS map R at each weight ratio in ``lambda_ratios``, one at a
-    time.  At ratio 0, D = I and R is the LS map, bit for bit."""
-    a = _require_real(a_clean, "a_clean")
-    y = _require_real(y_clean, "y_clean")
-    x = _require_real(x_sharp, "x_sharp")
-    if np.any(y <= 0):
-        raise ValueError("all clean measurements must be > 0")
+def _solve_matrices(a, y, x, lambda_ratios):
+    """The TLS map R of checked inputs at each ratio in ``lambda_ratios``, one
+    at a time.  At ratio 0, D = I and R is the LS map, bit for bit."""
     x_norm_sq = float(np.linalg.norm(x)) ** 2
     for ratio in lambda_ratios:
+        _check_positive(allow_zero=True, lambda_ratio=ratio)
         yd = y * d_diagonal(y, x_norm_sq, ratio)
         yield _gated_solve(a.T @ (yd[:, None] * a), a.T * yd[None, :])
 
@@ -125,7 +129,7 @@ def solve_matrices(
     a_clean: np.ndarray, y_clean: np.ndarray, x_sharp: np.ndarray, lambda_ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (N, M) maps R such that e = ||R w|| for TLS and LS."""
-    return tuple(_solve_matrices(a_clean, y_clean, x_sharp, (lambda_ratio, 0.0)))
+    return tuple(_solve_matrices(*_real_problem(a_clean, y_clean, x_sharp), (lambda_ratio, 0.0)))
 
 
 def expected_squared_errors(
@@ -151,12 +155,11 @@ def expected_tls_errors(
 ) -> list[float]:
     """E[e_tls^2] of :func:`expected_squared_errors` at each weight ratio in
     ``lambda_ratios``, with no LS solve; at ratio 0 it is E[e_ls^2]."""
-    if sigma_delta_sq < 0 or sigma_eta_sq < 0:
-        raise ValueError("variances must be >= 0")
-    y = _require_real(y_clean, "y_clean")
-    x_norm_sq = float(np.linalg.norm(_require_real(x_sharp, "x_sharp"))) ** 2
+    _check_positive(allow_zero=True, sigma_delta_sq=sigma_delta_sq, sigma_eta_sq=sigma_eta_sq)
+    a, y, x = _real_problem(a_clean, y_clean, x_sharp, positive_y=True)
+    x_norm_sq = float(np.linalg.norm(x)) ** 2
     out = []
-    for r in _solve_matrices(a_clean, y, x_sharp, lambda_ratios):
+    for r in _solve_matrices(a, y, x, lambda_ratios):
         sensing_term = sigma_delta_sq * x_norm_sq * float(np.sum(r * r))
         meas_term = 0.25 * sigma_eta_sq * float(np.sum((r * r) / y[None, :]))
         out.append(sensing_term + meas_term)
@@ -167,8 +170,7 @@ def ml_parameters(sigma_delta_sq: float, sigma_eta_sq: float):
     """Maximum-likelihood weights: lambda_a = 1/sigma_delta^2, lambda_y = 1/sigma_eta^2."""
     from .correction import CorrectionParams
 
-    if sigma_delta_sq <= 0 or sigma_eta_sq <= 0:
-        raise ValueError("variances must be > 0")
+    _check_positive(sigma_delta_sq=sigma_delta_sq, sigma_eta_sq=sigma_eta_sq)
     return CorrectionParams(lambda_a=1.0 / sigma_delta_sq, lambda_y=1.0 / sigma_eta_sq)
 
 
@@ -192,9 +194,9 @@ def finite_difference_jacobians(
     perturbed problem is re-solved from the ground truth so the solver tracks
     the perturbed argmin branch.
     """
-    a = _require_real(a_clean, "a_clean").copy()
-    y = _require_real(y_clean, "y_clean").copy()
-    x0 = _require_real(x_sharp, "x_sharp").astype(np.complex128)
+    a, y, x = _real_problem(a_clean, y_clean, x_sharp)
+    _check_positive(lambda_a=lambda_a, lambda_y=lambda_y, h=h)
+    a, y, x0 = a.copy(), y.copy(), x.astype(np.complex128)
     m, n = a.shape
     if method not in ("tls", "ls"):
         raise ValueError("method must be 'tls' or 'ls'")
@@ -227,4 +229,7 @@ def finite_difference_jacobians(
 
 def predicted_perturbation(j_a: np.ndarray, j_y: np.ndarray, e_a: np.ndarray, e_y: np.ndarray) -> np.ndarray:
     """Apply stacked Jacobian blocks to an error realization."""
-    return j_a @ np.asarray(e_a, dtype=np.float64).ravel() + j_y @ np.asarray(e_y, dtype=np.float64)
+    j_y = _real(j_y, "j_y", (None, None))
+    n, m = j_y.shape
+    j_a = _real(j_a, "j_a", (n, m * n))
+    return j_a @ _real(e_a, "e_a", (m, n)).ravel() + j_y @ _real(e_y, "e_y", (m,))

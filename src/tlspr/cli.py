@@ -19,11 +19,11 @@ line flags override file values.  The worker count for sweeps comes from the
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 
-Reproducibility: every trial owns a generator seeded as
-``seed + 100003 * combination_index + trial_index``, and result rows are
-written in (combination, trial) order, so output is identical across runs
-and worker counts.  Wall-time columns are the only nondeterministic
-output and are excluded from determinism comparisons.
+Reproducibility: every trial owns the generator that
+:func:`tlspr.core.trial_rng` gives its combination and trial index, and
+result rows are written in (combination, trial) order, so output is
+identical across runs and worker counts.  Wall-time columns are the only
+nondeterministic output and are excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, metrics, noise, serialization
-from .core import MeasurementSet, SensingEnsemble, _complex_normal, complex_gaussian_vector, make_rng
+from .core import MeasurementSet, SensingEnsemble, _complex_normal, _trial_seed, complex_gaussian_vector, make_rng
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
 from .solvers import SolverConfig, SolverError, solve_ls, solve_tls, spectral_init
 
 SWEEP_SCHEMA = "tlspr-sweep-csv v1"
 ANALYZE_SCHEMA = "tlspr-analyze-csv v1"
-_COMBO_SEED_STRIDE = 100003
 
 SWEEP_COLUMNS = [
     "record",
@@ -295,7 +294,7 @@ def _summary_rows(combo_rows: list[dict], cols) -> list[dict]:
 
 def _trial_worker(args) -> tuple:
     trial, config, combo_index, ratio, meas_db, sens_db, trial_index = args
-    seed = config.seed + _COMBO_SEED_STRIDE * combo_index + trial_index
+    seed = _trial_seed(config.seed, trial_index, combo_index)
     return combo_index, trial(config, ratio, meas_db, sens_db, seed, trial_index)
 
 
@@ -433,8 +432,6 @@ def solve_single(
     y = serialization.load(measurements_path)
     if not isinstance(ens, SensingEnsemble) or not isinstance(y, MeasurementSet):
         raise UsageError("inputs must be an ensemble file and a measurements file")
-    if y.m != ens.m:
-        raise UsageError(f"measurement count {y.m} does not match ensemble rows {ens.m}")
     x_sharp = None
     if signal_path is not None:
         x_sharp = serialization.load(signal_path)

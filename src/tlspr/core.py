@@ -8,12 +8,13 @@ Conventions used throughout the package:
   ``inner(a, b) = sum(conj(a_i) * b_i)``.  Every formula in the package is
   written against this convention.
 * Randomness comes from numpy's PCG64 generator.  A sweep seeds trial t of
-  combination c as ``seed + 100003 * c + t`` (see :mod:`tlspr.cli`), so
+  combination c as ``seed + 100003 * c + t`` (:func:`trial_rng`), so
   individual trials can be reproduced in isolation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,23 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
-    """Generator seeded ``base_seed + trial_index``: a sweep's stream for
-    trial ``trial_index`` of combination 0 only."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
-    return make_rng(int(base_seed) + int(trial_index))
+def _trial_seed(base_seed: int, trial_index: int, combination: int = 0) -> int:
+    """The seed ``base_seed + 100003 * combination + trial_index`` of :func:`trial_rng`."""
+    if trial_index < 0 or combination < 0:
+        raise ValueError("trial_index and combination must be nonnegative")
+    return int(base_seed) + 100003 * int(combination) + int(trial_index)
+
+
+def trial_rng(base_seed: int, trial_index: int, combination: int = 0) -> np.random.Generator:
+    """The generator of trial ``trial_index`` of combination ``combination`` in a sweep seeded ``base_seed``."""
+    return make_rng(_trial_seed(base_seed, trial_index, combination))
+
+
+def _check_positive(allow_zero: bool = False, **scalars) -> None:
+    """Raise a ValueError naming the first of ``scalars`` not finite and > 0 (>= 0 with ``allow_zero``)."""
+    for name, value in scalars.items():
+        if not ((value >= 0 if allow_zero else value > 0) and value < math.inf):
+            raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")
 
 
 def as_cvector(x, name: str = "vector", n: int | None = None) -> np.ndarray:
@@ -48,15 +60,9 @@ def as_cvector(x, name: str = "vector", n: int | None = None) -> np.ndarray:
     Rejects empty vectors, non-finite entries (NaN/Inf in either the real
     or the imaginary part) and, given ``n``, a length other than ``n``.
     """
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must have length > 0")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+    arr = _finite_array(x, np.complex128, 1, name)
     if n is not None and arr.shape[0] != n:
-        raise DimensionMismatchError(f"{name} has length {arr.shape[0]}, ensemble has N = {n}")
+        raise DimensionMismatchError(f"{name} has length {arr.shape[0]}, expected {n}")
     return arr
 
 
@@ -67,8 +73,7 @@ def complex_gaussian_vector(rng: np.random.Generator, n: int, scale: float = 1.0
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (scale > 0):
-        raise ValueError("scale must be > 0")
+    _check_positive(scale=scale)
     z = rng.normal(0.0, scale, size=n) + 1j * rng.normal(0.0, scale, size=n)
     return z
 
@@ -130,6 +135,18 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(flat.min()) and np.isfinite(flat.max()))
 
 
+def _finite_array(data, dtype, ndim: int, name: str, verb: str = "contains") -> np.ndarray:
+    """``data`` as a non-empty ``ndim``-D ``dtype`` array of finite entries, else a ValueError."""
+    arr = np.asarray(data, dtype=dtype)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must not be empty, got shape {arr.shape}")
+    if not _all_finite(arr):
+        raise ValueError(f"{name} {verb} non-finite entries")
+    return arr
+
+
 @dataclass(frozen=True)
 class SensingEnsemble:
     """M sensing vectors of common dimension N, stored as rows of ``vectors``.
@@ -185,29 +202,21 @@ def ensemble_array(ensemble, name: str = "ensemble") -> np.ndarray:
     array, or any other input converted and checked as that class checks it."""
     if isinstance(ensemble, SensingEnsemble):
         return ensemble.vectors
-    arr = np.asarray(ensemble, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (M, N), got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} requires M >= 1 and N >= 1")
-    if not _all_finite(arr):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _finite_array(ensemble, np.complex128, 2, name)
 
 
 def measurement_array(y, m: int | None = None, name: str = "measurements y") -> np.ndarray:
     """The float64 values of ``y``: a :class:`MeasurementSet`'s own array, or any
     other input converted and checked as that class checks it; ``m`` of them."""
-    if isinstance(y, MeasurementSet):
-        arr = y.values
-    else:
-        arr = np.asarray(y, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-        if arr.size < 1:
-            raise ValueError(f"{name} require M >= 1")
-        if not _all_finite(arr):
-            raise ValueError(f"{name} contain non-finite entries")
+    arr = y.values if isinstance(y, MeasurementSet) else _finite_array(y, np.float64, 1, name, "contain")
     if m is not None and arr.shape[0] != m:
         raise DimensionMismatchError(f"{name} have shape {arr.shape}, ensemble has M = {m}")
     return arr
+
+
+def _checked(x, ensemble, y, name: str = "ensemble"):
+    """The rows of ``ensemble``, the values of ``y`` and the signal ``x``,
+    each checked against the others' dimensions."""
+    vectors = ensemble_array(ensemble, name)
+    m, n = vectors.shape
+    return vectors, measurement_array(y, m), as_cvector(x, "x", n)

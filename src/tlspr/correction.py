@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, inner, inner_rows
+from .core import _check_positive, _checked, as_cvector, ensemble_array, inner, inner_rows, measurement_array
 # Not called here; bench/harness.py traces the cubic under this name.
 from .cubic import depressed_roots_batch  # noqa: F401
 from .cubic import root_workspace, smallest_real_root_into
@@ -57,10 +57,7 @@ class CorrectionParams:
     lambda_y: float
 
     def __post_init__(self):
-        for name in ("lambda_a", "lambda_y"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        _check_positive(lambda_a=self.lambda_a, lambda_y=self.lambda_y)
 
 
 @dataclass(frozen=True)
@@ -70,29 +67,37 @@ class CorrectionResult:
     objective_value: float
 
 
-def reconstruct_from_nu(a_m: np.ndarray, x: np.ndarray, nu: complex) -> np.ndarray:
-    """Vector v with inner(v, x) = nu that differs from a_m only along x."""
-    a_m = np.asarray(a_m, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    if a_m.shape != x.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a_m.shape} vs {x.shape}")
+def _norm_sq(x: np.ndarray) -> float:
+    """||x||^2 of a signal the correction divides by; zero raises."""
     norm_sq = float(np.vdot(x, x).real)
     if norm_sq == 0.0:
         raise ValueError("x must be nonzero")
-    shift = np.conj(nu - inner(a_m, x)) / norm_sq
-    return a_m + shift * x
+    return norm_sq
+
+
+def _moved_rows(vectors: np.ndarray, x: np.ndarray, delta: np.ndarray, norm_sq: float) -> np.ndarray:
+    """The rows v_m = vectors_m + conj(delta_m) x / norm_sq, so inner(v_m, x) =
+    inner(vectors_m, x) + delta_m at norm_sq = ||x||^2; overwrites ``delta``."""
+    shift = np.conjugate(delta, out=delta)
+    shift /= norm_sq
+    rows = np.outer(shift, x)
+    rows += vectors
+    return rows
+
+
+def reconstruct_from_nu(a_m: np.ndarray, x: np.ndarray, nu: complex) -> np.ndarray:
+    """Vector v with inner(v, x) = nu that differs from a_m only along x."""
+    a_m = as_cvector(a_m, "a_m")
+    x = as_cvector(x, "x", a_m.shape[0])
+    delta = as_cvector([nu], "nu") - inner(a_m, x)
+    return _moved_rows(a_m, x, delta, _norm_sq(x))[0]
 
 
 def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> CorrectionResult:
     """Globally minimize f_m over corrected vectors: a one-row
     :func:`sweep_corrections` mapped to a full vector by :func:`reconstruct_from_nu`."""
-    a_m = np.asarray(a_m, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    if a_m.shape != x.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a_m.shape} vs {x.shape}")
-    if not (np.all(np.isfinite(a_m)) and np.all(np.isfinite(x)) and np.isfinite(y_m)):
-        raise ValueError("inputs must be finite")
-    nu_star, f_star = sweep_corrections(a_m[None, :], [y_m], x, params.lambda_a, params.lambda_y)
+    a_m, y = as_cvector(a_m, "a_m"), measurement_array([y_m], name="y_m")
+    nu_star, f_star = sweep_corrections(a_m[None, :], y, x, params.lambda_a, params.lambda_y)
     return CorrectionResult(
         corrected=reconstruct_from_nu(a_m, x, nu_star[0]),
         nu=complex(nu_star[0]),
@@ -155,14 +160,10 @@ def sweep_corrections(
     (see :func:`apply_corrections`); callers that only need inner products
     with x can work with nu_star directly since inner(v_m, x) = nu_star_m.
     """
-    vectors = np.asarray(vectors, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.complex128)
-    norm_sq = float(np.vdot(x, x).real)
-    if norm_sq == 0.0:
-        raise ValueError("x must be nonzero")
-    if nu_a is None:
-        nu_a = inner_rows(vectors, x)
+    vectors, y, x = _checked(x, vectors, y, "vectors")
+    _check_positive(lambda_a=lambda_a, lambda_y=lambda_y)
+    norm_sq = _norm_sq(x)
+    nu_a = inner_rows(vectors, x) if nu_a is None else as_cvector(nu_a, "nu_a", y.shape[0])
     line = LineRoots(y.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         line.solve(nu_a, y, lambda_a, lambda_y, norm_sq)
@@ -174,7 +175,8 @@ def sweep_corrections(
 
 def apply_corrections(vectors: np.ndarray, x: np.ndarray, nu_star: np.ndarray) -> np.ndarray:
     """Materialize the corrected ensemble for the sweep output."""
-    norm_sq = float(np.vdot(x, x).real)
-    nu_a = inner_rows(vectors, x)
-    shift = np.conj(nu_star - nu_a) / norm_sq
-    return vectors + np.outer(shift, x)
+    vectors = ensemble_array(vectors, "vectors")
+    m, n = vectors.shape
+    x = as_cvector(x, "x", n)
+    nu_star = as_cvector(nu_star, "nu_star", m)
+    return _moved_rows(vectors, x, nu_star - inner_rows(vectors, x), _norm_sq(x))

@@ -22,9 +22,7 @@ def dist(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
     catastrophically near zero).
     """
     x_sharp = as_cvector(x_sharp, "x_sharp")
-    x_hat = as_cvector(x_hat, "x_hat")
-    if x_sharp.shape != x_hat.shape:
-        raise DimensionMismatchError(f"shape mismatch: {x_sharp.shape} vs {x_hat.shape}")
+    x_hat = as_cvector(x_hat, "x_hat", x_sharp.shape[0])
     ip = np.vdot(x_hat, x_sharp)
     rot = ip / abs(ip) if ip != 0 else 1.0
     return float(np.linalg.norm(x_sharp - rot * x_hat))

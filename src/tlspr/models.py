@@ -72,9 +72,9 @@ def cdp_ensemble(rng: np.random.Generator, cfg: CdpConfig) -> SensingEnsemble:
 
 def cdp_measure(vectors_or_patterns, x: np.ndarray) -> np.ndarray:
     """Reference forward map for CDP: |fft(p_l * x)|^2 stacked over patterns."""
-    x = np.asarray(x, dtype=np.complex128)
-    out = [np.abs(np.fft.fft(p * x)) ** 2 for p in vectors_or_patterns]
-    return np.concatenate(out)
+    patterns = ensemble_array(vectors_or_patterns, "vectors_or_patterns")
+    x = as_cvector(x, "x", patterns.shape[1])
+    return np.concatenate([np.abs(np.fft.fft(p * x)) ** 2 for p in patterns])
 
 
 def synthesize_measurements(ensemble: SensingEnsemble | np.ndarray, x: np.ndarray) -> MeasurementSet:

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SensingEnsemble, _complex_normal, _Owned, as_cvector, inner_rows, make_rng
-from .core import ensemble_array, measurement_array  # the input gate
-from .correction import LineRoots
+from .core import _check_positive, _checked, ensemble_array, measurement_array  # the input gate
+from .correction import LineRoots, _moved_rows, _norm_sq
 # Not called here; bench/harness.py traces the sweep under this name.
 from .correction import sweep_corrections  # noqa: F401
 from .cubic import depressed_real_roots
@@ -92,10 +92,9 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection {self.projection!r}")
-        for name in ("lambda_a_dag", "lambda_y_dag", "step_size", "threshold"):
-            value = getattr(self, name)
-            if not (name == "step_size" and value is None or 0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        step = {} if self.step_size is None else {"step_size": self.step_size}
+        _check_positive(lambda_a_dag=self.lambda_a_dag, lambda_y_dag=self.lambda_y_dag, **step,
+                        threshold=self.threshold)
         for name, least in (("max_iters", 0), ("power_iters", 1)):
             value = getattr(self, name)
             integral = hasattr(type(value), "__index__") and not isinstance(value, bool)
@@ -201,6 +200,7 @@ def objective_tls(x, corrected, original, y, lambda_a: float, lambda_y: float) -
     a = ensemble_array(original, "original")
     if v.shape != a.shape:
         raise ValueError(f"corrected has shape {v.shape}, original has shape {a.shape}")
+    _check_positive(allow_zero=True, lambda_a=lambda_a, lambda_y=lambda_y)
     nu = inner_rows(v, x)
     corr = np.sum(np.abs(v - a) ** 2, axis=1)
     misfit = (yv - np.abs(nu) ** 2) ** 2
@@ -216,23 +216,14 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
     :func:`solve_tls`, computed by the same :func:`_tls_gradient`.
     """
     vectors, yv, x = _checked(x, ensemble, y)
-    norm_sq = float(np.vdot(x, x).real)
-    if norm_sq == 0.0:
-        raise ValueError("x must be nonzero")
+    _check_positive(lambda_a=lambda_a, lambda_y=lambda_y)
+    norm_sq = _norm_sq(x)
     m = yv.shape[0]
     line = LineRoots(m)
     w = np.empty(m, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         grad = _tls_gradient(vectors, yv, x, norm_sq, inner_rows(vectors, x), lambda_a, lambda_y, line, w)
     return lambda_y * grad
-
-
-def _checked(x, ensemble, y, name: str = "ensemble"):
-    """The rows of ``ensemble``, the values of ``y`` and the signal ``x``,
-    each checked against the others' dimensions."""
-    vectors = ensemble_array(ensemble, name)
-    m, n = vectors.shape
-    return vectors, measurement_array(y, m), as_cvector(x, "x", n)
 
 
 def _tls_gradient(vectors, yv, x, norm_sq, nu_a, lambda_a, lambda_y, line: LineRoots, w) -> np.ndarray:
@@ -465,10 +456,7 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
             data_term = lambda_y * float(r @ r) / (2.0 * m)
             x = x_new
             converged = _record(trace, corr_term + data_term, cfg.threshold)
-    shift = np.conjugate(u, out=w)
-    shift /= sweep_norm_sq
-    corrected = np.outer(shift, sweep_x)
-    corrected += vectors
+    corrected = _moved_rows(vectors, sweep_x, u, sweep_norm_sq)
     return SolveResult(
         x_hat=x,
         corrected_ensemble=SensingEnsemble(_Owned(corrected), model_tag=model_tag, noise_tag="corrected"),

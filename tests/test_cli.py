@@ -18,7 +18,7 @@ from tlspr.cli import (
     run_sweep,
     run_trial,
 )
-from tlspr.core import MeasurementSet, SensingEnsemble, make_rng
+from tlspr.core import MeasurementSet, SensingEnsemble, make_rng, trial_rng
 from tlspr.metrics import rel_dist
 from tlspr.models import synthesize_measurements
 from tlspr.solvers import SolverConfig, solve_tls, spectral_init
@@ -291,6 +291,19 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meas_db", [None, 30.0])
+def test_cli_rejects_files_of_unequal_m_at_the_gate(tmp_path, capsys, meas_db):
+    # Measurements for 8 rows against a 12-row ensemble, with and without
+    # injected noise: the solver's or inject's own check names both counts.
+    for prefix, ratio in (("short", "2"), ("long", "3")):
+        assert main(["synthesize", "--n", "4", "--ratio", ratio, "--seed", "3", "--out", str(tmp_path / prefix)]) == 0
+    args = ["--ensemble", str(tmp_path / "long.ensemble.tlspr"), "--measurements", str(tmp_path / "short.meas.tlspr")]
+    noise_args = [] if meas_db is None else ["--meas-snr-db", str(meas_db)]
+    assert main(["solve", *args, *noise_args, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "8" in err and "12" in err
 
 
 def test_cli_nonfinite_input_file_exit_code(tmp_path, capsys):
@@ -626,3 +639,13 @@ def test_importing_the_cli_loads_neither_yaml_nor_the_process_pool():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sweep_trials_draw_the_streams_trial_rng_gives():
+    cfg = ExperimentConfig(seed=17, n=4, ratios=(4, 8), trials=3)
+
+    def trial(config, ratio, meas_db, sens_db, trial_seed, trial_index):
+        return {"draw": make_rng(trial_seed).standard_normal()}
+
+    draws = [row["draw"] for row in cli._run_trials(cfg, trial, ())]
+    assert draws == [trial_rng(17, t, combination=c).standard_normal() for c in range(2) for t in range(3)]

@@ -4,6 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+import tlspr
+from tlspr.analysis import (
+    ErrorAnalysisInputs,
+    expected_squared_errors,
+    expected_tls_errors,
+    finite_difference_jacobians,
+    first_order_errors,
+    ml_parameters,
+    predicted_perturbation,
+    solve_matrices,
+)
 from tlspr.core import (
     DimensionMismatchError,
     MeasurementSet,
@@ -15,8 +26,15 @@ from tlspr.core import (
     measurement_array,
     trial_rng,
 )
+from tlspr.correction import (
+    CorrectionParams,
+    apply_corrections,
+    correct_sensing_vector,
+    reconstruct_from_nu,
+    sweep_corrections,
+)
 from tlspr.metrics import dist, rel_corr, rel_dist
-from tlspr.models import gaussian_ensemble, synthesize_measurements
+from tlspr.models import cdp_measure, gaussian_ensemble, synthesize_measurements
 from tlspr.solvers import (
     SolverConfig,
     ls_gradient,
@@ -173,6 +191,7 @@ def _gate_instance():
 
 
 _X, _ENS, _Y = _gate_instance()
+_NU_STAR = sweep_corrections(_ENS.vectors, _Y.values, _X, 0.25, 1.0)[0]
 
 # Entry point -> (call on measurements y, ensemble a and signal x; the name
 # each of y, a and x has in the call's signature).
@@ -200,6 +219,11 @@ _GATED = {
     "synthesize_measurements": (lambda y, a, x: synthesize_measurements(a, x), {"a": "ensemble", "x": "x"}),
     "dist": (lambda y, a, x: dist(x, _X), {"x": "x_sharp"}),
     "rel_dist": (lambda y, a, x: rel_dist(_X, x), {"x": "x_hat"}),
+    "sweep_corrections": (
+        lambda y, a, x: sweep_corrections(a, y, x, 0.25, 1.0),
+        {"y": "y", "a": "vectors", "x": "x"},
+    ),
+    "apply_corrections": (lambda y, a, x: apply_corrections(a, x, _NU_STAR), {"a": "vectors", "x": "x"}),
 }
 
 
@@ -253,3 +277,215 @@ def test_containers_run_the_entry_points_checks():
     # A container comes back as is: no copy.
     assert ensemble_array(_ENS) is _ENS.vectors
     assert measurement_array(_Y, 20) is _Y.values
+
+
+def _rejects_naming(name, call, *args):
+    """``call(*args)`` raises a ValueError whose message names ``name``; a NaN
+    result with a RuntimeWarning is no rejection."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(*args)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda nu: apply_corrections(_ENS.vectors, _X, nu), "nu_star"),
+        (lambda nu: sweep_corrections(_ENS.vectors, _Y.values, _X, 0.25, 1.0, nu_a=nu), "nu_a"),
+    ],
+    ids=["apply_corrections", "sweep_corrections"],
+)
+@pytest.mark.parametrize("nu", [_with_entry(_NU_STAR, 5, np.nan), _NU_STAR[:16]], ids=["nan", "16 for 20 rows"])
+def test_per_row_values_are_gated_like_measurements(call, name, nu):
+    _rejects_naming(name, call, nu)
+
+
+# ---------------------------------------------------------------------------
+# one-row correction calls and the CDP reference map: a row a_m, a scalar and x
+
+_ROW = _ENS.vectors[3]
+
+# Entry point -> (call on a row, a scalar and a signal; the name each has in
+# the call's signature).
+_ONE_ROW = {
+    "correct_sensing_vector": (
+        lambda r, v, x: correct_sensing_vector(r, v, x, CorrectionParams(0.25, 1.0)),
+        {"row": "a_m", "value": "y_m", "x": "x"},
+    ),
+    "reconstruct_from_nu": (lambda r, v, x: reconstruct_from_nu(r, x, v), {"row": "a_m", "value": "nu", "x": "x"}),
+    "cdp_measure": (lambda r, v, x: cdp_measure([r], x), {"row": "vectors_or_patterns", "x": "x"}),
+}
+
+# Case -> (the argument it spoils, the spoiled row, scalar and signal).
+_BAD_ROWS = {
+    "nan row entry": ("row", _with_entry(_ROW, 1, np.nan), 1.0, _X),
+    "2-D row": ("row", np.stack([_ROW, _ROW]), 1.0, _X),
+    "nan scalar": ("value", _ROW, np.nan, _X),
+    "inf signal": ("x", _ROW, 1.0, _with_entry(_X, 2, np.inf)),
+    "signal of 3 for rows of 4": ("x", _ROW, 1.0, _X[:3]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [(e, c) for e, (_, names) in _ONE_ROW.items() for c, (slot, *_) in _BAD_ROWS.items() if slot in names],
+)
+def test_one_row_calls_reject_bad_input_naming_the_argument(entry, case):
+    call, names = _ONE_ROW[entry]
+    slot, *args = _BAD_ROWS[case]
+    _rejects_naming(names[slot], call, *args)
+
+
+# ---------------------------------------------------------------------------
+# the real-valued analysis entry points
+
+
+def _real_instance():
+    rng = make_rng(21)
+    a = rng.normal(size=(12, 3))
+    x = rng.normal(size=3)
+    y = (a @ x) ** 2
+    e_a, e_y = 1e-3 * rng.normal(size=a.shape), 1e-3 * rng.normal(size=y.shape)
+    return a, y, x, e_a, e_y, rng.normal(size=(3, 36)), rng.normal(size=(3, 12))
+
+
+_A, _YA, _XA, _EA, _EY, _JA, _JY = _real_instance()
+
+# Entry point -> call on a_clean, y_clean and x_sharp.
+_ANALYSIS = {
+    "ErrorAnalysisInputs": lambda a, y, x: ErrorAnalysisInputs(a, y, x, _EA, _EY, 0.5),
+    "first_order_errors": lambda a, y, x: first_order_errors(ErrorAnalysisInputs(a, y, x, _EA, _EY, 0.5)),
+    "solve_matrices": lambda a, y, x: solve_matrices(a, y, x, 0.5),
+    "expected_squared_errors": lambda a, y, x: expected_squared_errors(a, y, x, 0.5, 1e-4, 1e-3),
+    "expected_tls_errors": lambda a, y, x: expected_tls_errors(a, y, x, [0.5, 2.0], 1e-4, 1e-3),
+    "finite_difference_jacobians": lambda a, y, x: finite_difference_jacobians(a, y, x, 1.0, 1.0, max_iters=50),
+}
+
+# Case -> (the argument it spoils, the spoiled a_clean, y_clean and x_sharp).
+_BAD_REAL = {
+    "nan in a_clean": ("a_clean", _with_entry(_A, (4, 1), np.nan), _YA, _XA),
+    "1-D a_clean": ("a_clean", _A.ravel(), _YA, _XA),
+    "nonzero imaginary y_clean": ("y_clean", _A, _YA + 1e-3j, _XA),
+    "10 y_clean for 12 rows": ("y_clean", _A, _YA[:10], _XA),
+    "inf x_sharp": ("x_sharp", _A, _YA, _with_entry(_XA, 0, np.inf)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ANALYSIS))
+@pytest.mark.parametrize("case", list(_BAD_REAL))
+def test_analysis_entry_points_reject_bad_input_naming_the_argument(entry, case):
+    name, *arrays = _BAD_REAL[case]
+    _rejects_naming(name, _ANALYSIS[entry], *arrays)
+
+
+# Entry point -> call on the error blocks e_a and e_y.
+_ERROR_BLOCKS = {
+    "ErrorAnalysisInputs": lambda ea, ey: ErrorAnalysisInputs(_A, _YA, _XA, ea, ey, 0.5),
+    "predicted_perturbation": lambda ea, ey: predicted_perturbation(_JA, _JY, ea, ey),
+}
+
+_BAD_BLOCKS = {
+    "e_a of shape (12, 2)": ("e_a", _EA[:, :2], _EY),
+    "nonzero imaginary e_a": ("e_a", _EA + 1e-3j, _EY),
+    "nan e_y": ("e_y", _EA, _with_entry(_EY, 7, np.nan)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ERROR_BLOCKS))
+@pytest.mark.parametrize("case", list(_BAD_BLOCKS))
+def test_error_blocks_are_checked_naming_the_argument(entry, case):
+    name, e_a, e_y = _BAD_BLOCKS[case]
+    _rejects_naming(name, _ERROR_BLOCKS[entry], e_a, e_y)
+
+
+# ---------------------------------------------------------------------------
+# scalar weights and variances: finite and > 0, or >= 0 where zero is meaningful
+
+_STRICT = (np.nan, np.inf, -1.0, 0.0)
+_ZERO_OK = (np.nan, np.inf, -1.0)
+
+# (entry point, argument) -> (call on the scalar, the values it rejects).
+_SCALARS = {
+    ("sweep_corrections", "lambda_a"): (lambda v: sweep_corrections(_ENS.vectors, _Y.values, _X, v, 1.0), _STRICT),
+    ("sweep_corrections", "lambda_y"): (lambda v: sweep_corrections(_ENS.vectors, _Y.values, _X, 1.0, v), _STRICT),
+    ("tls_objective_gradient", "lambda_a"): (lambda v: tls_objective_gradient(_X, _ENS, _Y, v, 1.0), _STRICT),
+    ("tls_objective_gradient", "lambda_y"): (lambda v: tls_objective_gradient(_X, _ENS, _Y, 1.0, v), _STRICT),
+    ("objective_tls", "lambda_a"): (lambda v: objective_tls(_X, _ENS, _ENS, _Y, v, 1.0), _ZERO_OK),
+    ("objective_tls", "lambda_y"): (lambda v: objective_tls(_X, _ENS, _ENS, _Y, 1.0, v), _ZERO_OK),
+    ("expected_squared_errors", "sigma_delta_sq"): (
+        lambda v: expected_squared_errors(_A, _YA, _XA, 0.5, v, 1e-3),
+        _ZERO_OK,
+    ),
+    ("expected_squared_errors", "sigma_eta_sq"): (
+        lambda v: expected_squared_errors(_A, _YA, _XA, 0.5, 1e-4, v),
+        _ZERO_OK,
+    ),
+    ("expected_tls_errors", "lambda_ratio"): (
+        lambda v: expected_tls_errors(_A, _YA, _XA, [0.5, v], 1e-4, 1e-3),
+        _ZERO_OK,
+    ),
+    ("ErrorAnalysisInputs", "lambda_ratio"): (lambda v: ErrorAnalysisInputs(_A, _YA, _XA, _EA, _EY, v), (np.inf,)),
+    ("ml_parameters", "sigma_delta_sq"): (lambda v: ml_parameters(v, 1e-3), _STRICT),
+    ("ml_parameters", "sigma_eta_sq"): (lambda v: ml_parameters(1e-4, v), _STRICT),
+    ("finite_difference_jacobians", "lambda_a"): (
+        lambda v: finite_difference_jacobians(_A, _YA, _XA, v, 1.0, max_iters=50),
+        _STRICT,
+    ),
+    ("finite_difference_jacobians", "lambda_y"): (
+        lambda v: finite_difference_jacobians(_A, _YA, _XA, 1.0, v, max_iters=50),
+        _STRICT,
+    ),
+    ("finite_difference_jacobians", "h"): (
+        lambda v: finite_difference_jacobians(_A, _YA, _XA, 1.0, 1.0, h=v, max_iters=50),
+        _STRICT,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [(e, n, v) for (e, n), (_, bad) in _SCALARS.items() for v in bad],
+)
+def test_weights_and_variances_are_finite_and_positive(entry, name, value):
+    _rejects_naming(name, _SCALARS[entry, name][0], value)
+
+
+# ---------------------------------------------------------------------------
+# every public callable is in a gate table above, or here with the reason it
+# needs no row
+
+_NOT_GATED = {
+    "all_roots": "scalar cubic coefficients",
+    "load": "a path; the file's payload is checked as the containers check it",
+    "save": "a path and a container",
+    "make_rng": "a seed",
+    "trial_rng": "seeds and indices",
+    "complex_gaussian_vector": "a generator, a length and a scale",
+    "gaussian_ensemble": "a generator and integer dimensions",
+    "cdp_ensemble": "a generator and a CdpConfig",
+    "inject": "takes only containers, which ran the gate when they were built",
+    "inner": "the inner-product primitive: numpy semantics, NaN in, NaN out",
+    "project_real_binary": "an elementwise map the solvers apply to every iterate",
+    "recon_snr_db": "rel_dist of its arguments, which is gated",
+    "SensingEnsemble": "a container: test_containers_run_the_entry_points_checks",
+    "MeasurementSet": "a container: test_containers_run_the_entry_points_checks",
+    "SolverConfig": "a record whose fields run core._check_positive",
+    "CorrectionParams": "a record whose fields run core._check_positive",
+    "CdpConfig": "a record of integer dimensions",
+    "NoiseSpec": "a record of SNR targets and a model name",
+    "SolveResult": "an output record",
+    "CorrectionResult": "an output record",
+    "ErrorPrediction": "an output record",
+}
+
+
+def test_every_public_callable_is_gated_or_exempt():
+    tables = {*_GATED, *_ONE_ROW, *_ANALYSIS, *_ERROR_BLOCKS, *(entry for entry, _ in _SCALARS)}
+    public = [
+        name
+        for name in tlspr.__all__
+        if callable(obj := getattr(tlspr, name)) and not (isinstance(obj, type) and issubclass(obj, Exception))
+    ]
+    assert set(_NOT_GATED) <= set(public)
+    assert [name for name in public if (name in tables) == (name in _NOT_GATED)] == []
