@@ -80,7 +80,7 @@ def _moved_rows(vectors: np.ndarray, x: np.ndarray, delta: np.ndarray, norm_sq: 
     inner(vectors_m, x) + delta_m at norm_sq = ||x||^2; overwrites ``delta``."""
     shift = np.conjugate(delta, out=delta)
     shift /= norm_sq
-    rows = np.outer(shift, x)
+    rows = np.multiply(shift[:, None], x[None, :])  # np.outer(shift, x) without its wrapper
     rows += vectors
     return rows
 
@@ -89,17 +89,24 @@ def reconstruct_from_nu(a_m: np.ndarray, x: np.ndarray, nu: complex) -> np.ndarr
     """Vector v with inner(v, x) = nu that differs from a_m only along x."""
     a_m = as_cvector(a_m, "a_m")
     x = as_cvector(x, "x", a_m.shape[0])
-    delta = as_cvector([nu], "nu") - inner(a_m, x)
-    return _moved_rows(a_m, x, delta, _norm_sq(x))[0]
+    return _reconstructed(a_m, x, as_cvector([nu], "nu"), _norm_sq(x))
+
+
+def _reconstructed(a_m: np.ndarray, x: np.ndarray, nu: np.ndarray, norm_sq: float) -> np.ndarray:
+    """:func:`reconstruct_from_nu` of checked input, ``nu`` of length one."""
+    return _moved_rows(a_m, x, nu - inner(a_m, x), norm_sq)[0]
 
 
 def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> CorrectionResult:
     """Globally minimize f_m over corrected vectors: a one-row
-    :func:`sweep_corrections` mapped to a full vector by :func:`reconstruct_from_nu`."""
+    :func:`sweep_corrections` mapped to a full vector by :func:`reconstruct_from_nu`,
+    each input checked once."""
     a_m, y = as_cvector(a_m, "a_m"), measurement_array([y_m], name="y_m")
-    nu_star, f_star = sweep_corrections(a_m[None, :], y, x, params.lambda_a, params.lambda_y)
+    x = as_cvector(x, "x", a_m.shape[0])
+    norm_sq = _norm_sq(x)
+    nu_star, f_star = _swept(inner_rows(a_m[None, :], x), y, params.lambda_a, params.lambda_y, norm_sq)
     return CorrectionResult(
-        corrected=reconstruct_from_nu(a_m, x, nu_star[0]),
+        corrected=_reconstructed(a_m, x, nu_star, norm_sq),
         nu=complex(nu_star[0]),
         objective_value=float(f_star[0]),
     )
@@ -164,6 +171,12 @@ def sweep_corrections(
     _check_positive(lambda_a=lambda_a, lambda_y=lambda_y)
     norm_sq = _norm_sq(x)
     nu_a = inner_rows(vectors, x) if nu_a is None else as_cvector(nu_a, "nu_a", y.shape[0])
+    return _swept(nu_a, y, lambda_a, lambda_y, norm_sq)
+
+
+def _swept(nu_a: np.ndarray, y: np.ndarray, lambda_a: float, lambda_y: float, norm_sq: float):
+    """:func:`sweep_corrections` of checked input, given nu_a = inner(a_m, x)
+    and ||x||^2 = ``norm_sq``."""
     line = LineRoots(y.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         line.solve(nu_a, y, lambda_a, lambda_y, norm_sq)

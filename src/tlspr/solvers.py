@@ -1,47 +1,53 @@
 """Spectral initialization, Wirtinger-flow least squares, and the total
 least squares solver with alternating sensing-vector correction.
 
-Both solvers minimize measurement misfit by gradient steps
+Both solvers minimize measurement misfit by steps on x along
 
-    x <- x - (mu / ||x0||^2) * g(x),
     g(x) = (1/2M) sum_m 2*(|inner(v_m, x)|^2 - y_m) * inner(v_m, x) * v_m,
 
 where v_m is the raw sensing vector for least squares and the corrected
 vector for total least squares (corrected in closed form before every step).
-||x0|| is frozen at initialization.  The least squares convergence objective
-is the (1/2M)-normalized misfit; the total least squares objective adds the
-lambda_a-weighted correction norms (the objective J tracked by the
-convergence test).  Iteration stops when the objective changes by less than
-``threshold`` between consecutive iterates or at ``max_iters``.
+The least squares convergence objective is the (1/2M)-normalized misfit;
+the total least squares objective adds the lambda_a-weighted correction
+norms (the objective J tracked by the convergence test).  Iteration stops
+when the objective changes by less than ``threshold`` between consecutive
+iterates or at ``max_iters``.
 
 One iteration of either solver costs two products with the one stored
-(M, N) ensemble A and no copy of it: inner(a_m, x) for all rows as
-conj(A @ conj(x)) (:func:`~tlspr.core.inner_rows`), and the gradient as
-A^T w.  The TLS correction enters both only through length-M vectors.
-Beside its two products a TLS iteration is a fixed sequence of in-place
-passes over length-M buffers made once per solve: the correction of every
-row lies on the real line through inner(a_m, x) and zero, so the sweep,
-the gradient weights and both terms of J are real arithmetic on
-|inner(a_m, x)| and the smallest root t0 (see :func:`solve_tls`), and no
-f_m is evaluated.
+(M, N) ensemble A and no copy of it: inner(a_m, x) (or inner(a_m, d) for a
+search direction d) for all rows as conj(A @ conj(x))
+(:func:`~tlspr.core.inner_rows`), and the gradient as A^T w.  The TLS
+correction enters both only through length-M vectors: the correction of
+every row lies on the real line through inner(a_m, x) and zero, so the
+sweep, the gradient weights and both terms of J are real arithmetic on
+|inner(a_m, x)| and the smallest root t0 (see :func:`solve_tls`), in
+in-place passes over length-M buffers made once per solve, and no f_m is
+evaluated.
 
 Both start from :func:`spectral_init`, power iteration on
 Y = A^T diag(y) conj(A).  When N^2 <= M and N <= 2 * power_iters, Y is built
 once as an N x N matrix (M N^2 multiply-adds) and an iteration costs N^2;
 otherwise every iteration applies Y matrix-free at 2 M N.
 
-The default TLS step is the tuned mu = 0.5/lambda_a for the Gaussian
+With the default step and no projection both solvers step along
+Polak-Ribiere+ conjugate directions d = g + beta d_prev (Gilbert & Nocedal,
+"Global convergence properties of conjugate gradient methods for
+optimization", 1992).  Along d the LS loss is a quartic in the step, whose
+minimizer is a root of one real cubic (Jiang, Rajan & Liu, "Wirtinger flow
+method with optimal stepsize for phase retrieval", 2016); LS needs 0.24x the
+iterations of the same exact step along g.  TLS searches the reduced
+objective J(x) = (1/2M) sum_m min_v f_m of variable projection (Golub &
+Pereyra, 1973 and 2003) for a step meeting the strong Wolfe conditions,
+at one correction sweep per trial step and no ensemble product, and needs
+about a quarter to an eighth of the iterations of its fixed step.
+
+Otherwise the step is fixed: x <- x - (mu / ||x0||^2) g(x), ||x0|| frozen at
+initialization.  The tuned TLS step is mu = 0.5/lambda_a for the Gaussian
 measurement model (0.4/lambda_a in real-binary projection mode), with
 lambda_a = lambda_a_dag/N and lambda_y = lambda_y_dag/||x0||^4 (both daggers
-default 1).  The default LS step is an exact line search along
-Polak-Ribiere+ conjugate directions d = g + beta d_prev (fixed gradient step
-0.005 with projection; an explicit step is used as given): along d the LS
-loss is a quartic in the step, whose minimizer is a root of one real cubic
-(Jiang, Rajan & Liu, "Wirtinger flow method with optimal stepsize for phase
-retrieval", 2016; Gilbert & Nocedal, "Global convergence properties of
-conjugate gradient methods for optimization", 1992).  It still costs two
-products per iteration, inner_rows(A, d) replacing inner_rows(A, x_new), and
-needs 0.24x the iterations of the same exact step along g.
+default 1); it ignores lambda_y and diverges at the maximum-likelihood
+weight ratio.  The LS step with projection is 0.005.  An explicit step is
+used as given.
 """
 
 from __future__ import annotations
@@ -77,10 +83,11 @@ class SolverConfig:
     mode: str = "tls"
     lambda_a_dag: float = 1.0
     lambda_y_dag: float = 1.0
-    # None: TLS takes its tuned step; LS takes an exact line search along
-    # Polak-Ribiere+ conjugate directions, two products per iteration and
-    # 0.24x the iterations of the gradient direction (fixed 0.005 with
-    # projection).  An explicit step is used as given.
+    # None: both solvers step along Polak-Ribiere+ conjugate directions at
+    # two products per iteration, LS to the exact minimizer of its loss and
+    # TLS to a strong Wolfe point of its reduced objective; with projection,
+    # TLS takes its tuned fixed step 0.4/lambda_a and LS 0.005.  An
+    # explicit step is a fixed step, used as given.
     step_size: float | None = None
     threshold: float = 1e-6
     max_iters: int = 2500
@@ -228,20 +235,25 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
 
 def _tls_gradient(vectors, yv, x, norm_sq, nu_a, lambda_a, lambda_y, line: LineRoots, w) -> np.ndarray:
     """Correct every row at x (``nu_a`` = inner_rows(A, x)) and return the
-    gradient g(x) of the module docstring with the corrected rows fixed.
-    A corrected row is v_m = a_m + conj(phase) (t0 + c) x / ||x||^2 with
-    inner(v_m, x) = phase t0, so g = A^T (k phase) + (sum k (t0 + c) /
-    ||x||^2) x with the real k = (t0^2 - y) t0 / M.  Leaves t0 + c in
-    ``line.c`` and overwrites ``w``."""
+    gradient g(x) of :func:`_swept_gradient`.  Leaves t0 + c in ``line.c``
+    and overwrites ``w``."""
     line.solve(nu_a, yv, lambda_a, lambda_y, norm_sq)
+    return _swept_gradient(vectors, yv, x, norm_sq, line, np.add(line.c, line.t0, out=line.c), w)
+
+
+def _swept_gradient(vectors, yv, x, norm_sq, line: LineRoots, s, w) -> np.ndarray:
+    """The gradient g(x) of the module docstring with the rows corrected by
+    the sweep in ``line`` held fixed, given s = t0 + c.  A corrected row is
+    v_m = a_m + conj(phase) s x / ||x||^2 with inner(v_m, x) = phase t0, so
+    g = A^T (k phase) + (sum k s / ||x||^2) x with the real
+    k = (t0^2 - y) t0 / M.  Overwrites ``w`` and ``line.rows[0]``."""
     t0, k = line.t0, line.rows[0]
-    g = np.add(line.c, t0, out=line.c)
     np.multiply(t0, t0, out=k)
     k -= yv
     k *= t0
     np.multiply(line.phase, k, out=w)
     grad = vectors.T @ w
-    grad += (float(k @ g) / norm_sq) * x
+    grad += (float(k @ s) / norm_sq) * x
     grad /= yv.shape[0]
     return grad
 
@@ -407,55 +419,224 @@ def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     )
 
 
+# Strong Wolfe constants of the TLS line search, sufficient decrease and
+# curvature (Nocedal & Wright, "Numerical Optimization", 2006, ch. 3), and
+# the most J evaluations one search takes.
+_DECREASE, _CURVATURE, _SEARCH_EVALS = 1e-4, 0.1, 30
+
+
+class _ReducedLine:
+    """The reduced objective J(x) = (1/2M) sum_m min_v f_m at the current
+    iterate x and along x - t d, in length-M buffers that every iteration of
+    one solve reuses.
+
+    Along the line inner(a_m, x - t d) = nu_a - t nu_d and
+    n(t) = ||x - t d||^2 = ||x||^2 - 2t Re<x, d> + t^2 ||d||^2, so a point
+    costs one :meth:`LineRoots.solve` and O(M) work, with no ensemble
+    product.  With s = t0 + c and r = t0^2 - y there,
+    J(t) = (1/2M) sum lambda_a s^2 / n + lambda_y r^2.  f_m does not move
+    with t0 at its minimizer (the envelope theorem), so
+
+        J'(t) = lambda_a / (M n) (sum s c' - (t ||d||^2 - Re<x, d>) sum s^2 / n),
+
+    where c' = Re(conj(phase) nu_d) is the derivative of c = |nu_a - t nu_d|.
+    On a row with c = 0, c is |t' - t| |nu_d| near t and c' = |nu_d| is its
+    derivative from the right, the side the search moves to.
+
+    Holds inner_rows(A, x) in ``nu_a``, ||x||^2 in ``norm_sq``, J(x) in
+    ``value``, the sweep at x in ``line`` and s there in ``s``.
+    """
+
+    def __init__(self, nu_a, yv, lambda_a: float, lambda_y: float, norm_sq: float, first_step: float):
+        m = yv.shape[0]
+        self.yv, self.lambda_a, self.lambda_y = yv, lambda_a, lambda_y
+        self.line = LineRoots(m)
+        self.s, self.work = np.empty(m), np.empty(m)
+        self.nu_a, self.nu_t = nu_a, np.empty_like(nu_a)
+        self.value = self._sweep(nu_a, norm_sq)
+        # The last search's step, and the step tried first without one.
+        self.step, self.first_step = 0.0, first_step
+
+    def _sweep(self, nu, norm_sq: float) -> float:
+        """Correct every row at inner products ``nu`` and squared norm
+        ``norm_sq``, and return J there."""
+        line = self.line
+        line.solve(nu, self.yv, self.lambda_a, self.lambda_y, norm_sq)
+        s = np.add(line.t0, line.c, out=self.s)
+        r = np.multiply(line.t0, line.t0, out=self.work)
+        r -= self.yv
+        self.norm_sq, self.ss = norm_sq, float(s @ s)
+        return (self.lambda_a * self.ss / norm_sq + self.lambda_y * float(r @ r)) / (2.0 * r.shape[0])
+
+    def _slope(self, nu_d, half_dn: float) -> float:
+        """J' at the last sweep, where d||x - t d||^2/dt = 2 ``half_dn``."""
+        line, s, sc = self.line, self.s, self.work
+        np.multiply(s, line.phase.real, out=sc)
+        sdc = float(sc @ nu_d.real)
+        np.multiply(s, line.phase.imag, out=sc)
+        sdc += float(sc @ nu_d.imag)
+        if np.count_nonzero(line.c) < line.c.size:
+            zero = line.c == 0.0  # phase = 1 there
+            sdc += float(s[zero] @ (np.abs(nu_d[zero]) - nu_d[zero].real))
+        return self.lambda_a * (sdc - half_dn * self.ss / self.norm_sq) / (s.shape[0] * self.norm_sq)
+
+    def _at(self, t: float, nu_d, re_xd: float, dd: float, norm_sq: float) -> tuple[float, float]:
+        """(J, J') at x - t d, where ||x||^2 = ``norm_sq``; a non-positive
+        norm gives J = inf."""
+        norm_t = norm_sq + t * (t * dd - 2.0 * re_xd)
+        if not 0.0 < norm_t < math.inf:
+            return math.inf, math.nan
+        nu = np.multiply(nu_d, -t, out=self.nu_t)
+        nu += self.nu_a
+        return self._sweep(nu, norm_t), self._slope(nu_d, t * dd - re_xd)
+
+    def search(self, nu_d, re_xd: float, dd: float) -> None:
+        """Move to x - t d for a t > 0 with J(t) <= J(0) + 1e-4 t J'(0) and
+        |J'(t)| <= 0.1 |J'(0)|, given ``nu_d`` = inner_rows(A, d),
+        ``re_xd`` = Re<x, d> and ``dd`` = ||d||^2; ``step`` then holds t.
+
+        The first trial is the last search's step, or ``first_step``
+        without one.  Trials grow, by cubic extrapolation, until J' >= 0 or
+        J rises; then cubic interpolation narrows that bracket
+        (:func:`_next_trial`).  When no trial meets both conditions within
+        ``_SEARCH_EVALS``, the best one that meets the first is taken; with
+        none, t = 0 and x stays where it is.
+        """
+        f0, norm_sq = self.value, self.norm_sq
+        g0 = self._slope(nu_d, -re_xd)
+        lo = (0.0, f0, g0)
+        at = 0.0  # the t of the sweep in ``line``
+        if g0 < 0.0:
+            t = self.step if self.step > 0.0 else self.first_step
+            prev = hi = None
+            for _ in range(_SEARCH_EVALS):
+                f, g = self._at(t, nu_d, re_xd, dd, norm_sq)
+                at = t
+                if not (f <= f0 + _DECREASE * t * g0 and f < lo[1]):
+                    hi = (t, f, g)
+                elif abs(g) <= -_CURVATURE * g0:
+                    lo = (t, f, g)
+                    break
+                else:
+                    if g * ((math.inf if hi is None else hi[0]) - t) >= 0.0:
+                        hi = lo
+                    prev, lo = lo, (t, f, g)
+                t = _next_trial(prev, lo, hi)
+        if at != lo[0]:
+            if lo[0] > 0.0:
+                self._at(lo[0], nu_d, re_xd, dd, norm_sq)
+            else:
+                self._sweep(self.nu_a, norm_sq)
+        self.step, self.value = lo[0], lo[1]
+        if lo[0] > 0.0:
+            self.nu_a, self.nu_t = self.nu_t, self.nu_a
+
+
+def _next_trial(prev, lo, hi) -> float:
+    """The next trial step from (t, J, J') at the best point ``lo``, the
+    point ``prev`` it replaced and the bracket's other end ``hi`` (None
+    before one is found): the minimizer of the cubic through lo and hi, kept
+    at least a tenth of the bracket from either end, or without hi the one
+    through prev and lo, kept within [1.1, 4] times lo's step."""
+    if hi is None:
+        t = _cubic_min(prev, lo)
+        return 4.0 * lo[0] if math.isnan(t) else min(max(t, 1.1 * lo[0]), 4.0 * lo[0])
+    t = _cubic_min(lo, hi)
+    low, high = min(lo[0], hi[0]), max(lo[0], hi[0])
+    margin = 0.1 * (high - low)
+    return t if low + margin <= t <= high - margin else 0.5 * (low + high)
+
+
+def _cubic_min(a, b) -> float:
+    """The minimizer of the cubic through (t, J, J') at ``a`` and ``b``
+    (Nocedal & Wright, eq. 3.59); NaN when it has none."""
+    (ta, fa, ga), (tb, fb, gb) = a, b
+    if ta == tb:
+        return math.nan
+    d1 = ga + gb - 3.0 * (fa - fb) / (ta - tb)
+    rad = d1 * d1 - ga * gb
+    if not (rad >= 0.0 and math.isfinite(rad)):
+        return math.nan
+    d2 = math.copysign(math.sqrt(rad), tb - ta)
+    den = gb - ga + 2.0 * d2
+    return tb - (tb - ta) * (gb + d2 - d1) / den if den != 0.0 else math.nan
+
+
 def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
-    """Alternating closed-form correction sweeps and gradient steps.
+    """Alternating closed-form correction sweeps and steps on x.
 
     Each iteration (a) corrects every sensing vector in closed form at the
-    current x, then (b) takes one gradient step on x with the corrected
-    vectors held fixed (:func:`_tls_gradient`).  Convergence is declared on
-    the change of the full objective J (correction norms plus weighted
-    misfit).  The returned ensemble holds the corrections from the final
-    sweep.
+    current x, then (b) steps on x with the corrected vectors held fixed
+    (:func:`_tls_gradient`).
+
+    With the default step and no projection the step goes along the
+    Polak-Ribiere+ direction d of that gradient (:func:`_pr_direction`) to a
+    t meeting the strong Wolfe conditions on the reduced objective
+    J(x - t d) (:class:`_ReducedLine`).  The sweep at the accepted point is
+    the next iteration's (a), the trace holds J at each new iterate, and the
+    returned ensemble holds the corrections at ``x_hat``.
+
+    Otherwise every iteration takes the fixed step of the module docstring;
+    the trace then holds the objective with the last sweep's corrections at
+    the new iterate, and the returned ensemble those corrections.
     """
     vectors, yv, x, norm0_sq, lambda_a, step = _start(y, ensemble, cfg, x0, "tls")
     model_tag = ensemble.model_tag if isinstance(ensemble, SensingEnsemble) else "external"
     m = yv.shape[0]
     lambda_y = cfg.lambda_y_dag / norm0_sq**2
+    searched = cfg.step_size is None and cfg.projection == "none"
     trace = []
     converged = False
-    line = LineRoots(m)
-    # u = nu_star - nu_a = phase (t0 + c) of the last sweep; zero before one.
-    u = line.phase
-    u.fill(0.0)
+    # u = nu_star - nu_a = phase (t0 + c) of the corrections returned; zero
+    # before a sweep.
+    u = np.zeros(m, dtype=np.complex128)
     sweep_x, sweep_norm_sq = x, norm0_sq
     w = np.empty(m, dtype=np.complex128)
     nu_a = inner_rows(vectors, x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if searched:
+            along = _ReducedLine(nu_a, yv, lambda_a, lambda_y, norm0_sq, step)
+            line = along.line
+            nu_d = np.empty(m, dtype=np.complex128)
+            g_prev = d = None
+        else:
+            line = LineRoots(m)
         while not converged and len(trace) < cfg.max_iters:
-            norm_x_sq = float(np.vdot(x, x).real)
-            if norm_x_sq == 0.0:
-                raise SolverError(f"iterate collapsed to zero norm at iteration {len(trace) + 1}")
-            # (a) closed-form correction sweep at the current x and (b) one
-            # gradient step with the corrected vectors fixed.
-            grad = _tls_gradient(vectors, yv, x, norm_x_sq, nu_a, lambda_a, lambda_y, line, w)
-            g = line.c  # t0 + c
-            corr_term = lambda_a * float(g @ g) / norm_x_sq / (2.0 * m)
-            u *= g
-            sweep_x, sweep_norm_sq = x, norm_x_sq
-            x_new = x - step * grad
-            if cfg.projection == "real_binary":
-                x_new = project_real_binary(x_new)
-            # nu_a is spent once u is formed; it now takes inner(a_m, x_new).
-            inner_rows(vectors, x_new, out=nu_a)
-            # inner(v_m, x_new) for the swept v_m = a_m + conj(u_m) x / ||x||^2.
-            np.multiply(u, np.vdot(x, x_new) / norm_x_sq, out=w)
-            w += nu_a
-            r = np.abs(w, out=line.rows[0])
-            r *= r
-            r -= yv
-            data_term = lambda_y * float(r @ r) / (2.0 * m)
-            x = x_new
-            converged = _record(trace, corr_term + data_term, cfg.threshold)
+            if searched:
+                grad = _swept_gradient(vectors, yv, x, along.norm_sq, line, along.s, w)
+                d = _pr_direction(grad, g_prev, d)
+                g_prev = grad
+                inner_rows(vectors, d, out=nu_d)
+                along.search(nu_d, float(np.vdot(x, d).real), float(np.vdot(d, d).real))
+                x -= along.step * d
+                loss = along.value
+            else:
+                norm_x_sq = float(np.vdot(x, x).real)
+                if norm_x_sq == 0.0:
+                    raise SolverError(f"iterate collapsed to zero norm at iteration {len(trace) + 1}")
+                # (a) closed-form correction sweep at the current x and (b) one
+                # gradient step with the corrected vectors fixed.
+                grad = _tls_gradient(vectors, yv, x, norm_x_sq, nu_a, lambda_a, lambda_y, line, w)
+                g = line.c  # t0 + c
+                corr_term = lambda_a * float(g @ g) / norm_x_sq / (2.0 * m)
+                u = np.multiply(line.phase, g, out=line.phase)
+                sweep_x, sweep_norm_sq = x, norm_x_sq
+                x_new = x - step * grad
+                if cfg.projection == "real_binary":
+                    x_new = project_real_binary(x_new)
+                # nu_a is spent once u is formed; it now takes inner(a_m, x_new).
+                inner_rows(vectors, x_new, out=nu_a)
+                # inner(v_m, x_new) for the swept v_m = a_m + conj(u_m) x / ||x||^2.
+                np.multiply(u, np.vdot(x, x_new) / norm_x_sq, out=w)
+                w += nu_a
+                r = np.abs(w, out=line.rows[0])
+                r *= r
+                r -= yv
+                loss = corr_term + lambda_y * float(r @ r) / (2.0 * m)
+                x = x_new
+            converged = _record(trace, loss, cfg.threshold)
+    if searched and trace:
+        u, sweep_x, sweep_norm_sq = np.multiply(line.phase, along.s, out=w), x, along.norm_sq
     corrected = _moved_rows(vectors, sweep_x, u, sweep_norm_sq)
     return SolveResult(
         x_hat=x,

@@ -421,6 +421,49 @@ def solve_tls_reference(y, vectors, x0, mu, lambda_a, threshold, max_iters, swee
     return x, iterations, vectors + np.outer(sweep_shift, sweep_x)
 
 
+def reduced_objective_reference(x, vectors, y, lambda_a, lambda_y, sweep) -> float:
+    """J(x) = (1/2M) sum_m min_v f_m recomputed from scratch: inner(a_m, x)
+    as conj(A) x, and the attained f_m from ``sweep``, the package's
+    correction sweep passed in."""
+    x = np.asarray(x, dtype=np.complex128)
+    nu_a = np.conj(vectors) @ x
+    _, f_star = sweep(vectors, y, x, lambda_a, lambda_y, nu_a=nu_a)
+    return float(np.sum(f_star)) / (2.0 * len(y))
+
+
+def reduced_gradient_reference(x, vectors, y, lambda_a, lambda_y, sweep) -> np.ndarray:
+    """Wirtinger gradient dJ/d conj(x) of :func:`reduced_objective_reference`
+    with the corrected vectors v_m held fixed (envelope theorem):
+    lambda_y (1/M) sum (|inner(v_m, x)|^2 - y_m) inner(v_m, x) v_m."""
+    x = np.asarray(x, dtype=np.complex128)
+    nu_a = np.conj(vectors) @ x
+    nu_star, _ = sweep(vectors, y, x, lambda_a, lambda_y, nu_a=nu_a)
+    w = (np.abs(nu_star) ** 2 - y) * nu_star / len(y)
+    shift = np.conj(nu_star - nu_a) / float(np.vdot(x, x).real)
+    return lambda_y * (vectors.T @ w + np.sum(w * shift) * x)
+
+
+def wolfe_ratios(iterates, vectors, y, lambda_a, lambda_y, sweep):
+    """For each move x_k -> x_{k+1} between consecutive ``iterates``, with
+    phi(s) = J(x_k - s p) and p = x_k - x_{k+1}, the pair
+    ((phi(1) - phi(0)) / phi'(0), |phi'(1)| / |phi'(0)|), from
+    :func:`reduced_objective_reference` and, as phi'(s) = -2 Re<grad, p>,
+    :func:`reduced_gradient_reference`.  A step meets the strong Wolfe
+    conditions with constants c1 < c2 when the first ratio is >= c1 and the
+    second <= c2.  Moves with p = 0 are skipped."""
+    out = []
+    for x, x_next in zip(iterates[:-1], iterates[1:]):
+        p = x - x_next
+        if not np.any(p):
+            continue
+        args = (vectors, y, lambda_a, lambda_y, sweep)
+        slope0 = -2.0 * float(np.vdot(reduced_gradient_reference(x, *args), p).real)
+        slope1 = -2.0 * float(np.vdot(reduced_gradient_reference(x_next, *args), p).real)
+        drop = reduced_objective_reference(x_next, *args) - reduced_objective_reference(x, *args)
+        out.append((drop / slope0, abs(slope1) / abs(slope0)))
+    return out
+
+
 def spectral_init_reference(y, vectors, power_iters=50, start_seed=0x5066_494E):
     """Frozen matrix-free power iteration of the spectral initialization:
     each iteration applies A^T diag(y) conj(A) by two products over the

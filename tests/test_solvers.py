@@ -8,7 +8,7 @@ from tlspr.core import complex_gaussian_vector, inner, inner_rows, make_rng
 from tlspr.correction import apply_corrections, sweep_corrections
 from tlspr.metrics import rel_dist
 from tlspr.models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
-from tlspr.noise import NoiseSpec, inject
+from tlspr.noise import NoiseSpec, error_variance, inject
 from tlspr.solvers import (
     SolverConfig,
     SolverError,
@@ -24,12 +24,15 @@ from tlspr.solvers import (
 
 from oracles import (
     peak_bytes,
+    reduced_gradient_reference,
+    reduced_objective_reference,
     solve_ls_cg_reference,
     solve_ls_exact_reference,
     solve_ls_reference,
     solve_tls_reference,
     spectral_init_reference,
     wirtinger_gradient_fd,
+    wolfe_ratios,
 )
 
 
@@ -640,9 +643,12 @@ def test_solve_tls_matches_frozen_loop_from_rows_orthogonal_to_x0(binary, max_it
     y, vectors, x0 = _orthogonal_start_instance(4200 + binary, binary)
     assert np.sum(inner_rows(vectors, x0) == 0) == vectors.shape[0] // 4
     projection = "real_binary" if binary else "none"
-    cfg = SolverConfig(mode="tls", projection=projection, max_iters=max_iters)
-    res = solve_tls(y, vectors, cfg, x0=x0)
     lam_a = 1.0 / vectors.shape[1]
+    # The fixed-step loop runs for real_binary and for an explicit step; the
+    # default step without projection is the line search, checked below.
+    step = None if binary else _TUNED_MU["tls", projection] / lam_a
+    cfg = SolverConfig(mode="tls", projection=projection, step_size=step, max_iters=max_iters)
+    res = solve_tls(y, vectors, cfg, x0=x0)
     x_ref, iters, corrected = solve_tls_reference(
         y.values, vectors, x0, _TUNED_MU["tls", projection] / lam_a, lam_a, cfg.threshold, max_iters,
         sweep_corrections, real_binary=binary,
@@ -788,6 +794,144 @@ def test_solve_ls_trace_never_increases(shape):
     for y, noisy in _noisy_shape_instances(shape):
         trace = solve_ls(y, noisy, SolverConfig(mode="ls")).objective_trace
         assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# the TLS line search on the reduced objective
+
+
+def _default_weights(x0, noisy):
+    """lambda_a and lambda_y of a default-weight TLS solve started at x0."""
+    return 1.0 / noisy.vectors.shape[1], 1.0 / float(np.vdot(x0, x0).real) ** 2
+
+
+@pytest.mark.parametrize("shape", ["sweep-paper", "sweep-tall", "cdp"])
+def test_solve_tls_trace_never_increases_and_ends_at_the_objective_of_x_hat(shape):
+    # Each trace entry is J at a new iterate, and the returned ensemble holds
+    # the corrections there.
+    for y, noisy in _noisy_shape_instances(shape):
+        x0 = spectral_init(y, noisy)
+        res = solve_tls(y, noisy, SolverConfig(), x0=x0)
+        assert res.converged
+        trace = res.objective_trace
+        assert np.all(trace[1:] <= trace[:-1])
+        lam_a, lam_y = _default_weights(x0, noisy)
+        objective = objective_tls(res.x_hat, res.corrected_ensemble, noisy, y, lam_a, lam_y)
+        assert abs(trace[-1] - objective) <= 1e-12 * objective
+        assert trace[0] <= reduced_objective_reference(x0, noisy.vectors, y.values, lam_a, lam_y, sweep_corrections)
+
+
+@pytest.mark.parametrize("shape", ["sweep-paper", "sweep-tall", "cdp"])
+def test_solve_tls_default_steps_meet_the_strong_wolfe_conditions(shape):
+    # The iterates of a run are the x_hat of runs capped at 1, 2, ...
+    # iterations; J and its slope along each move are recomputed from
+    # scratch.  First measured run: decrease ratios >= 0.297 and curvature
+    # ratios <= 0.0984.  The 1e-6 covers rounding between the solver's J'
+    # and the reference's.
+    for y, noisy in _noisy_shape_instances(shape):
+        x0 = spectral_init(y, noisy)
+        iters = solve_tls(y, noisy, SolverConfig(), x0=x0).iterations
+        iterates = [x0] + [solve_tls(y, noisy, SolverConfig(max_iters=k), x0=x0).x_hat for k in range(1, iters + 1)]
+        ratios = wolfe_ratios(iterates, noisy.vectors, y.values, *_default_weights(x0, noisy), sweep_corrections)
+        assert len(ratios) == iters
+        for decrease, curvature in ratios:
+            assert decrease >= solvers._DECREASE
+            assert curvature <= solvers._CURVATURE * (1.0 + 1e-6)
+
+
+def test_solve_tls_line_search_agrees_with_the_fixed_step_at_a_tight_threshold():
+    # First measured run at threshold 1e-13: on 5 of the 6 instances the two
+    # end within 3.9e-5 of each other, the line search at a J lower by
+    # 3e-12 to 4e-10 relative, in 10-46 against 60-683 iterations.  On
+    # sweep-paper seed 6400 they end in two different stationary points,
+    # 0.056 apart, the line search's J 9.5e-5 relative above the fixed
+    # step's: it follows another path than the fixed step's near-gradient
+    # flow, and J is not convex.
+    others = 0
+    for shape in ("sweep-paper", "sweep-tall"):
+        for y, noisy in _noisy_shape_instances(shape):
+            x0 = spectral_init(y, noisy)
+            lam_a, lam_y = _default_weights(x0, noisy)
+            args = (noisy.vectors, y.values, lam_a, lam_y, sweep_corrections)
+            searched = solve_tls(y, noisy, SolverConfig(threshold=1e-13), x0=x0)
+            fixed = solve_tls(y, noisy, SolverConfig(threshold=1e-13, step_size=0.5 / lam_a), x0=x0)
+            assert searched.converged and fixed.converged
+            assert searched.iterations <= fixed.iterations / 5
+            j_searched = reduced_objective_reference(searched.x_hat, *args)
+            j_fixed = reduced_objective_reference(fixed.x_hat, *args)
+            if rel_dist(fixed.x_hat, searched.x_hat) <= 1e-4:
+                assert j_searched <= j_fixed
+            else:
+                others += 1
+                # Both stationary: the gradient is as small as the fixed step's.
+                grads = [np.linalg.norm(reduced_gradient_reference(r.x_hat, *args)) for r in (searched, fixed)]
+                assert grads[0] <= 10.0 * grads[1]
+                assert abs(j_searched - j_fixed) <= 1e-4 * j_fixed
+    assert others <= 1
+
+
+@pytest.mark.parametrize("n, ratio", [(64, 8), (32, 128)])
+def test_solve_tls_converges_at_the_ml_weight_ratio(n, ratio):
+    # lambda_y_dag = (sigma_delta^2 / sigma_eta^2) ||x0||^4 / N makes
+    # lambda_y / lambda_a the ML ratio, 12-25x below the default; the fixed
+    # step 0.5/lambda_a diverges there (2500 iterations, rel_dist 2.5-45).
+    # First measured run: 4-13 iterations, rel_dist 0.047-0.262 against LS's
+    # 0.090-0.273, at most 1.003x LS's.
+    for seed in (1, 2, 3):
+        rng = make_rng(seed)
+        ens = gaussian_ensemble(rng, n, n * ratio)
+        x = complex_gaussian_vector(rng, n)
+        y = synthesize_measurements(ens, x)
+        y_obs, ens_obs = inject(rng, y, ens, NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0))
+        x0 = spectral_init(y_obs, ens_obs)
+        var_delta, var_eta = error_variance(ens.vectors, 10.0), error_variance(y.values, 20.0)
+        lambda_y_dag = (var_delta / var_eta) * float(np.vdot(x0, x0).real) ** 2 / n
+        tls = solve_tls(y_obs, ens_obs, SolverConfig(lambda_y_dag=lambda_y_dag), x0=x0)
+        ls = solve_ls(y_obs, ens_obs, SolverConfig(mode="ls"), x0=x0)
+        assert tls.converged and tls.iterations <= 50
+        assert rel_dist(x, tls.x_hat) <= 1.05 * rel_dist(x, ls.x_hat)
+
+
+def test_reduced_line_slope_is_one_sided_on_rows_orthogonal_to_x0():
+    # On the rows with c = inner(a_m, x0) = 0, c(t) = t |inner(a_m, d)| for
+    # t > 0, so J'(0) is a derivative from the right, not the
+    # Re(conj(phase) nu_d) of phase = 1; elsewhere J' matches central
+    # differences of J.
+    y, vectors, x0 = _orthogonal_start_instance(4200, False)
+    yv = y.values
+    norm_sq = float(np.vdot(x0, x0).real)
+    lam_a, lam_y = 1.0 / vectors.shape[1], 1.0 / norm_sq**2
+    d = tls_objective_gradient(x0, vectors, yv, lam_a, lam_y)
+    nu_d = inner_rows(vectors, d)
+    re_xd, dd = float(np.vdot(x0, d).real), float(np.vdot(d, d).real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along = solvers._ReducedLine(inner_rows(vectors, x0), yv, lam_a, lam_y, norm_sq, 1.0)
+        zero = along.line.c == 0.0
+        assert np.count_nonzero(zero) == vectors.shape[0] // 4
+        # The right derivative against the naive one that took phase = 1.
+        j0, slope0 = along._at(0.0, nu_d, re_xd, dd, norm_sq)
+        kink = lam_a * float(along.s[zero] @ (np.abs(nu_d[zero]) - nu_d[zero].real)) / (yv.shape[0] * norm_sq)
+
+        def j(t):
+            return along._at(t, nu_d, re_xd, dd, norm_sq)[0]
+
+        t_min = 0.5 / lam_a / norm_sq  # the tuned step
+        h = 1e-4 * t_min
+        forward = (-3.0 * j0 + 4.0 * j(h) - j(2.0 * h)) / (2.0 * h)
+        # First measured run: 2.8e-10 relative, against 2.6e-2 for phase = 1.
+        assert abs(slope0 - forward) <= 1e-6 * abs(slope0)
+        assert abs(slope0 - kink - forward) >= 1e-2 * abs(slope0)
+        assert j0 == reduced_objective_reference(x0, vectors, yv, lam_a, lam_y, sweep_corrections)
+        for t in (0.1 * t_min, t_min, 3.0 * t_min):
+            j_t, slope = along._at(t, nu_d, re_xd, dd, norm_sq)
+            e = 1e-5 * t  # first measured run: within 9.4e-9 relative
+            central = (j(t + e) - j(t - e)) / (2.0 * e)
+            assert abs(slope - central) <= 1e-6 * abs(slope)
+            x_t = x0 - t * d
+            assert abs(j_t - reduced_objective_reference(x_t, vectors, yv, lam_a, lam_y, sweep_corrections)) <= 1e-12 * j_t
+    res = solve_tls(y, vectors, SolverConfig(), x0=x0)
+    assert res.converged and np.all(res.objective_trace[1:] <= res.objective_trace[:-1])
+    assert res.objective_trace[0] < j0
 
 
 # ---------------------------------------------------------------------------
