@@ -1,53 +1,48 @@
-"""Spectral initialization, Wirtinger-flow least squares, and the total
-least squares solver with alternating sensing-vector correction.
+"""Spectral initialization and the least squares (LS) and total least
+squares (TLS) solvers: one descent loop over two per-row models.
 
 Both solvers minimize measurement misfit by steps on x along
 
     g(x) = (1/2M) sum_m 2*(|inner(v_m, x)|^2 - y_m) * inner(v_m, x) * v_m,
 
-where v_m is the raw sensing vector for least squares and the corrected
-vector for total least squares (corrected in closed form before every step).
-The least squares convergence objective is the (1/2M)-normalized misfit;
-the total least squares objective adds the lambda_a-weighted correction
-norms (the objective J tracked by the convergence test).  Iteration stops
-when the objective changes by less than ``threshold`` between consecutive
-iterates or at ``max_iters``.
+where v_m is the raw sensing vector for LS and for TLS the vector corrected
+in closed form at x.  Both run :func:`_descend`; they differ only in the
+per-row model it runs over.  LS's (:class:`_LSRows`) holds the residual
+|inner(a_m, x)|^2 - y_m, and its objective is the (1/2M)-normalized misfit.
+TLS's (:class:`_TLSRows`) holds the reduced objective
+J(x) = (1/2M) sum_m min_v f_m of variable projection (Golub & Pereyra, 1973
+and 2003), which adds the lambda_a-weighted correction norms and tends to
+LS's as lambda_a grows.  Iteration stops when the objective changes by less
+than ``threshold`` between consecutive iterates or at ``max_iters``.
 
-One iteration of either solver costs two products with the one stored
-(M, N) ensemble A and no copy of it: inner(a_m, x) (or inner(a_m, d) for a
-search direction d) for all rows as conj(A @ conj(x))
-(:func:`~tlspr.core.inner_rows`), and the gradient as A^T w.  The TLS
-correction enters both only through length-M vectors: the correction of
-every row lies on the real line through inner(a_m, x) and zero, so the
-sweep, the gradient weights and both terms of J are real arithmetic on
-|inner(a_m, x)| and the smallest root t0 (see :func:`solve_tls`), in
-in-place passes over length-M buffers made once per solve, and no f_m is
-evaluated.
-
-Both start from :func:`spectral_init`, power iteration on
-Y = A^T diag(y) conj(A).  When N^2 <= M and N <= 2 * power_iters, Y is built
-once as an N x N matrix (M N^2 multiply-adds) and an iteration costs N^2;
-otherwise every iteration applies Y matrix-free at 2 M N.
-
-With the default step and no projection both solvers step along
-Polak-Ribiere+ conjugate directions d = g + beta d_prev (Gilbert & Nocedal,
-"Global convergence properties of conjugate gradient methods for
-optimization", 1992).  Along d the LS loss is a quartic in the step, whose
-minimizer is a root of one real cubic (Jiang, Rajan & Liu, "Wirtinger flow
-method with optimal stepsize for phase retrieval", 2016); LS needs 0.24x the
-iterations of the same exact step along g.  TLS searches the reduced
-objective J(x) = (1/2M) sum_m min_v f_m of variable projection (Golub &
-Pereyra, 1973 and 2003) for a step meeting the strong Wolfe conditions,
-at one correction sweep per trial step and no ensemble product, and needs
-about a quarter to an eighth of the iterations of its fixed step.
+The loop has two step policies.  With the default step and no projection it
+searches along Polak-Ribiere+ conjugate directions d = g + beta d_prev
+(Gilbert & Nocedal, "Global convergence properties of conjugate gradient
+methods for optimization", 1992).  Along d the LS loss is a quartic in the
+step, whose minimizer is a root of one real cubic (Jiang, Rajan & Liu,
+"Wirtinger flow method with optimal stepsize for phase retrieval", 2016);
+LS needs 0.24x the iterations of the same exact step along g.  TLS takes a
+step meeting the strong Wolfe conditions on J, at one correction sweep per
+trial step and no ensemble product, and needs about a quarter to an eighth
+of the iterations of its fixed step.
 
 Otherwise the step is fixed: x <- x - (mu / ||x0||^2) g(x), ||x0|| frozen at
-initialization.  The tuned TLS step is mu = 0.5/lambda_a for the Gaussian
-measurement model (0.4/lambda_a in real-binary projection mode), with
-lambda_a = lambda_a_dag/N and lambda_y = lambda_y_dag/||x0||^4 (both daggers
-default 1); it ignores lambda_y and diverges at the maximum-likelihood
-weight ratio.  The LS step with projection is 0.005.  An explicit step is
-used as given.
+initialization, then projected in real-binary mode.  The tuned TLS step is
+mu = 0.5/lambda_a for the Gaussian measurement model (0.4/lambda_a in
+real-binary projection mode), with lambda_a = lambda_a_dag/N and
+lambda_y = lambda_y_dag/||x0||^4 (both daggers default 1); it ignores
+lambda_y and diverges at the maximum-likelihood weight ratio.  The LS step
+with projection is 0.005.  An explicit step is used as given.
+
+An iteration under either policy costs two products with the one stored
+(M, N) ensemble A and no copy of it: inner(a_m, d) or inner(a_m, x) for all
+rows as conj(A @ conj(.)) (:func:`~tlspr.core.inner_rows`), and the
+gradient as A^T w.  The TLS corrections enter both only through length-M
+vectors: the correction of every row lies on the real line through
+inner(a_m, x) and zero, so the sweep, the gradient weights and both terms
+of J are real arithmetic on |inner(a_m, x)| and the smallest root t0, in
+in-place passes over length-M buffers made once per solve.  Both solvers
+start from :func:`spectral_init`.
 """
 
 from __future__ import annotations
@@ -220,25 +215,15 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
     By the envelope theorem the inner minimizers are held fixed, giving
     lambda_y * (1/2M) sum 2*(|inner(v_m, x)|^2 - y_m)*inner(v_m, x)*v_m with
     v_m the corrected vectors at x: lambda_y times the step direction of
-    :func:`solve_tls`, computed by the same :func:`_tls_gradient`.
+    :func:`solve_tls`, from the same sweep (:class:`_ReducedLine`) and
+    :func:`_swept_gradient`.
     """
     vectors, yv, x = _checked(x, ensemble, y)
     _check_positive(lambda_a=lambda_a, lambda_y=lambda_y)
     norm_sq = _norm_sq(x)
-    m = yv.shape[0]
-    line = LineRoots(m)
-    w = np.empty(m, dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = _tls_gradient(vectors, yv, x, norm_sq, inner_rows(vectors, x), lambda_a, lambda_y, line, w)
-    return lambda_y * grad
-
-
-def _tls_gradient(vectors, yv, x, norm_sq, nu_a, lambda_a, lambda_y, line: LineRoots, w) -> np.ndarray:
-    """Correct every row at x (``nu_a`` = inner_rows(A, x)) and return the
-    gradient g(x) of :func:`_swept_gradient`.  Leaves t0 + c in ``line.c``
-    and overwrites ``w``."""
-    line.solve(nu_a, yv, lambda_a, lambda_y, norm_sq)
-    return _swept_gradient(vectors, yv, x, norm_sq, line, np.add(line.c, line.t0, out=line.c), w)
+    line = _ReducedLine(inner_rows(vectors, x), yv, lambda_a, lambda_y, norm_sq, 0.0)
+    # inner_rows(A, x) is spent once the sweep is done; it takes the weights.
+    return lambda_y * _swept_gradient(vectors, yv, x, norm_sq, line.line, line.s, line.nu)
 
 
 def _swept_gradient(vectors, yv, x, norm_sq, line: LineRoots, s, w) -> np.ndarray:
@@ -259,8 +244,9 @@ def _swept_gradient(vectors, yv, x, norm_sq, line: LineRoots, s, w) -> np.ndarra
 
 
 def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
-    """Checked inputs, initial iterate, its squared norm, lambda_a and the
-    scaled step, shared by both solvers."""
+    """Checked inputs, the initial iterate x, inner_rows(A, x) (the one
+    product before the loop), ||x||^2, lambda_a and the scaled fixed step,
+    shared by both solvers."""
     if cfg.mode != mode:
         raise ValueError(f"cfg.mode must be {mode!r}")
     vectors = ensemble_array(ensemble)
@@ -273,9 +259,7 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
             x = spectral_init(y, ensemble, cfg.power_iters)
         except ValueError:
             x = fallback_init(n, real_mode=not vectors.imag.any())
-    binary = cfg.projection == "real_binary"
-    if binary:
-        x = project_real_binary(x)
+    x = _feasible(x, cfg)
     norm0_sq = float(np.vdot(x, x).real)
     if norm0_sq == 0.0:
         raise SolverError("initial iterate has zero norm")
@@ -283,10 +267,15 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
     if cfg.step_size is not None:
         mu = cfg.step_size
     elif mode == "tls":
-        mu = (0.4 if binary else 0.5) / lambda_a
+        mu = (0.4 if cfg.projection == "real_binary" else 0.5) / lambda_a
     else:
         mu = 0.005  # used with projection only; LS otherwise searches its step
-    return vectors, yv, x, norm0_sq, lambda_a, mu / norm0_sq
+    return vectors, yv, x, inner_rows(vectors, x), norm0_sq, lambda_a, mu / norm0_sq
+
+
+def _feasible(x, cfg: SolverConfig) -> np.ndarray:
+    """``x`` itself, or in real-binary projection mode :func:`project_real_binary` of it."""
+    return project_real_binary(x) if cfg.projection == "real_binary" else x
 
 
 def _exact_step(r, nu, nu_d, work, tmp) -> float:
@@ -325,6 +314,7 @@ def _exact_step(r, nu, nu_d, work, tmp) -> float:
     return min((s - h for s in depressed_real_roots(p, q)), key=loss)
 
 
+
 def _record(trace: list, loss: float, threshold: float) -> bool:
     """Both solvers' stopping rule: append ``loss`` to ``trace`` and return whether it
     moved by less than ``threshold`` from the previous entry.  Non-finite raises SolverError."""
@@ -357,66 +347,105 @@ def _pr_direction(g, g_prev, d_prev) -> np.ndarray:
     return g + beta * d_prev
 
 
-def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
-    """Wirtinger-flow least squares solve.
+def _descend(rows, x, cfg: SolverConfig, step: float) -> SolveResult:
+    """The loop of both solvers, from x over the per-row model ``rows``
+    (:class:`_LSRows` or :class:`_TLSRows`) that holds inner_rows(A, x) in
+    ``rows.nu``.
 
-    With the default step and no projection every iteration moves to the
-    exact minimizer of the loss along the Polak-Ribiere+ conjugate direction
-    d (:func:`_pr_direction`, :func:`_exact_step`), and nu follows x as
-    nu - t inner_rows(A, d).  Otherwise every iteration takes the fixed
-    gradient step of the module docstring.
+    Each iteration takes the model's gradient g at x.  With no explicit step
+    and no projection the model then searches the Polak-Ribiere+ direction d
+    (:func:`_pr_direction`) for x - t d, given inner_rows(A, d); otherwise x
+    takes the fixed step x - ``step`` g, projected in real-binary mode, and
+    the model reads its loss from inner_rows(A, x).  :func:`_record` traces
+    the loss and stops the loop.  With no iteration nothing is corrected.
     """
-    vectors, yv, x, _, _, step = _start(y, ensemble, cfg, x0, "ls")
-    exact = cfg.step_size is None and cfg.projection == "none"
-    m = yv.shape[0]
-    step_m = step / m
-    trace = []
-    converged = False
-    # Residual r = |nu|^2 - y of the current iterate, its loss and its
-    # gradient g = A^T (r nu), kept in place with the weights w = r nu.
-    r, imag_sq = np.empty(m), np.empty(m)
-    w = np.empty(m, dtype=np.complex128)
-    nu_d = np.empty(m, dtype=np.complex128) if exact else None
+    searched = cfg.step_size is None and cfg.projection == "none"
+    trace, converged = [], False
     g_prev = d = None
-
-    def residual(nu):
-        np.multiply(nu.real, nu.real, out=r)
-        np.multiply(nu.imag, nu.imag, out=imag_sq)
-        np.add(r, imag_sq, out=r)
-        np.subtract(r, yv, out=r)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu = inner_rows(vectors, x)
-        residual(nu)
+    nu_d = np.empty_like(rows.nu) if searched else None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while not converged and len(trace) < cfg.max_iters:
-            # w = r nu part by part: a float-complex product would cast r
-            # into an M-sized buffer.
-            np.multiply(nu.real, r, out=w.real)
-            np.multiply(nu.imag, r, out=w.imag)
-            g = vectors.T @ w
-            if exact:
+            g = rows.gradient(x, len(trace) + 1)
+            if searched:
                 d = _pr_direction(g, g_prev, d)
                 g_prev = g
-                inner_rows(vectors, d, out=nu_d)
-                # w is spent once g is formed; its float64 view holds b and c.
-                t = _exact_step(r, nu, nu_d, w.view(np.float64), imag_sq)
-                x -= t * d
-                nu_d *= t
-                nu -= nu_d
+                x -= rows.line_step(x, d, inner_rows(rows.vectors, d, out=nu_d)) * d
             else:
-                x = x - step_m * g
-                if cfg.projection == "real_binary":
-                    x = project_real_binary(x)
-                nu = inner_rows(vectors, x)
-            residual(nu)
-            converged = _record(trace, float(r @ r) / (2.0 * m), cfg.threshold)
-    return SolveResult(
-        x_hat=x,
-        corrected_ensemble=None,
-        objective_trace=np.asarray(trace),
-        iterations=len(trace),
-        converged=converged,
-    )
+                x_new = _feasible(x - step * g, cfg)
+                inner_rows(rows.vectors, x_new, out=rows.nu)
+                rows.moved(x, x_new)
+                x = x_new
+            converged = _record(trace, rows.loss, cfg.threshold)
+    return SolveResult(x_hat=x, corrected_ensemble=rows.corrected(x, moved=bool(trace)),
+                       objective_trace=np.asarray(trace), iterations=len(trace), converged=converged)
+
+
+def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
+    """Wirtinger-flow least squares solve: :func:`_descend` over the
+    residuals of :class:`_LSRows`, whose searched step is the exact
+    minimizer of the loss along d (:func:`_exact_step`)."""
+    vectors, yv, x, nu, _, _, step = _start(y, ensemble, cfg, x0, "ls")
+    # The rows' gradient A^T (r nu) leaves out the 1/M of g.
+    return _descend(_LSRows(vectors, yv, nu), x, cfg, step / yv.shape[0])
+
+
+def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
+    """Alternating closed-form correction sweeps and steps on x:
+    :func:`_descend` over the reduced objective of :class:`_TLSRows`.
+
+    Each iteration (a) corrects every sensing vector in closed form at the
+    current x, then (b) steps on x along the gradient with the corrected
+    vectors held fixed (:func:`_swept_gradient`).  The searched step ends at
+    a strong Wolfe point of J(x - t d) (:meth:`_ReducedLine.line_step`),
+    whose sweep is the next iteration's (a); the trace holds J at each new
+    iterate and the returned ensemble the corrections at ``x_hat``.  After a
+    fixed step both hold the last sweep's corrections, at the new iterate.
+    """
+    vectors, yv, x, nu, norm0_sq, lambda_a, step = _start(y, ensemble, cfg, x0, "tls")
+    model_tag = ensemble.model_tag if isinstance(ensemble, SensingEnsemble) else "external"
+    rows = _TLSRows(vectors, yv, nu, lambda_a, cfg.lambda_y_dag / norm0_sq**2, norm0_sq, step, model_tag)
+    return _descend(rows, x, cfg, step)
+
+
+class _LSRows:
+    """The per-row model of :func:`solve_ls` for :func:`_descend`: the
+    residual r = |nu|^2 - y of nu = inner_rows(A, x), kept in place with
+    the gradient weights w = r nu in buffers made once per solve."""
+
+    def __init__(self, vectors, yv, nu):
+        self.vectors, self.yv, self.nu = vectors, yv, nu
+        self.r, self.tmp, self.w = np.empty(yv.shape[0]), np.empty(yv.shape[0]), np.empty_like(nu)
+        self.moved()
+
+    def moved(self, *_) -> None:
+        """r and the loss at the iterate of ``nu``."""
+        nu, r = self.nu, self.r
+        np.multiply(nu.real, nu.real, out=r)
+        np.multiply(nu.imag, nu.imag, out=self.tmp)
+        np.add(r, self.tmp, out=r)
+        np.subtract(r, self.yv, out=r)
+        self.loss = float(r @ r) / (2.0 * r.shape[0])
+
+    def gradient(self, x, iteration: int) -> np.ndarray:
+        """A^T (r nu), the gradient g of the module docstring times M."""
+        # w = r nu part by part: a float-complex product would cast r into
+        # an M-sized buffer.
+        np.multiply(self.nu.real, self.r, out=self.w.real)
+        np.multiply(self.nu.imag, self.r, out=self.w.imag)
+        return self.vectors.T @ self.w
+
+    def line_step(self, x, d, nu_d) -> float:
+        """The exact minimizer t along d (:func:`_exact_step`), with nu
+        moved to nu - t ``nu_d``; scales ``nu_d`` by t."""
+        # w is spent once g is formed; its float64 view holds b and c.
+        t = _exact_step(self.r, self.nu, nu_d, self.w.view(np.float64), self.tmp)
+        nu_d *= t
+        self.nu -= nu_d
+        self.moved()
+        return t
+
+    def corrected(self, x, moved: bool) -> None:
+        return None
 
 
 # Strong Wolfe constants of the TLS line search, sufficient decrease and
@@ -430,7 +459,7 @@ class _ReducedLine:
     iterate x and along x - t d, in length-M buffers that every iteration of
     one solve reuses.
 
-    Along the line inner(a_m, x - t d) = nu_a - t nu_d and
+    Along the line inner(a_m, x - t d) = nu - t nu_d and
     n(t) = ||x - t d||^2 = ||x||^2 - 2t Re<x, d> + t^2 ||d||^2, so a point
     costs one :meth:`LineRoots.solve` and O(M) work, with no ensemble
     product.  With s = t0 + c and r = t0^2 - y there,
@@ -439,21 +468,24 @@ class _ReducedLine:
 
         J'(t) = lambda_a / (M n) (sum s c' - (t ||d||^2 - Re<x, d>) sum s^2 / n),
 
-    where c' = Re(conj(phase) nu_d) is the derivative of c = |nu_a - t nu_d|.
+    where c' = Re(conj(phase) nu_d) is the derivative of c = |nu - t nu_d|.
     On a row with c = 0, c is |t' - t| |nu_d| near t and c' = |nu_d| is its
     derivative from the right, the side the search moves to.
 
-    Holds inner_rows(A, x) in ``nu_a``, ||x||^2 in ``norm_sq``, J(x) in
-    ``value``, the sweep at x in ``line`` and s there in ``s``.
+    Holds inner_rows(A, x) in ``nu``, ||x||^2 in ``norm_sq``, the sweep at x
+    in ``line``, s there in ``s``, its correction term
+    lambda_a sum s^2 / ||x||^2 in ``corr`` and J(x) in ``loss``.  The
+    sweep's scratch row ``line.rows[0]`` is free between sweeps.
     """
 
-    def __init__(self, nu_a, yv, lambda_a: float, lambda_y: float, norm_sq: float, first_step: float):
+    def __init__(self, nu, yv, lambda_a: float, lambda_y: float, norm_sq: float, first_step: float):
         m = yv.shape[0]
         self.yv, self.lambda_a, self.lambda_y = yv, lambda_a, lambda_y
         self.line = LineRoots(m)
-        self.s, self.work = np.empty(m), np.empty(m)
-        self.nu_a, self.nu_t = nu_a, np.empty_like(nu_a)
-        self.value = self._sweep(nu_a, norm_sq)
+        self.s = np.empty(m)
+        self.nu, self.nu_t = nu, np.empty_like(nu)
+        with np.errstate(divide="ignore", invalid="ignore"):  # see LineRoots.solve
+            self.loss = self._sweep(nu, norm_sq)
         # The last search's step, and the step tried first without one.
         self.step, self.first_step = 0.0, first_step
 
@@ -463,14 +495,16 @@ class _ReducedLine:
         line = self.line
         line.solve(nu, self.yv, self.lambda_a, self.lambda_y, norm_sq)
         s = np.add(line.t0, line.c, out=self.s)
-        r = np.multiply(line.t0, line.t0, out=self.work)
+        r = np.multiply(line.t0, line.t0, out=line.rows[0])
         r -= self.yv
         self.norm_sq, self.ss = norm_sq, float(s @ s)
-        return (self.lambda_a * self.ss / norm_sq + self.lambda_y * float(r @ r)) / (2.0 * r.shape[0])
+        self.corr = self.lambda_a * self.ss / norm_sq
+        return (self.corr + self.lambda_y * float(r @ r)) / (2.0 * r.shape[0])
 
     def _slope(self, nu_d, half_dn: float) -> float:
         """J' at the last sweep, where d||x - t d||^2/dt = 2 ``half_dn``."""
-        line, s, sc = self.line, self.s, self.work
+        line, s = self.line, self.s
+        sc = line.rows[0]
         np.multiply(s, line.phase.real, out=sc)
         sdc = float(sc @ nu_d.real)
         np.multiply(s, line.phase.imag, out=sc)
@@ -487,13 +521,13 @@ class _ReducedLine:
         if not 0.0 < norm_t < math.inf:
             return math.inf, math.nan
         nu = np.multiply(nu_d, -t, out=self.nu_t)
-        nu += self.nu_a
+        nu += self.nu
         return self._sweep(nu, norm_t), self._slope(nu_d, t * dd - re_xd)
 
-    def search(self, nu_d, re_xd: float, dd: float) -> None:
-        """Move to x - t d for a t > 0 with J(t) <= J(0) + 1e-4 t J'(0) and
-        |J'(t)| <= 0.1 |J'(0)|, given ``nu_d`` = inner_rows(A, d),
-        ``re_xd`` = Re<x, d> and ``dd`` = ||d||^2; ``step`` then holds t.
+    def line_step(self, x, d, nu_d) -> float:
+        """Move to and return the t > 0 of x - t d with
+        J(t) <= J(0) + 1e-4 t J'(0) and |J'(t)| <= 0.1 |J'(0)|, given
+        ``nu_d`` = inner_rows(A, d); ``step`` keeps it.
 
         The first trial is the last search's step, or ``first_step``
         without one.  Trials grow, by cubic extrapolation, until J' >= 0 or
@@ -502,7 +536,8 @@ class _ReducedLine:
         ``_SEARCH_EVALS``, the best one that meets the first is taken; with
         none, t = 0 and x stays where it is.
         """
-        f0, norm_sq = self.value, self.norm_sq
+        f0, norm_sq = self.loss, self.norm_sq
+        re_xd, dd = float(np.vdot(x, d).real), float(np.vdot(d, d).real)
         g0 = self._slope(nu_d, -re_xd)
         lo = (0.0, f0, g0)
         at = 0.0  # the t of the sweep in ``line``
@@ -526,10 +561,55 @@ class _ReducedLine:
             if lo[0] > 0.0:
                 self._at(lo[0], nu_d, re_xd, dd, norm_sq)
             else:
-                self._sweep(self.nu_a, norm_sq)
-        self.step, self.value = lo[0], lo[1]
+                self._sweep(self.nu, norm_sq)
+        self.step, self.loss = lo[0], lo[1]
         if lo[0] > 0.0:
-            self.nu_a, self.nu_t = self.nu_t, self.nu_a
+            self.nu, self.nu_t = self.nu_t, self.nu
+        return self.step
+
+
+class _TLSRows(_ReducedLine):
+    """The per-row model of :func:`solve_tls` for :func:`_descend`: the
+    reduced objective's line and the ensemble.  A searched step leaves the
+    sweep at the new iterate; a fixed step leaves it ``behind``, at the
+    iterate it stepped from, and the next gradient sweeps afresh."""
+
+    def __init__(self, vectors, yv, nu, lambda_a, lambda_y, norm_sq, first_step, model_tag: str):
+        super().__init__(nu, yv, lambda_a, lambda_y, norm_sq, first_step)
+        self.vectors, self.model_tag = vectors, model_tag
+        self.w = np.empty_like(nu)
+        self.behind = None
+
+    def gradient(self, x, iteration: int) -> np.ndarray:
+        """g(x) of :func:`_swept_gradient`, after a sweep at x if the last
+        one is behind it."""
+        if self.behind is not None:
+            norm_sq = float(np.vdot(x, x).real)
+            if norm_sq == 0.0:
+                raise SolverError(f"iterate collapsed to zero norm at iteration {iteration}")
+            self._sweep(self.nu, norm_sq)
+            self.behind = None
+        return _swept_gradient(self.vectors, self.yv, x, self.norm_sq, self.line, self.s, self.w)
+
+    def moved(self, x, x_new) -> None:
+        """The loss at x_new, with inner_rows(A, x_new) in ``nu``, of the
+        rows the sweep at x corrected: v_m = a_m + conj(u_m) x / ||x||^2 with
+        u = phase s, so inner(v_m, x_new) = inner(a_m, x_new) + u_m <x, x_new> / ||x||^2."""
+        m = self.yv.shape[0]
+        v_x = np.multiply(self.line.phase, self.s, out=self.w)
+        v_x *= np.vdot(x, x_new) / self.norm_sq
+        v_x += self.nu
+        r = np.abs(v_x, out=self.line.rows[0])
+        r *= r
+        r -= self.yv
+        self.loss = self.corr / (2.0 * m) + self.lambda_y * float(r @ r) / (2.0 * m)
+        self.behind = x
+
+    def corrected(self, x, moved: bool) -> SensingEnsemble:
+        """The rows of the last sweep, a_m + conj(u_m) x / ||x||^2 at its x."""
+        u = np.multiply(self.line.phase, self.s, out=self.w) if moved else np.zeros_like(self.w)
+        rows = _moved_rows(self.vectors, x if self.behind is None else self.behind, u, self.norm_sq)
+        return SensingEnsemble(_Owned(rows), model_tag=self.model_tag, noise_tag="corrected")
 
 
 def _next_trial(prev, lo, hi) -> float:
@@ -561,87 +641,3 @@ def _cubic_min(a, b) -> float:
     den = gb - ga + 2.0 * d2
     return tb - (tb - ta) * (gb + d2 - d1) / den if den != 0.0 else math.nan
 
-
-def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
-    """Alternating closed-form correction sweeps and steps on x.
-
-    Each iteration (a) corrects every sensing vector in closed form at the
-    current x, then (b) steps on x with the corrected vectors held fixed
-    (:func:`_tls_gradient`).
-
-    With the default step and no projection the step goes along the
-    Polak-Ribiere+ direction d of that gradient (:func:`_pr_direction`) to a
-    t meeting the strong Wolfe conditions on the reduced objective
-    J(x - t d) (:class:`_ReducedLine`).  The sweep at the accepted point is
-    the next iteration's (a), the trace holds J at each new iterate, and the
-    returned ensemble holds the corrections at ``x_hat``.
-
-    Otherwise every iteration takes the fixed step of the module docstring;
-    the trace then holds the objective with the last sweep's corrections at
-    the new iterate, and the returned ensemble those corrections.
-    """
-    vectors, yv, x, norm0_sq, lambda_a, step = _start(y, ensemble, cfg, x0, "tls")
-    model_tag = ensemble.model_tag if isinstance(ensemble, SensingEnsemble) else "external"
-    m = yv.shape[0]
-    lambda_y = cfg.lambda_y_dag / norm0_sq**2
-    searched = cfg.step_size is None and cfg.projection == "none"
-    trace = []
-    converged = False
-    # u = nu_star - nu_a = phase (t0 + c) of the corrections returned; zero
-    # before a sweep.
-    u = np.zeros(m, dtype=np.complex128)
-    sweep_x, sweep_norm_sq = x, norm0_sq
-    w = np.empty(m, dtype=np.complex128)
-    nu_a = inner_rows(vectors, x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if searched:
-            along = _ReducedLine(nu_a, yv, lambda_a, lambda_y, norm0_sq, step)
-            line = along.line
-            nu_d = np.empty(m, dtype=np.complex128)
-            g_prev = d = None
-        else:
-            line = LineRoots(m)
-        while not converged and len(trace) < cfg.max_iters:
-            if searched:
-                grad = _swept_gradient(vectors, yv, x, along.norm_sq, line, along.s, w)
-                d = _pr_direction(grad, g_prev, d)
-                g_prev = grad
-                inner_rows(vectors, d, out=nu_d)
-                along.search(nu_d, float(np.vdot(x, d).real), float(np.vdot(d, d).real))
-                x -= along.step * d
-                loss = along.value
-            else:
-                norm_x_sq = float(np.vdot(x, x).real)
-                if norm_x_sq == 0.0:
-                    raise SolverError(f"iterate collapsed to zero norm at iteration {len(trace) + 1}")
-                # (a) closed-form correction sweep at the current x and (b) one
-                # gradient step with the corrected vectors fixed.
-                grad = _tls_gradient(vectors, yv, x, norm_x_sq, nu_a, lambda_a, lambda_y, line, w)
-                g = line.c  # t0 + c
-                corr_term = lambda_a * float(g @ g) / norm_x_sq / (2.0 * m)
-                u = np.multiply(line.phase, g, out=line.phase)
-                sweep_x, sweep_norm_sq = x, norm_x_sq
-                x_new = x - step * grad
-                if cfg.projection == "real_binary":
-                    x_new = project_real_binary(x_new)
-                # nu_a is spent once u is formed; it now takes inner(a_m, x_new).
-                inner_rows(vectors, x_new, out=nu_a)
-                # inner(v_m, x_new) for the swept v_m = a_m + conj(u_m) x / ||x||^2.
-                np.multiply(u, np.vdot(x, x_new) / norm_x_sq, out=w)
-                w += nu_a
-                r = np.abs(w, out=line.rows[0])
-                r *= r
-                r -= yv
-                loss = corr_term + lambda_y * float(r @ r) / (2.0 * m)
-                x = x_new
-            converged = _record(trace, loss, cfg.threshold)
-    if searched and trace:
-        u, sweep_x, sweep_norm_sq = np.multiply(line.phase, along.s, out=w), x, along.norm_sq
-    corrected = _moved_rows(vectors, sweep_x, u, sweep_norm_sq)
-    return SolveResult(
-        x_hat=x,
-        corrected_ensemble=SensingEnsemble(_Owned(corrected), model_tag=model_tag, noise_tag="corrected"),
-        objective_trace=np.asarray(trace),
-        iterations=len(trace),
-        converged=converged,
-    )

@@ -421,6 +421,110 @@ def solve_tls_reference(y, vectors, x0, mu, lambda_a, threshold, max_iters, swee
     return x, iterations, vectors + np.outer(sweep_shift, sweep_x)
 
 
+def _cubic_min_reference(a, b):
+    """Frozen minimizer of the cubic through (t, J, J') at ``a`` and ``b``
+    (Nocedal & Wright, eq. 3.59); NaN when it has none."""
+    (ta, fa, ga), (tb, fb, gb) = a, b
+    if ta == tb:
+        return np.nan
+    d1 = ga + gb - 3.0 * (fa - fb) / (ta - tb)
+    rad = d1 * d1 - ga * gb
+    if not (rad >= 0.0 and np.isfinite(rad)):
+        return np.nan
+    d2 = np.copysign(np.sqrt(rad), tb - ta)
+    den = gb - ga + 2.0 * d2
+    return tb - (tb - ta) * (gb + d2 - d1) / den if den != 0.0 else np.nan
+
+
+def _next_trial_reference(prev, lo, hi):
+    """Frozen trial rule: without a bracket end ``hi`` the cubic minimizer
+    through ``prev`` and ``lo`` clamped to [1.1, 4] times lo's step (4 times
+    when there is none); with one, the minimizer through lo and hi if it
+    keeps a tenth of the bracket from either end, else its midpoint."""
+    if hi is None:
+        t = _cubic_min_reference(prev, lo)
+        return 4.0 * lo[0] if np.isnan(t) else min(max(t, 1.1 * lo[0]), 4.0 * lo[0])
+    t = _cubic_min_reference(lo, hi)
+    low, high = min(lo[0], hi[0]), max(lo[0], hi[0])
+    margin = 0.1 * (high - low)
+    return t if low + margin <= t <= high - margin else 0.5 * (low + high)
+
+
+def solve_tls_search_reference(y, vectors, x0, lambda_a, threshold, max_iters, sweep):
+    """Plain line-searched total least squares loop, as
+    :func:`solve_ls_cg_reference` but on the reduced objective
+    J(x) = (1/2M) sum_m min_v f_m: each iteration sweeps at x from scratch,
+    steps along the Polak-Ribiere+ direction d of the swept gradient, and
+    searches J(x - t d) for a strong Wolfe point (decrease 1e-4, curvature
+    0.1, at most 30 trials, from the last accepted step or the tuned step
+    0.5 / lambda_a / ||x0||^2), every trial recomputed from x - t d by an
+    ensemble product and ``sweep``, the package's correction sweep passed
+    in.  J' is (1/2M) sum_m d f_m / dt at fixed roots, with the derivative
+    of |inner(a_m, x - t d)| taken from the right where it is zero.  A
+    search with no trial of sufficient decrease leaves x where it is.
+    ``lambda_y`` follows from ``||x0||`` as in the solver.  Returns
+    ``(x_hat, iterations, objective_trace)``.
+    """
+    x = np.array(x0, dtype=np.complex128)
+    m = y.shape[0]
+    conj_vectors = vectors.conj()
+    norm0_sq = float(np.vdot(x, x).real)
+    lambda_y = 1.0 / norm0_sq**2
+
+    def j_and_slope(t, d):
+        x_t = x - t * d
+        n_t = float(np.vdot(x_t, x_t).real)
+        if not 0.0 < n_t < np.inf:
+            return np.inf, np.nan
+        nu_t, nu_d = conj_vectors @ x_t, conj_vectors @ d
+        nu_star, f_star = sweep(vectors, y, x_t, lambda_a, lambda_y, nu_a=nu_t)
+        c = np.abs(nu_t)
+        phase = np.where(c > 0.0, -nu_t / np.where(c > 0.0, c, 1.0), 1.0)
+        s = np.real(np.conj(phase) * (nu_star - nu_t))
+        dc = np.where(c > 0.0, np.real(np.conj(phase) * nu_d), np.abs(nu_d))
+        dn = 2.0 * (t * float(np.vdot(d, d).real) - float(np.vdot(x, d).real))
+        slope = lambda_a * (np.sum(2.0 * s * dc) / n_t - np.sum(s * s) * dn / n_t**2) / (2.0 * m)
+        return float(np.sum(f_star)) / (2.0 * m), slope
+
+    trace, g_prev, d, last_step = [], None, None, 0.0
+    for _ in range(max_iters):
+        nu_a = conj_vectors @ x
+        nu_star, _ = sweep(vectors, y, x, lambda_a, lambda_y, nu_a=nu_a)
+        w = (np.abs(nu_star) ** 2 - y) * nu_star / m
+        g = vectors.T @ w + np.sum(w * np.conj(nu_star - nu_a)) / float(np.vdot(x, x).real) * x
+        if g_prev is None or np.linalg.norm(g_prev) == 0.0:
+            d = g
+        else:
+            beta = max(0.0, float(np.real(np.vdot(g - g_prev, g))) / np.linalg.norm(g_prev) ** 2)
+            d = g + beta * d
+            if np.real(np.vdot(g, d)) <= 0.0:
+                d = g
+        g_prev = g
+        f0, g0 = j_and_slope(0.0, d)
+        lo = (0.0, f0, g0)
+        if g0 < 0.0:
+            t = last_step if last_step > 0.0 else 0.5 / lambda_a / norm0_sq
+            prev = hi = None
+            for _ in range(30):
+                f, slope = j_and_slope(t, d)
+                if not (f <= f0 + 1e-4 * t * g0 and f < lo[1]):
+                    hi = (t, f, slope)
+                elif abs(slope) <= -0.1 * g0:
+                    lo = (t, f, slope)
+                    break
+                else:
+                    if slope * ((np.inf if hi is None else hi[0]) - t) >= 0.0:
+                        hi = lo
+                    prev, lo = lo, (t, f, slope)
+                t = _next_trial_reference(prev, lo, hi)
+        last_step = lo[0]
+        x = x - lo[0] * d
+        trace.append(lo[1])
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < threshold:
+            break
+    return x, len(trace), np.asarray(trace)
+
+
 def reduced_objective_reference(x, vectors, y, lambda_a, lambda_y, sweep) -> float:
     """J(x) = (1/2M) sum_m min_v f_m recomputed from scratch: inner(a_m, x)
     as conj(A) x, and the attained f_m from ``sweep``, the package's

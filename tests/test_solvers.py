@@ -30,6 +30,7 @@ from oracles import (
     solve_ls_exact_reference,
     solve_ls_reference,
     solve_tls_reference,
+    solve_tls_search_reference,
     spectral_init_reference,
     wirtinger_gradient_fd,
     wolfe_ratios,
@@ -101,9 +102,9 @@ def _noisy_spectral_instance(m, n, real_mode):
 def _count_matrix_free_products(monkeypatch):
     calls = []
 
-    def counted(vectors, x):
+    def counted(vectors, x, out=None):
         calls.append(1)
-        return inner_rows(vectors, x)
+        return inner_rows(vectors, x, out=out)
 
     monkeypatch.setattr(solvers, "inner_rows", counted)
     return calls
@@ -511,20 +512,40 @@ def test_raw_arrays_and_containers_solve_bit_for_bit(solver):
         assert raw.corrected_ensemble.vectors.tobytes() == boxed.corrected_ensemble.vectors.tobytes()
 
 
-@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
-def test_both_solvers_stop_by_one_rule(solver):
-    # converged holds exactly when the trace has two entries and its last
-    # change is below threshold; the run stops at the first such change.
+_STEP_POLICIES = ["searched", "explicit", "real_binary"]
+
+
+def _policy_config(mode, policy, n, **fields):
+    """SolverConfig of ``mode`` for a step policy: the default searched
+    step, the tuned explicit step of ``_TUNED_MU`` (N = ``n``) or the fixed
+    step of real-binary projection."""
+    if policy == "explicit":
+        fields["step_size"] = _TUNED_MU[mode, "none"] * (n if mode == "tls" else 1.0)
+    elif policy == "real_binary":
+        fields["projection"] = "real_binary"
+    return SolverConfig(mode=mode, **fields)
+
+
+def _stop_rule_instance():
     rng = make_rng(33)
     ens = gaussian_ensemble(rng, 8, 64)
     x = complex_gaussian_vector(rng, 8)
     y, noisy = inject(rng, synthesize_measurements(ens, x), ens, NoiseSpec(20.0, 10.0))
-    x0 = spectral_init(y, noisy)
+    return y, noisy, spectral_init(y, noisy)
+
+
+@pytest.mark.parametrize("policy", _STEP_POLICIES)
+@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
+def test_both_solvers_stop_by_one_rule(solver, policy):
+    # converged holds exactly when the trace has two entries and its last
+    # change is below threshold; the run stops at the first such change.
+    y, noisy, x0 = _stop_rule_instance()
     mode = solver.__name__[len("solve_"):]
     outcomes = set()
     for threshold in (1e300, 1e-1, 1e-4, 1e-8, 1e-300):
         for max_iters in (0, 1, 2, 3, 25, 2500):
-            res = solver(y, noisy, SolverConfig(mode=mode, threshold=threshold, max_iters=max_iters), x0=x0)
+            cfg = _policy_config(mode, policy, 8, threshold=threshold, max_iters=max_iters)
+            res = solver(y, noisy, cfg, x0=x0)
             changes = np.abs(np.diff(res.objective_trace))
             assert res.iterations == len(res.objective_trace) <= max_iters
             assert res.converged == (len(changes) > 0 and changes[-1] < threshold)
@@ -536,6 +557,22 @@ def test_both_solvers_stop_by_one_rule(solver):
             outcomes.add((res.converged, res.iterations == max_iters))
     # Runs converged before the cap and runs capped unconverged both occurred.
     assert {(True, False), (False, True)} <= outcomes
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 3, 2500])
+@pytest.mark.parametrize("policy", _STEP_POLICIES)
+@pytest.mark.parametrize("solver", [solve_ls, solve_tls])
+def test_both_solvers_take_one_product_before_the_loop_and_one_per_iteration(solver, policy, max_iters, monkeypatch):
+    # inner_rows(A, x) once before the loop, then inner_rows(A, d) or
+    # inner_rows(A, x_new) once per iteration; the other product of an
+    # iteration is the gradient's A^T w.
+    y, noisy, x0 = _stop_rule_instance()
+    cfg = _policy_config(solver.__name__[len("solve_"):], policy, 8, max_iters=max_iters)
+    calls = _count_matrix_free_products(monkeypatch)
+    res = solver(y, noisy, cfg, x0=x0)
+    assert len(calls) == 1 + res.iterations
+    if max_iters < 2500:
+        assert res.iterations == max_iters
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +905,25 @@ def test_solve_tls_line_search_agrees_with_the_fixed_step_at_a_tight_threshold()
                 assert grads[0] <= 10.0 * grads[1]
                 assert abs(j_searched - j_fixed) <= 1e-4 * j_fixed
     assert others <= 1
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 2500])
+def test_solve_tls_default_matches_the_plain_line_search_loop(max_iters):
+    # The reference recomputes every trial from x - t d by an ensemble
+    # product and a fresh sweep.  First measured run, on the 16 unprojected
+    # oracle instances and the orthogonal start: equal iteration counts,
+    # x_hat within 3.3e-12 relative and the traces within 4.0e-13.
+    cases = [(y, ens.vectors, spectral_init(y, ens)) for y, ens, projection in _oracle_instances() if projection == "none"]
+    cases.append(_orthogonal_start_instance(4200, False))
+    for y, vectors, x0 in cases:
+        cfg = SolverConfig(max_iters=max_iters)
+        res = solve_tls(y, vectors, cfg, x0=x0)
+        x_ref, iters, trace = solve_tls_search_reference(
+            y.values, vectors, x0, 1.0 / vectors.shape[1], cfg.threshold, max_iters, sweep_corrections
+        )
+        assert res.iterations == iters
+        assert np.linalg.norm(res.x_hat - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
+        assert np.all(np.abs(res.objective_trace - trace) <= 1e-12 * trace)
 
 
 @pytest.mark.parametrize("n, ratio", [(64, 8), (32, 128)])
