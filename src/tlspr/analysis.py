@@ -205,7 +205,7 @@ def finite_difference_jacobians(
     weights = {}
     if method == "tls":
         weights = dict(lambda_a_dag=lambda_a * n, lambda_y_dag=lambda_y * float(np.linalg.norm(x0)) ** 4)
-    cfg = SolverConfig(mode=method, step_size=step_size, threshold=threshold, max_iters=max_iters, **weights)
+    cfg = SolverConfig(step_size=step_size, threshold=threshold, max_iters=max_iters, **weights)
     solve = solve_tls if method == "tls" else solve_ls
 
     def central_difference(arr: np.ndarray, index) -> np.ndarray:

@@ -116,7 +116,6 @@ class ExperimentConfig:
     def solver_config(self, mode: str) -> SolverConfig:
         step = self.step_size_tls if mode == "tls" else self.step_size_ls
         return SolverConfig(
-            mode=mode,
             lambda_a_dag=self.lambda_a_dag,
             lambda_y_dag=self.lambda_y_dag,
             step_size=step,
@@ -417,6 +416,16 @@ def run_error_analysis(config: ExperimentConfig, output: str | None = None) -> s
     return out_path
 
 
+def _single(config: ExperimentConfig, *names: str) -> list:
+    """The one value of each list field ``names`` of ``config``: a command
+    that makes or solves one instance takes no list of several."""
+    for name in names:
+        values = getattr(config, name)
+        if len(values) != 1:
+            raise UsageError(f"config key {name} takes one value for this command, got {list(values)}")
+    return [getattr(config, name)[0] for name in names]
+
+
 def solve_single(
     ensemble_path: str,
     measurements_path: str,
@@ -424,10 +433,9 @@ def solve_single(
     mode: str,
     out_prefix: str,
     signal_path: str | None = None,
-    meas_db=None,
-    sens_db=None,
 ) -> dict:
-    """Solve external data files; writes solution, report and TLS corrections."""
+    """Solve external data files, with the errors of the config's one SNR
+    pair injected; writes solution, report and TLS corrections."""
     ens = serialization.load(ensemble_path)
     y = serialization.load(measurements_path)
     if not isinstance(ens, SensingEnsemble) or not isinstance(y, MeasurementSet):
@@ -437,7 +445,7 @@ def solve_single(
         x_sharp = serialization.load(signal_path)
         if not isinstance(x_sharp, np.ndarray):
             raise UsageError("signal file does not hold a signal")
-    spec = _noise_spec(config, meas_db, sens_db)
+    spec = _noise_spec(config, *_single(config, "measurement_snr_db", "sensing_snr_db"))
     if spec is not None:
         if spec.model == "handcrafted" and (x_sharp is None or ens.model_tag == "external"):
             raise UsageError(
@@ -464,9 +472,12 @@ def solve_single(
     return report
 
 
-def run_synthesize(config: ExperimentConfig, out_prefix: str, meas_db=None, sens_db=None) -> list[str]:
+def run_synthesize(config: ExperimentConfig, out_prefix: str) -> list[str]:
+    """One instance at the config's one ratio and SNR pair: ensemble,
+    measurement and signal files."""
+    ratio, meas_db, sens_db = _single(config, "ratios", "measurement_snr_db", "sensing_snr_db")
     # Only the observed data are kept: the clean ensemble is freed before the saves.
-    x, y, ens = _simulate(make_rng(config.seed), config, config.ratios[0], meas_db, sens_db)[:3]
+    x, y, ens = _simulate(make_rng(config.seed), config, ratio, meas_db, sens_db)[:3]
     out = Path(out_prefix)
     paths = [str(out) + ".ensemble.tlspr", str(out) + ".meas.tlspr", str(out) + ".signal.tlspr"]
     serialization.save(ens, paths[0])
@@ -654,8 +665,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     for name in ("n", "model", "trials", "noise_model", "threshold", "max_iters", "projection"):
         if getattr(args, name, None) is not None:
             updates[name] = getattr(args, name)
-    if getattr(args, "ratio", None) is not None:
-        updates["ratios"] = (args.ratio,)
+    for flag, name in (("ratio", "ratios"), ("meas_snr_db", "measurement_snr_db"), ("sensing_snr_db", "sensing_snr_db")):
+        if getattr(args, flag, None) is not None:
+            updates[name] = (getattr(args, flag),)
     if getattr(args, "real", False):
         updates["real_mode"] = True
     if getattr(args, "step_size", None) is not None:
@@ -670,7 +682,7 @@ def main(argv=None) -> int:
         config = _apply_overrides(config, args)
         if args.command == "synthesize":
             out = args.out or "synthesized"
-            paths = run_synthesize(config, out, args.meas_snr_db, args.sensing_snr_db)
+            paths = run_synthesize(config, out)
             for p in paths:
                 print(p)
             return 0
@@ -683,8 +695,6 @@ def main(argv=None) -> int:
                 args.mode,
                 out,
                 signal_path=args.signal,
-                meas_db=args.meas_snr_db,
-                sens_db=args.sensing_snr_db,
             )
             print(json.dumps({k: v for k, v in report.items() if k != "objective_trace"}))
             return 0

@@ -13,7 +13,10 @@ TLS's (:class:`_TLSRows`) holds the reduced objective
 J(x) = (1/2M) sum_m min_v f_m of variable projection (Golub & Pereyra, 1973
 and 2003), which adds the lambda_a-weighted correction norms and tends to
 LS's as lambda_a grows.  Iteration stops when the objective changes by less
-than ``threshold`` between consecutive iterates or at ``max_iters``.
+than ``threshold`` between consecutive iterates or at ``max_iters``.  The
+models are the only code of each objective and gradient: the public
+:func:`objective_ls`, :func:`ls_gradient` and :func:`tls_objective_gradient`
+build one at x and read it.
 
 The loop has two step policies.  With the default step and no projection it
 searches along Polak-Ribiere+ conjugate directions d = g + beta d_prev
@@ -75,7 +78,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: str = "tls"
+    # None: whichever solver is called; "ls" or "tls" checks that it is that one.
+    mode: str | None = None
     lambda_a_dag: float = 1.0
     lambda_y_dag: float = 1.0
     # None: both solvers step along Polak-Ribiere+ conjugate directions at
@@ -90,7 +94,7 @@ class SolverConfig:
     projection: str = "none"
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode is not None and self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection {self.projection!r}")
@@ -184,16 +188,13 @@ def project_real_binary(x: np.ndarray) -> np.ndarray:
 def ls_gradient(x, ensemble, y) -> np.ndarray:
     """Wirtinger gradient of the (1/2M)-normalized least squares misfit."""
     vectors, yv, x = _checked(x, ensemble, y)
-    nu = inner_rows(vectors, x)
-    w = (np.abs(nu) ** 2 - yv) * nu / yv.shape[0]
-    return vectors.T @ w
+    return _LSRows(vectors, yv, inner_rows(vectors, x)).gradient(x, 0) / yv.shape[0]
 
 
 def objective_ls(x, ensemble, y) -> float:
     """(1/2M) sum (y_m - |inner(a_m, x)|^2)^2."""
     vectors, yv, x = _checked(x, ensemble, y)
-    nu = inner_rows(vectors, x)
-    return float(np.sum((yv - np.abs(nu) ** 2) ** 2) / (2.0 * yv.shape[0]))
+    return _LSRows(vectors, yv, inner_rows(vectors, x)).loss
 
 
 def objective_tls(x, corrected, original, y, lambda_a: float, lambda_y: float) -> float:
@@ -215,39 +216,19 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
     By the envelope theorem the inner minimizers are held fixed, giving
     lambda_y * (1/2M) sum 2*(|inner(v_m, x)|^2 - y_m)*inner(v_m, x)*v_m with
     v_m the corrected vectors at x: lambda_y times the step direction of
-    :func:`solve_tls`, from the same sweep (:class:`_ReducedLine`) and
-    :func:`_swept_gradient`.
+    :func:`solve_tls`, from the same sweep and gradient (:class:`_TLSRows`).
     """
     vectors, yv, x = _checked(x, ensemble, y)
     _check_positive(lambda_a=lambda_a, lambda_y=lambda_y)
-    norm_sq = _norm_sq(x)
-    line = _ReducedLine(inner_rows(vectors, x), yv, lambda_a, lambda_y, norm_sq, 0.0)
-    # inner_rows(A, x) is spent once the sweep is done; it takes the weights.
-    return lambda_y * _swept_gradient(vectors, yv, x, norm_sq, line.line, line.s, line.nu)
-
-
-def _swept_gradient(vectors, yv, x, norm_sq, line: LineRoots, s, w) -> np.ndarray:
-    """The gradient g(x) of the module docstring with the rows corrected by
-    the sweep in ``line`` held fixed, given s = t0 + c.  A corrected row is
-    v_m = a_m + conj(phase) s x / ||x||^2 with inner(v_m, x) = phase t0, so
-    g = A^T (k phase) + (sum k s / ||x||^2) x with the real
-    k = (t0^2 - y) t0 / M.  Overwrites ``w`` and ``line.rows[0]``."""
-    t0, k = line.t0, line.rows[0]
-    np.multiply(t0, t0, out=k)
-    k -= yv
-    k *= t0
-    np.multiply(line.phase, k, out=w)
-    grad = vectors.T @ w
-    grad += (float(k @ s) / norm_sq) * x
-    grad /= yv.shape[0]
-    return grad
+    rows = _TLSRows(vectors, yv, inner_rows(vectors, x), lambda_a, lambda_y, _norm_sq(x), 0.0)
+    return lambda_y * rows.gradient(x, 0)
 
 
 def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
     """Checked inputs, the initial iterate x, inner_rows(A, x) (the one
     product before the loop), ||x||^2, lambda_a and the scaled fixed step,
     shared by both solvers."""
-    if cfg.mode != mode:
+    if cfg.mode not in (None, mode):
         raise ValueError(f"cfg.mode must be {mode!r}")
     vectors = ensemble_array(ensemble)
     m, n = vectors.shape
@@ -395,8 +376,8 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
 
     Each iteration (a) corrects every sensing vector in closed form at the
     current x, then (b) steps on x along the gradient with the corrected
-    vectors held fixed (:func:`_swept_gradient`).  The searched step ends at
-    a strong Wolfe point of J(x - t d) (:meth:`_ReducedLine.line_step`),
+    vectors held fixed (:meth:`_TLSRows.gradient`).  The searched step ends
+    at a strong Wolfe point of J(x - t d) (:meth:`_TLSRows.line_step`),
     whose sweep is the next iteration's (a); the trace holds J at each new
     iterate and the returned ensemble the corrections at ``x_hat``.  After a
     fixed step both hold the last sweep's corrections, at the new iterate.
@@ -454,10 +435,11 @@ class _LSRows:
 _DECREASE, _CURVATURE, _SEARCH_EVALS = 1e-4, 0.1, 30
 
 
-class _ReducedLine:
-    """The reduced objective J(x) = (1/2M) sum_m min_v f_m at the current
-    iterate x and along x - t d, in length-M buffers that every iteration of
-    one solve reuses.
+class _TLSRows:
+    """The per-row model of :func:`solve_tls` for :func:`_descend`: the
+    reduced objective J(x) = (1/2M) sum_m min_v f_m at the current iterate x
+    and along x - t d, in length-M buffers that every iteration of one solve
+    reuses.
 
     Along the line inner(a_m, x - t d) = nu - t nu_d and
     n(t) = ||x - t d||^2 = ||x||^2 - 2t Re<x, d> + t^2 ||d||^2, so a point
@@ -474,13 +456,18 @@ class _ReducedLine:
 
     Holds inner_rows(A, x) in ``nu``, ||x||^2 in ``norm_sq``, the sweep at x
     in ``line``, s there in ``s``, its correction term
-    lambda_a sum s^2 / ||x||^2 in ``corr`` and J(x) in ``loss``.  The
-    sweep's scratch row ``line.rows[0]`` is free between sweeps.
+    lambda_a sum s^2 / ||x||^2 in ``corr`` and J(x) in ``loss``.  A searched
+    step leaves the sweep at the new iterate; a fixed step leaves it
+    ``behind``, at the iterate it stepped from, and the next gradient sweeps
+    afresh.  The sweep's scratch row ``line.rows[0]`` and ``nu_t`` are free
+    between sweeps: a trial step writes ``nu_t`` before it reads it.
     """
 
-    def __init__(self, nu, yv, lambda_a: float, lambda_y: float, norm_sq: float, first_step: float):
+    def __init__(self, vectors, yv, nu, lambda_a: float, lambda_y: float, norm_sq: float,
+                 first_step: float, model_tag: str = "external"):
         m = yv.shape[0]
-        self.yv, self.lambda_a, self.lambda_y = yv, lambda_a, lambda_y
+        self.vectors, self.yv, self.model_tag = vectors, yv, model_tag
+        self.lambda_a, self.lambda_y = lambda_a, lambda_y
         self.line = LineRoots(m)
         self.s = np.empty(m)
         self.nu, self.nu_t = nu, np.empty_like(nu)
@@ -488,6 +475,7 @@ class _ReducedLine:
             self.loss = self._sweep(nu, norm_sq)
         # The last search's step, and the step tried first without one.
         self.step, self.first_step = 0.0, first_step
+        self.behind = None
 
     def _sweep(self, nu, norm_sq: float) -> float:
         """Correct every row at inner products ``nu`` and squared norm
@@ -500,6 +488,27 @@ class _ReducedLine:
         self.norm_sq, self.ss = norm_sq, float(s @ s)
         self.corr = self.lambda_a * self.ss / norm_sq
         return (self.corr + self.lambda_y * float(r @ r)) / (2.0 * r.shape[0])
+
+    def gradient(self, x, iteration: int) -> np.ndarray:
+        """The gradient g(x) of the module docstring with the rows of the
+        sweep at x held fixed, after a sweep at x if the last one is behind
+        it.  A corrected row is v_m = a_m + conj(phase) s x / ||x||^2 with
+        inner(v_m, x) = phase t0, so g = A^T (k phase) + (sum k s / ||x||^2) x
+        with the real k = (t0^2 - y) t0 / M."""
+        if self.behind is not None:
+            norm_sq = float(np.vdot(x, x).real)
+            if norm_sq == 0.0:
+                raise SolverError(f"iterate collapsed to zero norm at iteration {iteration}")
+            self._sweep(self.nu, norm_sq)
+            self.behind = None
+        t0, k = self.line.t0, self.line.rows[0]
+        np.multiply(t0, t0, out=k)
+        k -= self.yv
+        k *= t0
+        grad = self.vectors.T @ np.multiply(self.line.phase, k, out=self.nu_t)
+        grad += (float(k @ self.s) / self.norm_sq) * x
+        grad /= self.yv.shape[0]
+        return grad
 
     def _slope(self, nu_d, half_dn: float) -> float:
         """J' at the last sweep, where d||x - t d||^2/dt = 2 ``half_dn``."""
@@ -567,36 +576,12 @@ class _ReducedLine:
             self.nu, self.nu_t = self.nu_t, self.nu
         return self.step
 
-
-class _TLSRows(_ReducedLine):
-    """The per-row model of :func:`solve_tls` for :func:`_descend`: the
-    reduced objective's line and the ensemble.  A searched step leaves the
-    sweep at the new iterate; a fixed step leaves it ``behind``, at the
-    iterate it stepped from, and the next gradient sweeps afresh."""
-
-    def __init__(self, vectors, yv, nu, lambda_a, lambda_y, norm_sq, first_step, model_tag: str):
-        super().__init__(nu, yv, lambda_a, lambda_y, norm_sq, first_step)
-        self.vectors, self.model_tag = vectors, model_tag
-        self.w = np.empty_like(nu)
-        self.behind = None
-
-    def gradient(self, x, iteration: int) -> np.ndarray:
-        """g(x) of :func:`_swept_gradient`, after a sweep at x if the last
-        one is behind it."""
-        if self.behind is not None:
-            norm_sq = float(np.vdot(x, x).real)
-            if norm_sq == 0.0:
-                raise SolverError(f"iterate collapsed to zero norm at iteration {iteration}")
-            self._sweep(self.nu, norm_sq)
-            self.behind = None
-        return _swept_gradient(self.vectors, self.yv, x, self.norm_sq, self.line, self.s, self.w)
-
     def moved(self, x, x_new) -> None:
         """The loss at x_new, with inner_rows(A, x_new) in ``nu``, of the
         rows the sweep at x corrected: v_m = a_m + conj(u_m) x / ||x||^2 with
         u = phase s, so inner(v_m, x_new) = inner(a_m, x_new) + u_m <x, x_new> / ||x||^2."""
         m = self.yv.shape[0]
-        v_x = np.multiply(self.line.phase, self.s, out=self.w)
+        v_x = np.multiply(self.line.phase, self.s, out=self.nu_t)
         v_x *= np.vdot(x, x_new) / self.norm_sq
         v_x += self.nu
         r = np.abs(v_x, out=self.line.rows[0])
@@ -607,7 +592,7 @@ class _TLSRows(_ReducedLine):
 
     def corrected(self, x, moved: bool) -> SensingEnsemble:
         """The rows of the last sweep, a_m + conj(u_m) x / ||x||^2 at its x."""
-        u = np.multiply(self.line.phase, self.s, out=self.w) if moved else np.zeros_like(self.w)
+        u = np.multiply(self.line.phase, self.s, out=self.nu_t) if moved else np.zeros_like(self.nu_t)
         rows = _moved_rows(self.vectors, x if self.behind is None else self.behind, u, self.norm_sq)
         return SensingEnsemble(_Owned(rows), model_tag=self.model_tag, noise_tag="corrected")
 

@@ -14,14 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
 def inner_loop(a, b) -> complex:
     """Summation-loop inner product, conjugating the first argument."""
     total = 0.0 + 0.0j
@@ -58,8 +50,9 @@ def correction_objective(a_m, v, y_m, x, lam_a, lam_y) -> float:
 _GRID_BLOCK = 1 << 17  # grid points per block; 1 MB stays in cache
 
 
-def grid_min_numpy(nu_a, y, lam_a, lam_y, norm_x_sq, radius, step) -> float:
-    """:func:`grid_min` in numpy, vectorized over blocks of rows.
+def grid_min(nu_a, y, lam_a, lam_y, norm_x_sq, radius, step) -> float:
+    """The least f_m over the square grid of nu with spacing ``step`` on
+    [-radius, radius]^2 around zero, in numpy, vectorized over blocks of rows.
 
     Every value on row i is >= fl(min(col_pert) + row_pert[i]), because the
     squared term is >= 0 and rounding is monotone.  So rows are visited in
@@ -90,34 +83,6 @@ def grid_min_numpy(nu_a, y, lam_a, lam_y, norm_x_sq, radius, step) -> float:
         block += col_pert
         best = min(best, float((block.min(axis=1) + row_pert[picked]).min()))
     return best
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _grid_scan(nu_a_re, nu_a_im, y, lam_a, lam_y, norm_x_sq, radius, step):
-        best = np.inf
-        count = int(np.ceil(2.0 * radius / step)) + 1
-        for i in range(count):
-            re = -radius + i * step
-            dre = re - nu_a_re
-            re_sq = re * re
-            for k in range(count):
-                im = -radius + k * step
-                dim = im - nu_a_im
-                misfit = y - (re_sq + im * im)
-                f = lam_a * (dre * dre + dim * dim) / norm_x_sq + lam_y * misfit * misfit
-                if f < best:
-                    best = f
-        return best
-
-    def grid_min(nu_a, y, lam_a, lam_y, norm_x_sq, radius, step) -> float:
-        return float(
-            _grid_scan(nu_a.real, nu_a.imag, float(y), lam_a, lam_y, norm_x_sq, radius, step)
-        )
-
-else:  # pragma: no cover
-    grid_min = grid_min_numpy
 
 
 # Frozen copy of the scalar correction algorithm the package shipped before

@@ -193,6 +193,53 @@ def test_solve_step_size_flag_sets_both_solver_steps():
     assert config.step_size_tls == config.step_size_ls == 0.25
 
 
+def _file_bytes(prefix, *kinds):
+    return [(prefix.parent / f"{prefix.name}.{kind}.tlspr").read_bytes() for kind in kinds]
+
+
+def test_synthesize_and_solve_read_the_config_noise_like_the_flags(tmp_path):
+    # Each run writes to its own directory under one prefix, since the
+    # measurement file names its ensemble file.
+    config_path = tmp_path / "noise.yaml"
+    config_path.write_text("n: 8\nratios: [4]\nnoise:\n  measurement_snr_db: 20\n  sensing_snr_db: 10\n")
+    flags = ["--meas-snr-db", "20", "--sensing-snr-db", "10"]
+    runs = {"config": ["--config", str(config_path)], "flags": flags, "none": []}
+    for name, args in runs.items():
+        (tmp_path / name).mkdir()
+        shape = [] if name == "config" else ["--n", "8", "--ratio", "4"]
+        assert main(["synthesize", "--seed", "3", "--out", str(tmp_path / name / "in"), *shape, *args]) == 0
+    kinds = ("ensemble", "meas", "signal")
+    synthesized = {name: _file_bytes(tmp_path / name / "in", *kinds) for name in runs}
+    assert synthesized["config"] == synthesized["flags"] != synthesized["none"]
+    # solve injects the same errors into the clean files under either source.
+    src = tmp_path / "none" / "in"
+    files = ["--ensemble", f"{src}.ensemble.tlspr", "--measurements", f"{src}.meas.tlspr", "--max-iters", "5"]
+    for name, args in runs.items():
+        assert main(["solve", *files, "--out", str(tmp_path / name / "sol"), *args]) == 0
+    solved = {name: _file_bytes(tmp_path / name / "sol", "solution", "corrected") for name in runs}
+    assert solved["config"] == solved["flags"] != solved["none"]
+
+
+@pytest.mark.parametrize(
+    "command, setting, key",
+    [
+        ("synthesize", "ratios: [4, 8]\n", "ratios"),
+        ("synthesize", "noise:\n  measurement_snr_db: [20, 30]\n", "measurement_snr_db"),
+        ("solve", "noise:\n  sensing_snr_db: [10, 20]\n", "sensing_snr_db"),
+    ],
+)
+def test_one_instance_commands_reject_a_list_of_several_values(tmp_path, capsys, command, setting, key):
+    src = tmp_path / "in"
+    assert main(["synthesize", "--n", "8", "--ratio", "4", "--seed", "1", "--out", str(src)]) == 0
+    config_path = tmp_path / "lists.yaml"
+    config_path.write_text("n: 8\n" + setting)
+    capsys.readouterr()
+    args = [] if command == "synthesize" else ["--ensemble", f"{src}.ensemble.tlspr", "--measurements", f"{src}.meas.tlspr"]
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out"), *args]) == 1
+    assert f"config key {key} takes one value" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_main_builds_the_parser_once_and_prints_its_help(tmp_path, monkeypatch, capsys):
     build = cli.build_parser
     builds = []

@@ -17,7 +17,6 @@ from oracles import (
     correct_sensing_vector_reference,
     correction_objective,
     grid_min,
-    grid_min_numpy,
     sweep_corrections_reference,
 )
 
@@ -321,7 +320,7 @@ def test_pruned_grid_min_equals_the_dense_scan(monkeypatch, block):
         col_pert = lam_a * (axis - nu_a.imag) ** 2 / norm_sq
         table = np.square(root_y * (y - axis**2)[:, None] - root_y * axis**2) + col_pert
         dense = float((table.min(axis=1) + row_pert).min())
-        assert grid_min_numpy(nu_a, y, lam_a, lam_y, norm_sq, radius, step) == dense
+        assert grid_min(nu_a, y, lam_a, lam_y, norm_sq, radius, step) == dense
 
 
 def test_never_worse_than_frozen_scalar_algorithm():

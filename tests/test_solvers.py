@@ -824,6 +824,22 @@ def test_solve_ls_trace_ends_at_the_objective_of_x_hat(shape):
         assert abs(res.objective_trace[-1] - objective) <= 1e-12 * objective
 
 
+def test_solve_ls_trace_is_the_public_objective():
+    # objective_ls reads the solver's own row model, so after a fixed step,
+    # which reads nu = inner_rows(A, x_hat) afresh, the two agree bit for
+    # bit; the searched step follows nu by nu - t inner_rows(A, d).
+    for y, ens, projection in _oracle_instances():
+        x0 = spectral_init(y, ens)
+        fixed = _policy_config("ls", "explicit" if projection == "none" else projection, 16)
+        res = solve_ls(y, ens, fixed, x0=x0)
+        assert objective_ls(res.x_hat, ens, y) == res.objective_trace[-1]
+        if projection == "none":
+            res = solve_ls(y, ens, SolverConfig(), x0=x0)
+            objective = objective_ls(res.x_hat, ens, y)
+            # First measured run: within 8.3e-16 relative.
+            assert abs(res.objective_trace[-1] - objective) <= 1e-14 * objective
+
+
 @pytest.mark.parametrize("shape", ["sweep-paper", "sweep-tall", "cdp"])
 def test_solve_ls_trace_never_increases(shape):
     # Every conjugate direction is a descent direction and the exact step
@@ -961,7 +977,7 @@ def test_reduced_line_slope_is_one_sided_on_rows_orthogonal_to_x0():
     nu_d = inner_rows(vectors, d)
     re_xd, dd = float(np.vdot(x0, d).real), float(np.vdot(d, d).real)
     with np.errstate(divide="ignore", invalid="ignore"):
-        along = solvers._ReducedLine(inner_rows(vectors, x0), yv, lam_a, lam_y, norm_sq, 1.0)
+        along = solvers._TLSRows(vectors, yv, inner_rows(vectors, x0), lam_a, lam_y, norm_sq, 1.0)
         zero = along.line.c == 0.0
         assert np.count_nonzero(zero) == vectors.shape[0] // 4
         # The right derivative against the naive one that took phase = 1.
