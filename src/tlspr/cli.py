@@ -263,7 +263,7 @@ def run_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_seed: int
     x0 = spectral_init(y_obs, ens_obs, config.power_iters)
     res_tls = solve_tls(y_obs, ens_obs, config.solver_config("tls"), x0=x0)
     res_ls = solve_ls(y_obs, ens_obs, config.solver_config("ls"), x0=x0)
-    rc = metrics.rel_corr(ens, x_sharp, res_tls.corrected_ensemble, res_tls.x_hat)
+    rc = metrics.rel_corr(ens, x_sharp, res_tls.corrections, res_tls.x_hat)
     wall_ms = (time.perf_counter() - t_start) * 1e3
     return {
         "record": "trial",
@@ -457,8 +457,8 @@ def solve_single(
     result = solver(y, ens, config.solver_config(mode))
     out = Path(out_prefix)
     serialization.save(result.x_hat, str(out) + ".solution.tlspr")
-    if result.corrected_ensemble is not None:
-        serialization.save(result.corrected_ensemble, str(out) + ".corrected.tlspr")
+    if result.corrections is not None:
+        serialization.save(result.corrections, str(out) + ".corrected.tlspr")
     report = {
         "mode": mode,
         "iterations": result.iterations,

@@ -135,6 +135,11 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(flat.min()) and np.isfinite(flat.max()))
 
 
+def _is_real(arr: np.ndarray) -> bool:
+    """Whether every imaginary part of ``arr`` is zero, read in place."""
+    return not arr.imag.any()
+
+
 def _finite_array(data, dtype, ndim: int, name: str, verb: str = "contains") -> np.ndarray:
     """``data`` as a non-empty ``ndim``-D ``dtype`` array of finite entries, else a ValueError."""
     arr = np.asarray(data, dtype=dtype)
@@ -177,7 +182,7 @@ class SensingEnsemble:
         return self.vectors.shape[1]
 
     def is_real(self) -> bool:
-        return not self.vectors.imag.any()
+        return _is_real(self.vectors)
 
 
 @dataclass(frozen=True)

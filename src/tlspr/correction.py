@@ -39,11 +39,14 @@ that a solver reuses from one iteration to the next.
 
 from __future__ import annotations
 
+import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_positive, _checked, as_cvector, ensemble_array, inner, inner_rows, measurement_array
+from .core import SensingEnsemble, _check_positive, _checked, _Owned, as_cvector, ensemble_array, inner, inner_rows
+from .core import measurement_array
 # Not called here; bench/harness.py traces the cubic under this name.
 from .cubic import depressed_roots_batch  # noqa: F401
 from .cubic import root_workspace, smallest_real_root_into
@@ -85,16 +88,55 @@ def _moved_rows(vectors: np.ndarray, x: np.ndarray, delta: np.ndarray, norm_sq: 
     return rows
 
 
+class CorrectedRows:
+    """The corrected ensemble of a TLS solve as factors: the rows
+    v_m = a_m + conj(u_m) x / ||x||^2 of :func:`_moved_rows`, held as the
+    observed rows a_m (``vectors``, not copied), the per-row shifts ``u``,
+    the point ``x`` of the sweep that made them (copied) and ``norm_sq`` =
+    ||x||^2.  It never holds all M x N corrected entries at once:
+    :meth:`inner_rows` reads the observed rows in one product, and
+    :meth:`row_blocks` and :meth:`ensemble` build rows bit for bit as
+    :func:`_moved_rows` does.  ``shape``, ``m``, ``n``, ``model_tag`` and
+    ``noise_tag`` are those of the ensemble it stands for."""
+
+    noise_tag = "corrected"
+    BLOCK_ROWS = 256
+
+    def __init__(self, vectors: np.ndarray, u: np.ndarray, x: np.ndarray, norm_sq: float, model_tag: str):
+        self.vectors, self.u, self.x, self.norm_sq = vectors, u, x.copy(), norm_sq
+        self.model_tag = model_tag
+        self.shape = self.m, self.n = vectors.shape
+
+    def inner_rows(self, z: np.ndarray) -> np.ndarray:
+        """inner(v_m, z) for every corrected row: inner(a_m, z) + u_m <x, z> / ||x||^2."""
+        nu = inner_rows(self.vectors, z)
+        nu += self.u * (np.vdot(self.x, z) / self.norm_sq)
+        return nu
+
+    def row_blocks(self):
+        """The corrected rows in blocks of ``BLOCK_ROWS`` (the last one shorter)."""
+        for start in range(0, self.m, self.BLOCK_ROWS):
+            stop = start + self.BLOCK_ROWS
+            yield _moved_rows(self.vectors[start:stop], self.x, self.u[start:stop].copy(), self.norm_sq)
+
+    def ensemble(self) -> SensingEnsemble:
+        """All corrected rows as one new ensemble."""
+        rows = _moved_rows(self.vectors, self.x, self.u.copy(), self.norm_sq)
+        return SensingEnsemble(_Owned(rows), model_tag=self.model_tag, noise_tag=self.noise_tag)
+
+
 def reconstruct_from_nu(a_m: np.ndarray, x: np.ndarray, nu: complex) -> np.ndarray:
     """Vector v with inner(v, x) = nu that differs from a_m only along x."""
     a_m = as_cvector(a_m, "a_m")
     x = as_cvector(x, "x", a_m.shape[0])
-    return _reconstructed(a_m, x, as_cvector([nu], "nu"), _norm_sq(x))
+    if not (isinstance(nu, numbers.Number) and cmath.isfinite(nu)):
+        raise ValueError(f"nu must be a finite complex scalar, got {nu!r}")
+    return _reconstructed(a_m, x, complex(nu), _norm_sq(x))
 
 
-def _reconstructed(a_m: np.ndarray, x: np.ndarray, nu: np.ndarray, norm_sq: float) -> np.ndarray:
-    """:func:`reconstruct_from_nu` of checked input, ``nu`` of length one."""
-    return _moved_rows(a_m, x, nu - inner(a_m, x), norm_sq)[0]
+def _reconstructed(a_m: np.ndarray, x: np.ndarray, nu: complex, norm_sq: float) -> np.ndarray:
+    """:func:`reconstruct_from_nu` of checked input."""
+    return _moved_rows(a_m, x, np.array([nu - inner(a_m, x)]), norm_sq)[0]
 
 
 def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> CorrectionResult:
@@ -105,11 +147,8 @@ def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> Corr
     x = as_cvector(x, "x", a_m.shape[0])
     norm_sq = _norm_sq(x)
     nu_star, f_star = _swept(inner_rows(a_m[None, :], x), y, params.lambda_a, params.lambda_y, norm_sq)
-    return CorrectionResult(
-        corrected=_reconstructed(a_m, x, nu_star, norm_sq),
-        nu=complex(nu_star[0]),
-        objective_value=float(f_star[0]),
-    )
+    nu = complex(nu_star[0])
+    return CorrectionResult(corrected=_reconstructed(a_m, x, nu, norm_sq), nu=nu, objective_value=float(f_star[0]))
 
 
 class LineRoots:

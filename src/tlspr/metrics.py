@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DimensionMismatchError, SensingEnsemble, as_cvector, ensemble_array, inner, inner_rows
+from .correction import CorrectedRows
 
 
 def dist(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
@@ -55,7 +56,7 @@ def recon_snr_db(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
 def rel_corr(
     a_sharp: SensingEnsemble | np.ndarray,
     x_sharp: np.ndarray,
-    a_dag: SensingEnsemble | np.ndarray,
+    a_dag: SensingEnsemble | CorrectedRows | np.ndarray,
     x_dag: np.ndarray,
 ) -> float:
     """Relative sensing-vector correction error along the recovered direction.
@@ -63,16 +64,19 @@ def rel_corr(
     With phi aligning x_dag to x_sharp and yv(a, x) the vector of inner
     products [inner(a_1, x), ..., inner(a_M, x)], returns
     ||yv(a_sharp, x_sharp) - yv(a_dag, exp(j*phi)*x_dag)|| / ||yv(a_sharp, x_sharp)||.
+    ``a_dag`` may be a TLS solve's ``corrections``, whose inner products
+    are read without building the corrected rows.
     """
     va = ensemble_array(a_sharp, "a_sharp")
-    vd = ensemble_array(a_dag, "a_dag")
-    if va.shape != vd.shape:
-        raise DimensionMismatchError(f"a_sharp has shape {va.shape}, a_dag has shape {vd.shape}")
+    rows = a_dag if isinstance(a_dag, CorrectedRows) else ensemble_array(a_dag, "a_dag")
+    if va.shape != rows.shape:
+        raise DimensionMismatchError(f"a_sharp has shape {va.shape}, a_dag has shape {rows.shape}")
     x_sharp = as_cvector(x_sharp, "x_sharp", va.shape[1])
     x_dag = as_cvector(x_dag, "x_dag", va.shape[1])
     phi = optimal_phase(x_sharp, x_dag)
     ref = inner_rows(va, x_sharp)
-    got = inner_rows(vd, np.exp(1j * phi) * x_dag)
+    z = np.exp(1j * phi) * x_dag
+    got = rows.inner_rows(z) if isinstance(rows, CorrectedRows) else inner_rows(rows, z)
     denom = np.linalg.norm(ref)
     if denom == 0.0:
         raise ValueError("reference inner products have zero norm")

@@ -17,8 +17,10 @@ order (2*N respectively 2*M*N doubles), which is the memory of a row-major
 little-endian complex128 array; measurement sets store M doubles.  The
 payload goes straight between the file and the array's memory: :func:`save`
 writes the array's own buffer and :func:`load` reads into the one array it
-returns, so neither copies it.  The file stays little-endian on any host; a
-big-endian host swaps the bytes in memory.  :func:`load` checks the payload
+returns, so neither copies it.  A corrected ensemble held as factors
+(:class:`~tlspr.correction.CorrectedRows`) is written as it is built, one
+block of rows at a time, to the same bytes.  The file stays little-endian on
+any host; a big-endian host swaps the bytes in memory.  :func:`load` checks the payload
 size the header promises against the size of the file before it allocates.
 
 A JSON variant is written when the path ends in ``.json``: the same header
@@ -34,11 +36,13 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .core import MeasurementSet, SensingEnsemble, _Owned, as_cvector
+from .correction import CorrectedRows
 
 _MAGIC = b"TLSPRBIN"
 FORMAT_VERSION = 1
@@ -56,41 +60,50 @@ class FileFormatError(ValueError):
     """File is not a valid container or is inconsistent with its header."""
 
 
-def _contents(obj) -> tuple[dict, np.ndarray]:
-    """The header of ``obj`` and its values as the payload's C-contiguous
-    little-endian array: ``obj``'s own memory whenever it already is one."""
-    if isinstance(obj, SensingEnsemble):
+def _contents(obj) -> tuple[dict, Iterator[np.ndarray]]:
+    """The header of ``obj`` and its values as blocks of the payload's
+    C-contiguous little-endian array: ``obj``'s own memory whenever it
+    already is one, and the row blocks of a :class:`CorrectedRows`."""
+    if isinstance(obj, (SensingEnsemble, CorrectedRows)):
         fields = {"kind": "ensemble", "n": obj.n, "m": obj.m,
                   "model_tag": obj.model_tag, "noise_tag": obj.noise_tag}
-        values = obj.vectors
+        blocks = obj.row_blocks() if isinstance(obj, CorrectedRows) else [obj.vectors]
     elif isinstance(obj, MeasurementSet):
         fields = {"kind": "measurements", "m": obj.m, "ensemble_ref": obj.ensemble_ref}
-        values = obj.values
+        blocks = [obj.values]
     else:
         values = as_cvector(obj, "signal")
         fields = {"kind": "signal", "n": int(values.shape[0])}
+        blocks = [values]
     header = {"format_version": FORMAT_VERSION, **fields, "dtype": _DTYPE}
-    return header, np.ascontiguousarray(values, dtype=_KINDS[fields["kind"]][1])
+    file_dtype = _KINDS[fields["kind"]][1]
+    return header, (np.ascontiguousarray(block, dtype=file_dtype) for block in blocks)
 
 
 def save(obj, path) -> None:
-    """Write a signal (1-D complex array), SensingEnsemble or MeasurementSet.
+    """Write a signal (1-D complex array), SensingEnsemble or MeasurementSet,
+    or the corrected ensemble a TLS solve holds as
+    :class:`~tlspr.correction.CorrectedRows`, which is written a block of
+    rows at a time.
 
     Paths ending in ``.json`` use the JSON variant, anything else the binary
     container.
     """
     path = Path(path)
-    header, values = _contents(obj)
+    header, blocks = _contents(obj)
     if path.suffix == ".json":
-        if values.dtype.kind == "c":
-            values = values.view("<f8").reshape(*values.shape, 2)
-        header["data"] = values.tolist()
+        header["data"] = []
+        for values in blocks:
+            if values.dtype.kind == "c":
+                values = values.view("<f8").reshape(*values.shape, 2)
+            header["data"] += values.tolist()
         path.write_text(json.dumps(header))
         return
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<I", len(blob)) + blob)
-        fh.write(values)
+        for values in blocks:
+            fh.write(values)
 
 
 def load(path):

@@ -50,15 +50,16 @@ start from :func:`spectral_init`.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SensingEnsemble, _complex_normal, _Owned, as_cvector, inner_rows, make_rng
+from .core import SensingEnsemble, _complex_normal, _is_real, as_cvector, inner_rows, make_rng
 from .core import _check_positive, _checked, ensemble_array, measurement_array  # the input gate
-from .correction import LineRoots, _moved_rows, _norm_sq
+from .correction import CorrectedRows, LineRoots, _norm_sq
 # Not called here; bench/harness.py traces the sweep under this name.
 from .correction import sweep_corrections  # noqa: F401
 from .cubic import depressed_real_roots
@@ -110,11 +111,24 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """What a solve returns.  A TLS solve's corrections are kept as factors
+    in ``corrections`` (:class:`~tlspr.correction.CorrectedRows`; None
+    after LS): its length-M shifts and the point of the last sweep, next to
+    the ensemble the solve read.  ``corrected_ensemble`` builds the (M, N)
+    corrected rows from them on first read and keeps them; LS gives None.
+    The rows are read from that ensemble as it is then: a
+    :class:`~tlspr.core.SensingEnsemble`'s rows are read-only, but a raw
+    writable array changed after the solve is read as changed."""
+
     x_hat: np.ndarray
-    corrected_ensemble: SensingEnsemble | None
+    corrections: CorrectedRows | None
     objective_trace: np.ndarray
     iterations: int
     converged: bool
+
+    @functools.cached_property
+    def corrected_ensemble(self) -> SensingEnsemble | None:
+        return None if self.corrections is None else self.corrections.ensemble()
 
 
 def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
@@ -138,7 +152,7 @@ def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
         raise ValueError("measurements sum to a nonpositive value")
     m, n = vectors.shape
     spectral = _spectral_matrix(vectors, yv) if n * n <= m and n <= 2 * power_iters else None
-    real_data = not vectors.imag.any()
+    real_data = _is_real(vectors)
     rng = make_rng(_SPECTRAL_START_SEED)
     u = _complex_normal(rng, n, real_data)
     u /= np.linalg.norm(u)
@@ -239,7 +253,7 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
         try:  # the inputs as passed, so that a container is not checked twice
             x = spectral_init(y, ensemble, cfg.power_iters)
         except ValueError:
-            x = fallback_init(n, real_mode=not vectors.imag.any())
+            x = fallback_init(n, real_mode=_is_real(vectors))
     x = _feasible(x, cfg)
     norm0_sq = float(np.vdot(x, x).real)
     if norm0_sq == 0.0:
@@ -357,7 +371,7 @@ def _descend(rows, x, cfg: SolverConfig, step: float) -> SolveResult:
                 rows.moved(x, x_new)
                 x = x_new
             converged = _record(trace, rows.loss, cfg.threshold)
-    return SolveResult(x_hat=x, corrected_ensemble=rows.corrected(x, moved=bool(trace)),
+    return SolveResult(x_hat=x, corrections=rows.corrections(x, moved=bool(trace)),
                        objective_trace=np.asarray(trace), iterations=len(trace), converged=converged)
 
 
@@ -379,7 +393,7 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     vectors held fixed (:meth:`_TLSRows.gradient`).  The searched step ends
     at a strong Wolfe point of J(x - t d) (:meth:`_TLSRows.line_step`),
     whose sweep is the next iteration's (a); the trace holds J at each new
-    iterate and the returned ensemble the corrections at ``x_hat``.  After a
+    iterate and the returned ``corrections`` are those at ``x_hat``.  After a
     fixed step both hold the last sweep's corrections, at the new iterate.
     """
     vectors, yv, x, nu, norm0_sq, lambda_a, step = _start(y, ensemble, cfg, x0, "tls")
@@ -425,7 +439,7 @@ class _LSRows:
         self.moved()
         return t
 
-    def corrected(self, x, moved: bool) -> None:
+    def corrections(self, x, moved: bool) -> None:
         return None
 
 
@@ -590,11 +604,11 @@ class _TLSRows:
         self.loss = self.corr / (2.0 * m) + self.lambda_y * float(r @ r) / (2.0 * m)
         self.behind = x
 
-    def corrected(self, x, moved: bool) -> SensingEnsemble:
-        """The rows of the last sweep, a_m + conj(u_m) x / ||x||^2 at its x."""
+    def corrections(self, x, moved: bool) -> CorrectedRows:
+        """The rows of the last sweep, a_m + conj(u_m) x / ||x||^2 at its x, as factors."""
         u = np.multiply(self.line.phase, self.s, out=self.nu_t) if moved else np.zeros_like(self.nu_t)
-        rows = _moved_rows(self.vectors, x if self.behind is None else self.behind, u, self.norm_sq)
-        return SensingEnsemble(_Owned(rows), model_tag=self.model_tag, noise_tag="corrected")
+        x_c = x if self.behind is None else self.behind
+        return CorrectedRows(self.vectors, u, x_c, self.norm_sq, self.model_tag)
 
 
 def _next_trial(prev, lo, hi) -> float:

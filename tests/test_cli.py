@@ -326,6 +326,25 @@ def test_cli_synthesize_solve_roundtrip(tmp_path):
     assert rel_dist(res.x_hat, x_hat) <= 1e-10
 
 
+def test_solve_writes_the_corrected_ensemble_the_result_holds(tmp_path):
+    # M = 600 rows: two full write blocks of 256 and a short one.
+    prefix, out = str(tmp_path / "case"), str(tmp_path / "sol")
+    assert main(["synthesize", "--n", "16", "--ratio", "37.5", "--seed", "4", "--out", prefix,
+                 "--meas-snr-db", "20", "--sensing-snr-db", "10"]) == 0
+    assert main(["solve", "--ensemble", prefix + ".ensemble.tlspr", "--measurements", prefix + ".meas.tlspr",
+                 "--mode", "tls", "--out", out]) == 0
+    ens = serialization.load(prefix + ".ensemble.tlspr")
+    blocks = correction.CorrectedRows.BLOCK_ROWS
+    assert ens.m > blocks and ens.m % blocks != 0
+    res = solve_tls(serialization.load(prefix + ".meas.tlspr"), ens, ExperimentConfig().solver_config("tls"))
+    serialization.save(res.corrected_ensemble, tmp_path / "whole.tlspr")
+    assert (tmp_path / "whole.tlspr").read_bytes() == open(out + ".corrected.tlspr", "rb").read()
+    # The JSON variant joins the blocks into the same rows.
+    serialization.save(res.corrections, tmp_path / "blocks.json")
+    serialization.save(res.corrected_ensemble, tmp_path / "whole.json")
+    assert (tmp_path / "blocks.json").read_text() == (tmp_path / "whole.json").read_text()
+
+
 def test_cli_missing_file_exit_code(tmp_path, capsys):
     rc = main(
         [

@@ -322,6 +322,7 @@ _BAD_ROWS = {
     "nan row entry": ("row", _with_entry(_ROW, 1, np.nan), 1.0, _X),
     "2-D row": ("row", np.stack([_ROW, _ROW]), 1.0, _X),
     "nan scalar": ("value", _ROW, np.nan, _X),
+    "two values for a scalar": ("value", _ROW, np.array([1.0, 2.0]), _X),
     "inf signal": ("x", _ROW, 1.0, _with_entry(_X, 2, np.inf)),
     "signal of 3 for rows of 4": ("x", _ROW, 1.0, _X[:3]),
 }

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tlspr.cli import ExperimentConfig, _simulate
 from tlspr.core import DimensionMismatchError, make_rng
 from tlspr.metrics import dist, optimal_phase, recon_snr_db, rel_corr, rel_dist
+from tlspr.solvers import solve_tls
 
 from oracles import min_over_phase_grid
 
@@ -122,3 +124,14 @@ def test_rel_corr_zero_denominator():
     x = np.array([1.0, -1.0], dtype=complex)  # all inner products vanish
     with pytest.raises(ValueError):
         rel_corr(a, x, a, x)
+
+
+@pytest.mark.parametrize("model, n, ratio", [("gaussian", 64, 8), ("gaussian", 32, 128), ("cdp", 128, 8)],
+                         ids=["sweep-paper", "sweep-tall", "solve-cdp"])
+@pytest.mark.parametrize("fixed", [False, True], ids=["searched", "fixed"])
+def test_rel_corr_of_the_factors_matches_the_materialized_rows(model, n, ratio, fixed):
+    config = ExperimentConfig(n=n, model=model, max_iters=100, step_size_tls=0.5 * n if fixed else None)
+    x, y, ens_obs, ens = _simulate(make_rng(ratio * n), config, ratio, 20.0, 10.0)
+    res = solve_tls(y, ens_obs, config.solver_config("tls"))
+    want = rel_corr(ens, x, res.corrected_ensemble, res.x_hat)
+    assert abs(rel_corr(ens, x, res.corrections, res.x_hat) - want) <= 1e-12 * want
