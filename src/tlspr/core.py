@@ -78,16 +78,41 @@ def complex_gaussian_vector(rng: np.random.Generator, n: int, scale: float = 1.0
     return z
 
 
+_DRAW_BLOCK = 8192  # float64 draws per block: 64 KiB
+
+
 def _complex_normal(rng: np.random.Generator, shape, real_mode: bool = False) -> np.ndarray:
     """Complex128 array of the draws ``normal(size=shape) + 1j *
     normal(size=shape)``, bit for bit (real mode: the first draw only, with
-    zero imaginary parts).  The draws go through one float64 buffer into the
-    real, then the imaginary parts, so no complex temporary is made."""
-    out = np.zeros(shape, dtype=np.complex128) if real_mode else np.empty(shape, dtype=np.complex128)
-    draws = np.empty(shape)
-    out.real = rng.standard_normal(out=draws)
-    if not real_mode:
-        out.imag = rng.standard_normal(out=draws)
+    zero imaginary parts), drawn straight into the result.
+
+    The S real draws fill the first half of the result's 2S float64 slots
+    and then move to the even slots, back to front, in moves whose
+    destination lies wholly behind their source; the last ``_DRAW_BLOCK``
+    or fewer, which cannot move so, go through one buffer of that many
+    floats.  The imaginary draws go to the odd slots through the same
+    buffer, so the generator consumes the same stream and no array of the
+    result's size is made beside it."""
+    size = int(np.prod(shape))
+    # Made before the result: made after it, the buffer changed glibc's heap
+    # layout so that each sweep-paper bench trial faulted ~250 pages back in.
+    block = np.empty(min(size, _DRAW_BLOCK))
+    out = np.empty(shape, dtype=np.complex128)
+    slots = out.reshape(-1).view(np.float64)
+    rng.standard_normal(out=slots[:size])
+    hi = size
+    while hi > len(block):
+        lo = max(hi - len(block), (hi + 1) // 2)
+        slots[2 * lo : 2 * hi : 2] = slots[lo:hi]
+        hi = lo
+    block[:hi] = slots[:hi]
+    slots[: 2 * hi : 2] = block[:hi]
+    if real_mode:
+        slots[1::2] = 0.0
+        return out
+    for lo in range(0, size, _DRAW_BLOCK):
+        draws = rng.standard_normal(out=block[: size - lo])
+        slots[2 * lo + 1 : 2 * (lo + len(draws)) : 2] = draws
     return out
 
 

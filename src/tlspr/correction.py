@@ -78,13 +78,22 @@ def _norm_sq(x: np.ndarray) -> float:
     return norm_sq
 
 
-def _moved_rows(vectors: np.ndarray, x: np.ndarray, delta: np.ndarray, norm_sq: float) -> np.ndarray:
+_BLOCK_ROWS = 32  # rows per block of the corrected-row builder
+
+
+def _moved_rows(vectors: np.ndarray, x: np.ndarray, delta: np.ndarray, norm_sq: float, out=None) -> np.ndarray:
     """The rows v_m = vectors_m + conj(delta_m) x / norm_sq, so inner(v_m, x) =
-    inner(vectors_m, x) + delta_m at norm_sq = ||x||^2; overwrites ``delta``."""
+    inner(vectors_m, x) + delta_m at norm_sq = ||x||^2, written into ``out``
+    (a new array when None) ``_BLOCK_ROWS`` rows at a time; overwrites
+    ``delta``.  numpy buffers a broadcast product of short rows, and the
+    blocks keep that buffer to a few blocks' size, not half the result's."""
     shift = np.conjugate(delta, out=delta)
     shift /= norm_sq
-    rows = np.multiply(shift[:, None], x[None, :])  # np.outer(shift, x) without its wrapper
-    rows += vectors
+    rows = np.empty(vectors.shape, dtype=np.complex128) if out is None else out
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        np.multiply(shift[start : start + _BLOCK_ROWS, None], x[None, :], out=block)  # np.outer without its wrapper
+        block += vectors[start : start + _BLOCK_ROWS]
     return rows
 
 
@@ -95,12 +104,12 @@ class CorrectedRows:
     the point ``x`` of the sweep that made them (copied) and ``norm_sq`` =
     ||x||^2.  It never holds all M x N corrected entries at once:
     :meth:`inner_rows` reads the observed rows in one product, and
-    :meth:`row_blocks` and :meth:`ensemble` build rows bit for bit as
-    :func:`_moved_rows` does.  ``shape``, ``m``, ``n``, ``model_tag`` and
-    ``noise_tag`` are those of the ensemble it stands for."""
+    :meth:`row_blocks` and :meth:`ensemble` build rows with
+    :func:`_moved_rows`, bit for bit as one broadcast product would.
+    ``shape``, ``m``, ``n``, ``model_tag`` and ``noise_tag`` are those of
+    the ensemble it stands for."""
 
     noise_tag = "corrected"
-    BLOCK_ROWS = 256
 
     def __init__(self, vectors: np.ndarray, u: np.ndarray, x: np.ndarray, norm_sq: float, model_tag: str):
         self.vectors, self.u, self.x, self.norm_sq = vectors, u, x.copy(), norm_sq
@@ -114,10 +123,15 @@ class CorrectedRows:
         return nu
 
     def row_blocks(self):
-        """The corrected rows in blocks of ``BLOCK_ROWS`` (the last one shorter)."""
-        for start in range(0, self.m, self.BLOCK_ROWS):
-            stop = start + self.BLOCK_ROWS
-            yield _moved_rows(self.vectors[start:stop], self.x, self.u[start:stop].copy(), self.norm_sq)
+        """The corrected rows in blocks of ``_BLOCK_ROWS`` (the last one
+        shorter), each built into one buffer that every block reuses: a
+        block is valid until the next one is requested, so a caller that
+        keeps one copies it first."""
+        buffer = np.empty((min(self.m, _BLOCK_ROWS), self.n), dtype=np.complex128)
+        for start in range(0, self.m, _BLOCK_ROWS):
+            rows = self.vectors[start : start + _BLOCK_ROWS]
+            yield _moved_rows(rows, self.x, self.u[start : start + _BLOCK_ROWS].copy(), self.norm_sq,
+                              out=buffer[: len(rows)])
 
     def ensemble(self) -> SensingEnsemble:
         """All corrected rows as one new ensemble."""
@@ -136,7 +150,7 @@ def reconstruct_from_nu(a_m: np.ndarray, x: np.ndarray, nu: complex) -> np.ndarr
 
 def _reconstructed(a_m: np.ndarray, x: np.ndarray, nu: complex, norm_sq: float) -> np.ndarray:
     """:func:`reconstruct_from_nu` of checked input."""
-    return _moved_rows(a_m, x, np.array([nu - inner(a_m, x)]), norm_sq)[0]
+    return _moved_rows(a_m[None, :], x, np.array([nu - inner(a_m, x)]), norm_sq)[0]
 
 
 def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> CorrectionResult:

@@ -63,10 +63,11 @@ def cdp_ensemble(rng: np.random.Generator, cfg: CdpConfig) -> SensingEnsemble:
     # dft[k, j] = exp(-2j pi k j / n); rows are the analysis vectors.
     k = np.arange(n)
     dft = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    dft_conj = np.conjugate(dft, out=dft)
     rows = np.empty((cfg.l * n, n), dtype=np.complex128)
     for start in range(0, cfg.l * n, n):
         p = octanary_pattern(rng, n)
-        np.multiply(np.conj(dft), np.conj(p)[None, :], out=rows[start : start + n])
+        np.multiply(dft_conj, np.conj(p)[None, :], out=rows[start : start + n])
     return SensingEnsemble(_Owned(rows), model_tag="cdp", noise_tag="clean")
 
 

@@ -22,6 +22,18 @@ def inner_loop(a, b) -> complex:
     return total
 
 
+def complex_normal_two_buffers(rng, shape, real_mode: bool = False) -> np.ndarray:
+    """Frozen copy of the complex draw as it was made through a second,
+    full-size float64 buffer: ``normal(size=shape) + 1j * normal(size=shape)``
+    (real mode: the first draw only, with zero imaginary parts)."""
+    out = np.zeros(shape, dtype=np.complex128) if real_mode else np.empty(shape, dtype=np.complex128)
+    draws = np.empty(shape)
+    out.real = rng.standard_normal(out=draws)
+    if not real_mode:
+        out.imag = rng.standard_normal(out=draws)
+    return out
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Direct double-loop unnormalized DFT matrix."""
     out = np.empty((n, n), dtype=np.complex128)

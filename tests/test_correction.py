@@ -10,6 +10,7 @@ from tlspr.correction import (
     reconstruct_from_nu,
     sweep_corrections,
 )
+from tlspr.solvers import SolverConfig, solve_tls
 
 import oracles
 from oracles import (
@@ -432,3 +433,34 @@ def test_params_validation():
         CorrectionParams(0.0, 1.0)
     with pytest.raises(ValueError):
         CorrectionParams(1.0, -2.0)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_row_blocks_reuse_one_buffer_and_join_to_the_corrected_ensemble():
+    # M = 100 rows: full blocks and a short last one.  Each block is copied
+    # as it comes, since building the next one overwrites it.
+    n, m = 6, 100
+    rng = make_rng(41)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vectors = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    res = solve_tls(np.abs(inner_rows(vectors, x)) ** 2, vectors, SolverConfig(max_iters=20))
+    size = correction._BLOCK_ROWS
+    assert m > size and m % size != 0
+    copies, first = [], None
+    for block in res.corrections.row_blocks():
+        first = block if first is None else first
+        assert np.shares_memory(block, first)
+        copies.append(block.copy())
+    assert [len(c) for c in copies] == [size] * (m // size) + [m % size]
+    whole = res.corrected_ensemble.vectors
+    assert _bitwise_equal(np.concatenate(copies), whole)
+    # The blocks give the bits of one broadcast product over all rows, and
+    # so does apply_corrections for its own shifts.
+    c = res.corrections
+    assert _bitwise_equal(whole, (np.conj(c.u) / c.norm_sq)[:, None] * c.x[None, :] + vectors)
+    nu_star = sweep_corrections(vectors, np.abs(inner_rows(vectors, x)) ** 2, c.x, 1.0 / n, 1.0)[0]
+    shift = np.conj(nu_star - inner_rows(vectors, c.x)) / np.vdot(c.x, c.x).real
+    assert _bitwise_equal(apply_corrections(vectors, c.x, nu_star), shift[:, None] * c.x[None, :] + vectors)

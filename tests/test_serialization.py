@@ -6,6 +6,7 @@ import pytest
 
 from tlspr.core import MeasurementSet, SensingEnsemble, make_rng
 from tlspr.serialization import FileFormatError, load, save
+from tlspr.solvers import SolverConfig, solve_tls
 
 from oracles import load_reference, peak_bytes, save_reference
 
@@ -211,6 +212,22 @@ def test_save_writes_the_ensemble_without_a_copy(tmp_path):
     rng = make_rng(16)
     ens = SensingEnsemble(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
     assert peak_bytes(save, ens, tmp_path / "ens.tlspr") < 0.05 * 16 * m * n
+
+
+def test_corrected_rows_write_the_bytes_of_the_corrected_ensemble(tmp_path):
+    # M = 1024 rows, N = 128, written from the factors a block at a time in
+    # both formats.  First measured run of the binary write: 0.098 ensemble,
+    # one reused block and numpy's buffer for its broadcast product.
+    n, m = 128, 1024
+    rng = make_rng(17)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vectors = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    res = solve_tls(np.abs(vectors @ np.conj(x)) ** 2, vectors, SolverConfig(max_iters=5))
+    for suffix in (".tlspr", ".json"):
+        save(res.corrections, tmp_path / f"blocks{suffix}")
+        save(res.corrected_ensemble, tmp_path / f"whole{suffix}")
+        assert (tmp_path / f"blocks{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
+    assert peak_bytes(save, res.corrections, tmp_path / "again.tlspr") < 0.1 * 16 * m * n
 
 
 def _write_by_hand(path, header, payload):

@@ -1064,6 +1064,15 @@ def test_solve_tls_returns_its_corrected_ensemble_without_a_copy():
     assert peak < 1.25 * 16 * m * n
 
 
+def test_corrected_ensemble_peaks_at_the_ensemble_it_builds():
+    # First measured run: 1.071 ensembles, the result and one block's
+    # broadcast buffer; one broadcast product over all rows took 1.126.
+    n, m = 128, 1024
+    x, ens, y = _clean_instance(33, n, m)
+    res = solve_tls(y, ens, SolverConfig(mode="tls", max_iters=5))
+    assert peak_bytes(lambda: res.corrected_ensemble) < 1.08 * 16 * m * n
+
+
 def test_solve_tls_holds_its_corrections_as_factors():
     # Unread, the corrected ensemble is never built: first measured run
     # 0.077 ensemble, the solve's length-M buffers.
