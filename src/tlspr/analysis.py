@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatchError, _check_positive, _finite_array
-from .solvers import SolverConfig, solve_ls, solve_tls
+from .solvers import MODES, SolverConfig, _daggers, _tls_step, solve_ls, solve_tls
 
 COND_LIMIT = 1e12
+_FD_THRESHOLD, _FD_LS_STEP = 1e-22, 0.02  # of finite_difference_jacobians
 
 
 class IllConditionedError(RuntimeError):
@@ -182,9 +183,7 @@ def finite_difference_jacobians(
     lambda_y: float,
     h: float = 1e-4,
     method: str = "tls",
-    step_size: float | None = None,
     max_iters: int = 20000,
-    threshold: float = 1e-22,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference sensitivities of the solver output at the clean point.
 
@@ -192,21 +191,20 @@ def finite_difference_jacobians(
     d x_hat / d a_{m,j} column-blocks per measurement and ``j_y`` of shape
     (N, M).  Intended as a validation oracle on tiny real instances: each
     perturbed problem is re-solved from the ground truth so the solver tracks
-    the perturbed argmin branch.
+    the perturbed argmin branch, by fixed steps (TLS's tuned one; LS 0.02)
+    to an objective change below 1e-22 or ``max_iters``.
     """
     a, y, x = _real_problem(a_clean, y_clean, x_sharp)
     _check_positive(lambda_a=lambda_a, lambda_y=lambda_y, h=h)
     a, y, x0 = a.copy(), y.copy(), x.astype(np.complex128)
     m, n = a.shape
-    if method not in ("tls", "ls"):
+    if method not in MODES:
         raise ValueError("method must be 'tls' or 'ls'")
-    if step_size is None:
-        step_size = 0.5 / lambda_a if method == "tls" else 0.02
-    weights = {}
     if method == "tls":
-        weights = dict(lambda_a_dag=lambda_a * n, lambda_y_dag=lambda_y * float(np.linalg.norm(x0)) ** 4)
-    cfg = SolverConfig(step_size=step_size, threshold=threshold, max_iters=max_iters, **weights)
-    solve = solve_tls if method == "tls" else solve_ls
+        solve, step, weights = solve_tls, _tls_step(lambda_a), _daggers(lambda_a, lambda_y, n, x0)
+    else:
+        solve, step, weights = solve_ls, _FD_LS_STEP, {}
+    cfg = SolverConfig(step_size=step, threshold=_FD_THRESHOLD, max_iters=max_iters, **weights)
 
     def central_difference(arr: np.ndarray, index) -> np.ndarray:
         """d x_hat / d arr[index], with ``arr`` one of ``a`` and ``y``."""

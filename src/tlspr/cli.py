@@ -44,7 +44,7 @@ import numpy as np
 from . import analysis, metrics, noise, serialization
 from .core import MeasurementSet, SensingEnsemble, _complex_normal, _trial_seed, complex_gaussian_vector, make_rng
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
-from .solvers import SolverConfig, SolverError, solve_ls, solve_tls, spectral_init
+from .solvers import MODES, PROJECTIONS, SolverConfig, SolverError, solve_ls, solve_tls, spectral_init
 
 SWEEP_SCHEMA = "tlspr-sweep-csv v1"
 ANALYZE_SCHEMA = "tlspr-analyze-csv v1"
@@ -81,14 +81,14 @@ class ExperimentConfig:
     noise_model: str = "gaussian"
     measurement_snr_db: tuple = (None,)
     sensing_snr_db: tuple = (None,)
-    lambda_a_dag: float = 1.0
-    lambda_y_dag: float = 1.0
-    step_size_tls: float | None = None
-    step_size_ls: float | None = None
-    threshold: float = 1e-6
-    max_iters: int = 2500
-    power_iters: int = 50
-    projection: str = "none"
+    lambda_a_dag: float = SolverConfig.lambda_a_dag
+    lambda_y_dag: float = SolverConfig.lambda_y_dag
+    step_size_tls: float | None = SolverConfig.step_size
+    step_size_ls: float | None = SolverConfig.step_size
+    threshold: float = SolverConfig.threshold
+    max_iters: int = SolverConfig.max_iters
+    power_iters: int = SolverConfig.power_iters
+    projection: str = SolverConfig.projection
     analysis_mode: str = "none"
     lambda_ratio: float = 1.0
     grid_points: int = 41
@@ -112,32 +112,26 @@ class ExperimentConfig:
             for r in self.ratios:
                 if float(r) != int(r):
                     raise UsageError("CDP ratios are pattern counts and must be integers")
+        for key, name in _SOLVER_KEYS.items():  # each alone, so that an error names its key
+            try:
+                SolverConfig(**{name: getattr(self, key)})
+            except ValueError as exc:
+                raise UsageError(f"config key solver.{key} does not take {getattr(self, key)!r}: {exc}") from exc
+        shared = {name: getattr(self, key) for key, name in _SOLVER_KEYS.items() if name != "step_size"}
+        solvers = {mode: SolverConfig(step_size=getattr(self, f"step_size_{mode}"), **shared) for mode in MODES}
+        object.__setattr__(self, "_solvers", solvers)
 
     def solver_config(self, mode: str) -> SolverConfig:
-        step = self.step_size_tls if mode == "tls" else self.step_size_ls
-        return SolverConfig(
-            lambda_a_dag=self.lambda_a_dag,
-            lambda_y_dag=self.lambda_y_dag,
-            step_size=step,
-            threshold=self.threshold,
-            max_iters=self.max_iters,
-            power_iters=self.power_iters,
-            projection=self.projection,
-        )
+        return self._solvers[mode]
 
+
+# Each ``solver:`` key to the SolverConfig field it sets.
+_SOLVER_KEYS = {f.name: f.name for f in fields(SolverConfig) if f.name not in ("mode", "step_size")}
+_SOLVER_KEYS.update({f"step_size_{mode}": "step_size" for mode in MODES})
 
 _NESTED_KEYS = {
     "noise": {"model": "noise_model", "measurement_snr_db": "measurement_snr_db", "sensing_snr_db": "sensing_snr_db"},
-    "solver": {
-        "lambda_a_dag": "lambda_a_dag",
-        "lambda_y_dag": "lambda_y_dag",
-        "step_size_tls": "step_size_tls",
-        "step_size_ls": "step_size_ls",
-        "threshold": "threshold",
-        "max_iters": "max_iters",
-        "power_iters": "power_iters",
-        "projection": "projection",
-    },
+    "solver": {key: key for key in _SOLVER_KEYS},
     "analysis": {
         "mode": "analysis_mode",
         "lambda_ratio": "lambda_ratio",
@@ -643,11 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True)
     p.add_argument("--measurements", required=True)
     p.add_argument("--signal", default=None, help="optional ground-truth signal file")
-    p.add_argument("--mode", choices=("tls", "ls"), default="tls")
+    p.add_argument("--mode", choices=MODES, default="tls")
     p.add_argument("--step-size", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--projection", choices=("none", "real_binary"), default=None)
+    p.add_argument("--projection", choices=PROJECTIONS, default=None)
     return parser
 
 

@@ -74,8 +74,7 @@ def complex_gaussian_vector(rng: np.random.Generator, n: int, scale: float = 1.0
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_positive(scale=scale)
-    z = rng.normal(0.0, scale, size=n) + 1j * rng.normal(0.0, scale, size=n)
-    return z
+    return scale * _complex_normal(rng, n)
 
 
 _DRAW_BLOCK = 8192  # float64 draws per block: 64 KiB

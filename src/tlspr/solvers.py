@@ -30,12 +30,10 @@ trial step and no ensemble product, and needs about a quarter to an eighth
 of the iterations of its fixed step.
 
 Otherwise the step is fixed: x <- x - (mu / ||x0||^2) g(x), ||x0|| frozen at
-initialization, then projected in real-binary mode.  The tuned TLS step is
-mu = 0.5/lambda_a for the Gaussian measurement model (0.4/lambda_a in
-real-binary projection mode), with lambda_a = lambda_a_dag/N and
-lambda_y = lambda_y_dag/||x0||^4 (both daggers default 1); it ignores
-lambda_y and diverges at the maximum-likelihood weight ratio.  The LS step
-with projection is 0.005.  An explicit step is used as given.
+initialization, then projected in real-binary mode.  An explicit step is
+used as given, and without one each solver takes its tuned mu
+(:func:`_tls_step`, ``_LS_STEP``).  TLS's weights are :func:`_weights`; its
+tuned step ignores lambda_y and diverges at the maximum-likelihood ratio.
 
 An iteration under either policy costs two products with the one stored
 (M, N) ensemble A and no copy of it: inner(a_m, d) or inner(a_m, x) for all
@@ -68,9 +66,11 @@ from .cubic import depressed_real_roots
 # initialization used when the spectral method is degenerate.
 _SPECTRAL_START_SEED = 0x5066_494E
 _FALLBACK_INIT_SEED = 0xFA11_BACC
+# LS's tuned fixed step mu, taken with projection only: LS otherwise searches.
+_LS_STEP = 0.005
 
 PROJECTIONS = ("none", "real_binary")
-MODES = ("ls", "tls")
+MODES = ("tls", "ls")
 
 
 class SolverError(RuntimeError):
@@ -83,10 +83,8 @@ class SolverConfig:
     mode: str | None = None
     lambda_a_dag: float = 1.0
     lambda_y_dag: float = 1.0
-    # None: both solvers step along Polak-Ribiere+ conjugate directions at
-    # two products per iteration, LS to the exact minimizer of its loss and
-    # TLS to a strong Wolfe point of its reduced objective; with projection,
-    # TLS takes its tuned fixed step 0.4/lambda_a and LS 0.005.  An
+    # None: both solvers search their step along conjugate directions, or
+    # with projection take their tuned fixed step (module docstring).  An
     # explicit step is a fixed step, used as given.
     step_size: float | None = None
     threshold: float = 1e-6
@@ -131,7 +129,7 @@ class SolveResult:
         return None if self.corrections is None else self.corrections.ensemble()
 
 
-def spectral_init(y, ensemble, power_iters: int = 50) -> np.ndarray:
+def spectral_init(y, ensemble, power_iters: int = SolverConfig.power_iters) -> np.ndarray:
     """Leading eigenvector of Y = sum_m y_m a_m a_m^* = A^T diag(y) conj(A)
     by power iteration, u <- Y u / ||Y u||.
 
@@ -240,8 +238,7 @@ def tls_objective_gradient(x, ensemble, y, lambda_a: float, lambda_y: float) -> 
 
 def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
     """Checked inputs, the initial iterate x, inner_rows(A, x) (the one
-    product before the loop), ||x||^2, lambda_a and the scaled fixed step,
-    shared by both solvers."""
+    product before the loop) and ||x||^2, shared by both solvers."""
     if cfg.mode not in (None, mode):
         raise ValueError(f"cfg.mode must be {mode!r}")
     vectors = ensemble_array(ensemble)
@@ -258,14 +255,22 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
     norm0_sq = float(np.vdot(x, x).real)
     if norm0_sq == 0.0:
         raise SolverError("initial iterate has zero norm")
-    lambda_a = cfg.lambda_a_dag / n
-    if cfg.step_size is not None:
-        mu = cfg.step_size
-    elif mode == "tls":
-        mu = (0.4 if cfg.projection == "real_binary" else 0.5) / lambda_a
-    else:
-        mu = 0.005  # used with projection only; LS otherwise searches its step
-    return vectors, yv, x, inner_rows(vectors, x), norm0_sq, lambda_a, mu / norm0_sq
+    return vectors, yv, x, inner_rows(vectors, x), norm0_sq
+
+
+def _weights(cfg: SolverConfig, n: int, norm0_sq: float) -> tuple[float, float]:
+    """TLS's lambda_a = lambda_a_dag / N and lambda_y = lambda_y_dag / ||x0||^4, given ||x0||^2."""
+    return cfg.lambda_a_dag / n, cfg.lambda_y_dag / norm0_sq**2
+
+
+def _daggers(lambda_a: float, lambda_y: float, n: int, x0) -> dict:
+    """The inverse of :func:`_weights`: the daggers of ``lambda_a`` and ``lambda_y`` at N = ``n`` and start ``x0``."""
+    return dict(lambda_a_dag=lambda_a * n, lambda_y_dag=lambda_y * float(np.linalg.norm(x0)) ** 4)
+
+
+def _tls_step(lambda_a: float, projection: str = "none") -> float:
+    """TLS's tuned fixed step mu, 0.5/lambda_a (0.4/lambda_a in real-binary projection mode)."""
+    return (0.4 if projection == "real_binary" else 0.5) / lambda_a
 
 
 def _feasible(x, cfg: SolverConfig) -> np.ndarray:
@@ -379,9 +384,10 @@ def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     """Wirtinger-flow least squares solve: :func:`_descend` over the
     residuals of :class:`_LSRows`, whose searched step is the exact
     minimizer of the loss along d (:func:`_exact_step`)."""
-    vectors, yv, x, nu, _, _, step = _start(y, ensemble, cfg, x0, "ls")
+    vectors, yv, x, nu, norm0_sq = _start(y, ensemble, cfg, x0, "ls")
+    mu = _LS_STEP if cfg.step_size is None else cfg.step_size
     # The rows' gradient A^T (r nu) leaves out the 1/M of g.
-    return _descend(_LSRows(vectors, yv, nu), x, cfg, step / yv.shape[0])
+    return _descend(_LSRows(vectors, yv, nu), x, cfg, mu / norm0_sq / yv.shape[0])
 
 
 def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
@@ -396,9 +402,11 @@ def solve_tls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     iterate and the returned ``corrections`` are those at ``x_hat``.  After a
     fixed step both hold the last sweep's corrections, at the new iterate.
     """
-    vectors, yv, x, nu, norm0_sq, lambda_a, step = _start(y, ensemble, cfg, x0, "tls")
+    vectors, yv, x, nu, norm0_sq = _start(y, ensemble, cfg, x0, "tls")
+    lambda_a, lambda_y = _weights(cfg, vectors.shape[1], norm0_sq)
+    step = (_tls_step(lambda_a, cfg.projection) if cfg.step_size is None else cfg.step_size) / norm0_sq
     model_tag = ensemble.model_tag if isinstance(ensemble, SensingEnsemble) else "external"
-    rows = _TLSRows(vectors, yv, nu, lambda_a, cfg.lambda_y_dag / norm0_sq**2, norm0_sq, step, model_tag)
+    rows = _TLSRows(vectors, yv, nu, lambda_a, lambda_y, norm0_sq, step, model_tag)
     return _descend(rows, x, cfg, step)
 
 

@@ -22,6 +22,12 @@ def inner_loop(a, b) -> complex:
     return total
 
 
+def complex_gaussian_vector_reference(rng, n, scale=1.0) -> np.ndarray:
+    """Frozen copy of the complex Gaussian vector as it was drawn by two
+    scaled normal draws: ``normal(0, scale, n) + 1j * normal(0, scale, n)``."""
+    return rng.normal(0.0, scale, size=n) + 1j * rng.normal(0.0, scale, size=n)
+
+
 def complex_normal_two_buffers(rng, shape, real_mode: bool = False) -> np.ndarray:
     """Frozen copy of the complex draw as it was made through a second,
     full-size float64 buffer: ``normal(size=shape) + 1j * normal(size=shape)``

@@ -107,6 +107,48 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text, key):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key, reason",
+    [
+        ("solver:\n  projection: bogus\n", "solver.projection", "unknown projection 'bogus'"),
+        ("solver:\n  max_iters: -1\n", "solver.max_iters", "max_iters must be an integer >= 0, got -1"),
+        ("solver:\n  power_iters: 0\n", "solver.power_iters", "power_iters must be an integer >= 1, got 0"),
+        ("solver:\n  threshold: 0.0\n", "solver.threshold", "threshold must be finite and > 0, got 0.0"),
+        ("solver:\n  step_size_ls: -1.0\n", "solver.step_size_ls", "step_size must be finite and > 0, got -1.0"),
+        ("solver:\n  lambda_y_dag: .inf\n", "solver.lambda_y_dag", "lambda_y_dag must be finite and > 0, got inf"),
+    ],
+)
+def test_config_rejects_solver_values_when_it_is_read(tmp_path, capsys, monkeypatch, text, key, reason):
+    config_path = tmp_path / "solver.yaml"
+    config_path.write_text(text)
+    with pytest.raises(UsageError, match=f"config key {key} does not take") as err:
+        cli.load_config(str(config_path))
+    assert str(err.value).endswith(reason)
+    drawn = []
+    monkeypatch.setattr(cli, "_simulate", lambda *args: drawn.append(args))
+    rc = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1 and not drawn
+    assert capsys.readouterr().err.startswith(f"error: config key {key} does not take")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_solver_section_is_solver_configs_fields_with_its_defaults():
+    assert sorted(cli._NESTED_KEYS["solver"]) == sorted([
+        "lambda_a_dag", "lambda_y_dag", "step_size_tls", "step_size_ls",
+        "threshold", "max_iters", "power_iters", "projection",
+    ])
+    config = ExperimentConfig()
+    assert config.solver_config("tls") == config.solver_config("ls") == SolverConfig()
+    config = config_from_mapping({"solver": {
+        "lambda_a_dag": 2.0, "lambda_y_dag": 3.0, "step_size_tls": 0.5, "step_size_ls": 0.25,
+        "threshold": 1e-8, "max_iters": 7, "power_iters": 9, "projection": "real_binary",
+    }})
+    shared = dict(lambda_a_dag=2.0, lambda_y_dag=3.0, threshold=1e-8, max_iters=7, power_iters=9,
+                  projection="real_binary")
+    assert config.solver_config("tls") == SolverConfig(step_size=0.5, **shared)
+    assert config.solver_config("ls") == SolverConfig(step_size=0.25, **shared)
+
+
 def test_config_takes_the_floats_yaml_reads_as_strings(tmp_path, capsys):
     import yaml
 

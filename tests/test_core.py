@@ -46,7 +46,7 @@ from tlspr.solvers import (
     tls_objective_gradient,
 )
 
-from oracles import inner_loop
+from oracles import complex_gaussian_vector_reference, inner_loop
 
 
 def test_gaussian_vector_deterministic():
@@ -61,6 +61,17 @@ def test_gaussian_vector_stream_reproducible():
     seq2 = [complex_gaussian_vector(r2, 5) for _ in range(4)]
     for a, b in zip(seq1, seq2):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 8193])
+def test_gaussian_vector_matches_frozen_scaled_normal_draws(n):
+    # Bit for bit, and the generator is left where the frozen draw leaves it.
+    for seed in range(20):
+        for scale in (1.0, 0.3, 7.0, 1e-3):
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            got = complex_gaussian_vector(rng, n, scale)
+            assert got.tobytes() == complex_gaussian_vector_reference(ref_rng, n, scale).tobytes()
+            assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_gaussian_vector_second_moment():
