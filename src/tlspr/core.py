@@ -160,8 +160,8 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 
 def _is_real(arr: np.ndarray) -> bool:
-    """Whether every imaginary part of ``arr`` is zero, read in place."""
-    return not arr.imag.any()
+    """Whether every imaginary part of ``arr`` is zero, read in place; a complex first entry answers at once."""
+    return not (arr.flat[0].imag or arr.imag.any())
 
 
 def _finite_array(data, dtype, ndim: int, name: str, verb: str = "contains") -> np.ndarray:

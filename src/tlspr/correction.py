@@ -32,9 +32,10 @@ beta >= 0) is a minimizer.
 
 :func:`sweep_corrections` corrects all measurements at once and
 :func:`correct_sensing_vector` is its one-measurement view.  Both the sweep
-and the TLS solver find t_0, c and the phase in real arithmetic with
-:class:`LineRoots`, a fixed number of in-place passes over length-M buffers
-that a solver reuses from one iteration to the next.
+and the TLS solver read one record per row from :class:`LineRoots`: c, t_0,
+the shift s = t_0 + c along the line, the phase and which rows have c = 0.
+It fills them in real arithmetic with a fixed number of in-place passes over
+length-M buffers that a solver reuses from one iteration to the next.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ _BLOCK_ROWS = 32  # rows per block of the corrected-row builder
 def _moved_rows(vectors: np.ndarray, x: np.ndarray, delta: np.ndarray, norm_sq: float, out=None) -> np.ndarray:
     """The rows v_m = vectors_m + conj(delta_m) x / norm_sq, so inner(v_m, x) =
     inner(vectors_m, x) + delta_m at norm_sq = ||x||^2, written into ``out``
-    (a new array when None) ``_BLOCK_ROWS`` rows at a time; overwrites
-    ``delta``.  numpy buffers a broadcast product of short rows, and the
-    blocks keep that buffer to a few blocks' size, not half the result's."""
-    shift = np.conjugate(delta, out=delta)
+    (a new array when None) ``_BLOCK_ROWS`` rows at a time; ``delta`` is only
+    read.  numpy buffers a broadcast product of short rows, and the blocks
+    keep that buffer to a few blocks' size, not half the result's."""
+    shift = np.conjugate(delta)
     shift /= norm_sq
     rows = np.empty(vectors.shape, dtype=np.complex128) if out is None else out
     for start in range(0, len(rows), _BLOCK_ROWS):
@@ -124,18 +125,17 @@ class CorrectedRows:
 
     def row_blocks(self):
         """The corrected rows in blocks of ``_BLOCK_ROWS`` (the last one
-        shorter), each built into one buffer that every block reuses: a
-        block is valid until the next one is requested, so a caller that
-        keeps one copies it first."""
+        shorter), each built from ``u`` in place into one buffer that every
+        block reuses: a block is valid until the next one is requested, so a
+        caller that keeps one copies it first."""
         buffer = np.empty((min(self.m, _BLOCK_ROWS), self.n), dtype=np.complex128)
         for start in range(0, self.m, _BLOCK_ROWS):
             rows = self.vectors[start : start + _BLOCK_ROWS]
-            yield _moved_rows(rows, self.x, self.u[start : start + _BLOCK_ROWS].copy(), self.norm_sq,
-                              out=buffer[: len(rows)])
+            yield _moved_rows(rows, self.x, self.u[start : start + _BLOCK_ROWS], self.norm_sq, out=buffer[: len(rows)])
 
     def ensemble(self) -> SensingEnsemble:
         """All corrected rows as one new ensemble."""
-        rows = _moved_rows(self.vectors, self.x, self.u.copy(), self.norm_sq)
+        rows = _moved_rows(self.vectors, self.x, self.u, self.norm_sq)
         return SensingEnsemble(_Owned(rows), model_tag=self.model_tag, noise_tag=self.noise_tag)
 
 
@@ -166,15 +166,16 @@ def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> Corr
 
 
 class LineRoots:
-    """Length-M buffers for the correction of M rows along their lines,
-    reused from one sweep to the next.  After :meth:`solve`, ``c`` holds
-    |inner(a_m, x)|, ``t0`` the smallest real root of the plus cubic and
-    ``phase`` = -inner(a_m, x) / c (1 where c = 0), so that
-    nu_star = phase * t0 and nu_star - inner(a_m, x) = phase * (t0 + c)."""
+    """The per-row record of one sweep, in length-M buffers reused from one
+    sweep to the next.  After :meth:`solve`, ``c`` holds |inner(a_m, x)|,
+    ``t0`` the smallest real root of the plus cubic, ``s`` the shift
+    t0 + c, ``phase`` = -inner(a_m, x) / c (1 where c = 0) and ``zero`` the
+    mask of the rows with c = 0 (None when there are none), so that
+    nu_star = phase * t0 and nu_star - inner(a_m, x) = phase * s.  ``rows``
+    and ``masks`` are the cubic's own scratch."""
 
     def __init__(self, m: int):
-        self.c = np.empty(m)
-        self.t0 = np.empty(m)
+        self.c, self.t0, self.s = np.empty(m), np.empty(m), np.empty(m)
         self.phase = np.empty(m, dtype=np.complex128)
         self.rows, self.masks = root_workspace(m)
 
@@ -190,10 +191,12 @@ class LineRoots:
         beta += lambda_a
         np.multiply(c, lambda_a, out=const)
         smallest_real_root_into(self.t0, alpha, self.rows, self.masks)
+        np.add(self.t0, c, out=self.s)
         # -nu_a * (1/c): bit for bit numpy's complex quotient -nu_a / (c + 0j).
         np.multiply(nu_a, np.divide(-1.0, c, out=self.rows[0]), out=self.phase)
-        if np.count_nonzero(c) < c.size:
-            np.copyto(self.phase, 1.0, where=c == 0.0)
+        self.zero = c == 0.0 if np.count_nonzero(c) < c.size else None
+        if self.zero is not None:
+            np.copyto(self.phase, 1.0, where=self.zero)
 
 
 def sweep_corrections(
@@ -233,9 +236,9 @@ def _swept(nu_a: np.ndarray, y: np.ndarray, lambda_a: float, lambda_y: float, no
     line = LineRoots(y.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         line.solve(nu_a, y, lambda_a, lambda_y, norm_sq)
-    t0, c = line.t0, line.c
-    # |phase * t0 - nu_a| = |t0 + |nu_a||, since phase = -nu_a / |nu_a|.
-    f_star = lambda_a * ((t0 + c) ** 2 / norm_sq) + lambda_y * (y - t0 * t0) ** 2
+    t0 = line.t0
+    # |phase * t0 - nu_a| = |t0 + |nu_a|| = |s|, since phase = -nu_a / |nu_a|.
+    f_star = lambda_a * (line.s ** 2 / norm_sq) + lambda_y * (y - t0 * t0) ** 2
     return line.phase * t0, f_star
 
 

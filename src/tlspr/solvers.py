@@ -477,12 +477,13 @@ class _TLSRows:
     derivative from the right, the side the search moves to.
 
     Holds inner_rows(A, x) in ``nu``, ||x||^2 in ``norm_sq``, the sweep at x
-    in ``line``, s there in ``s``, its correction term
+    in ``line`` (its s in ``line.s``), the correction term
     lambda_a sum s^2 / ||x||^2 in ``corr`` and J(x) in ``loss``.  A searched
     step leaves the sweep at the new iterate; a fixed step leaves it
     ``behind``, at the iterate it stepped from, and the next gradient sweeps
-    afresh.  The sweep's scratch row ``line.rows[0]`` and ``nu_t`` are free
-    between sweeps: a trial step writes ``nu_t`` before it reads it.
+    afresh.  The scratch row ``work`` (r, k and the slope products) and
+    ``nu_t`` are free between sweeps: a trial step writes ``nu_t`` before it
+    reads it.
     """
 
     def __init__(self, vectors, yv, nu, lambda_a: float, lambda_y: float, norm_sq: float,
@@ -490,8 +491,7 @@ class _TLSRows:
         m = yv.shape[0]
         self.vectors, self.yv, self.model_tag = vectors, yv, model_tag
         self.lambda_a, self.lambda_y = lambda_a, lambda_y
-        self.line = LineRoots(m)
-        self.s = np.empty(m)
+        self.line, self.work = LineRoots(m), np.empty(m)
         self.nu, self.nu_t = nu, np.empty_like(nu)
         with np.errstate(divide="ignore", invalid="ignore"):  # see LineRoots.solve
             self.loss = self._sweep(nu, norm_sq)
@@ -504,8 +504,7 @@ class _TLSRows:
         ``norm_sq``, and return J there."""
         line = self.line
         line.solve(nu, self.yv, self.lambda_a, self.lambda_y, norm_sq)
-        s = np.add(line.t0, line.c, out=self.s)
-        r = np.multiply(line.t0, line.t0, out=line.rows[0])
+        s, r = line.s, np.multiply(line.t0, line.t0, out=self.work)
         r -= self.yv
         self.norm_sq, self.ss = norm_sq, float(s @ s)
         self.corr = self.lambda_a * self.ss / norm_sq
@@ -523,25 +522,23 @@ class _TLSRows:
                 raise SolverError(f"iterate collapsed to zero norm at iteration {iteration}")
             self._sweep(self.nu, norm_sq)
             self.behind = None
-        t0, k = self.line.t0, self.line.rows[0]
+        t0, k = self.line.t0, self.work
         np.multiply(t0, t0, out=k)
         k -= self.yv
         k *= t0
         grad = self.vectors.T @ np.multiply(self.line.phase, k, out=self.nu_t)
-        grad += (float(k @ self.s) / self.norm_sq) * x
+        grad += (float(k @ self.line.s) / self.norm_sq) * x
         grad /= self.yv.shape[0]
         return grad
 
     def _slope(self, nu_d, half_dn: float) -> float:
         """J' at the last sweep, where d||x - t d||^2/dt = 2 ``half_dn``."""
-        line, s = self.line, self.s
-        sc = line.rows[0]
+        line, s, sc = self.line, self.line.s, self.work
         np.multiply(s, line.phase.real, out=sc)
         sdc = float(sc @ nu_d.real)
         np.multiply(s, line.phase.imag, out=sc)
         sdc += float(sc @ nu_d.imag)
-        if np.count_nonzero(line.c) < line.c.size:
-            zero = line.c == 0.0  # phase = 1 there
+        if (zero := line.zero) is not None:  # rows with c = 0, where phase = 1
             sdc += float(s[zero] @ (np.abs(nu_d[zero]) - nu_d[zero].real))
         return self.lambda_a * (sdc - half_dn * self.ss / self.norm_sq) / (s.shape[0] * self.norm_sq)
 
@@ -603,10 +600,10 @@ class _TLSRows:
         rows the sweep at x corrected: v_m = a_m + conj(u_m) x / ||x||^2 with
         u = phase s, so inner(v_m, x_new) = inner(a_m, x_new) + u_m <x, x_new> / ||x||^2."""
         m = self.yv.shape[0]
-        v_x = np.multiply(self.line.phase, self.s, out=self.nu_t)
+        v_x = np.multiply(self.line.phase, self.line.s, out=self.nu_t)
         v_x *= np.vdot(x, x_new) / self.norm_sq
         v_x += self.nu
-        r = np.abs(v_x, out=self.line.rows[0])
+        r = np.abs(v_x, out=self.work)
         r *= r
         r -= self.yv
         self.loss = self.corr / (2.0 * m) + self.lambda_y * float(r @ r) / (2.0 * m)
@@ -614,7 +611,7 @@ class _TLSRows:
 
     def corrections(self, x, moved: bool) -> CorrectedRows:
         """The rows of the last sweep, a_m + conj(u_m) x / ||x||^2 at its x, as factors."""
-        u = np.multiply(self.line.phase, self.s, out=self.nu_t) if moved else np.zeros_like(self.nu_t)
+        u = np.multiply(self.line.phase, self.line.s, out=self.nu_t) if moved else np.zeros_like(self.nu_t)
         x_c = x if self.behind is None else self.behind
         return CorrectedRows(self.vectors, u, x_c, self.norm_sq, self.model_tag)
 

@@ -19,6 +19,7 @@ from tlspr.core import (
     DimensionMismatchError,
     MeasurementSet,
     SensingEnsemble,
+    _is_real,
     complex_gaussian_vector,
     ensemble_array,
     inner,
@@ -145,6 +146,18 @@ def test_ensemble_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         SensingEnsemble(bad)
+
+
+def test_is_real_reads_past_a_real_first_entry():
+    rng = make_rng(7)
+    arr = rng.normal(size=(5, 3)) + 0j
+    assert _is_real(arr) and _is_real(arr.real)
+    late = arr.copy()
+    late[4, 2] += 1e-300j
+    assert not _is_real(late) and not _is_real(late.T)
+    first = arr.copy()
+    first[0, 0] += 1j
+    assert not _is_real(first)
 
 
 def test_ensemble_immutable():

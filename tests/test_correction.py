@@ -464,3 +464,33 @@ def test_row_blocks_reuse_one_buffer_and_join_to_the_corrected_ensemble():
     nu_star = sweep_corrections(vectors, np.abs(inner_rows(vectors, x)) ** 2, c.x, 1.0 / n, 1.0)[0]
     shift = np.conj(nu_star - inner_rows(vectors, c.x)) / np.vdot(c.x, c.x).real
     assert _bitwise_equal(apply_corrections(vectors, c.x, nu_star), shift[:, None] * c.x[None, :] + vectors)
+
+
+def test_line_roots_own_the_row_record_and_the_row_builder_only_reads_its_shifts():
+    # Even rows meet x, odd rows are exactly orthogonal to it.
+    rng = make_rng(20_017)
+    a, y, x, lam_a, lam_y = _orthogonal_block(rng, 300)
+    a[::2, :2] = rng.normal(size=(150, 2)) + 1j * rng.normal(size=(150, 2))
+    norm_sq = float(np.vdot(x, x).real)
+    line = correction.LineRoots(300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        line.solve(inner_rows(a, x), y, lam_a, lam_y, norm_sq)
+    zero = line.c == 0.0
+    assert np.count_nonzero(zero) == 150
+    assert _bitwise_equal(line.s, line.t0 + line.c)
+    assert np.array_equal(line.zero, zero) and np.all(line.phase[zero] == 1.0)
+    # A reused record drops the mask once no row has c = 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        line.solve(inner_rows(a[::2], x).repeat(2), y, lam_a, lam_y, norm_sq)
+    assert line.zero is None
+
+    delta = rng.normal(size=300) + 1j * rng.normal(size=300)
+    kept = delta.copy()
+    correction._moved_rows(a, x, delta, norm_sq)
+    assert _bitwise_equal(delta, kept)
+    rows = correction.CorrectedRows(a, delta, x, norm_sq, "external")
+    rows.ensemble()
+    assert _bitwise_equal(rows.u, kept)
+    for _ in rows.row_blocks():
+        pass
+    assert _bitwise_equal(rows.u, kept)

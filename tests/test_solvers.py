@@ -988,7 +988,7 @@ def test_reduced_line_slope_is_one_sided_on_rows_orthogonal_to_x0():
         assert np.count_nonzero(zero) == vectors.shape[0] // 4
         # The right derivative against the naive one that took phase = 1.
         j0, slope0 = along._at(0.0, nu_d, re_xd, dd, norm_sq)
-        kink = lam_a * float(along.s[zero] @ (np.abs(nu_d[zero]) - nu_d[zero].real)) / (yv.shape[0] * norm_sq)
+        kink = lam_a * float(along.line.s[zero] @ (np.abs(nu_d[zero]) - nu_d[zero].real)) / (yv.shape[0] * norm_sq)
 
         def j(t):
             return along._at(t, nu_d, re_xd, dd, norm_sq)[0]
@@ -1034,6 +1034,10 @@ def test_real_data_check_makes_no_ensemble_sized_temporary():
     x, ens, y = _clean_instance(33, n, m)
     ens_bytes = 16 * m * n
     assert peak_bytes(ens.is_real) < 0.01 * ens_bytes
+    # A transposed view with a real first entry is scanned in place too.
+    real = ens.vectors.real + 0j
+    real[-1, -1] = 1j
+    assert peak_bytes(solvers._is_real, real.T) < 0.01 * ens_bytes
     assert peak_bytes(spectral_init, y, ens) < 0.04 * ens_bytes
     assert peak_bytes(solve_ls, y, ens, SolverConfig(mode="ls", max_iters=5)) < 0.04 * ens_bytes
 
