@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatchError, _check_positive, _finite_array
+from .correction import CorrectionParams
 from .solvers import MODES, SolverConfig, _daggers, _tls_step, solve_ls, solve_tls
 
 COND_LIMIT = 1e12
@@ -169,8 +170,6 @@ def expected_tls_errors(
 
 def ml_parameters(sigma_delta_sq: float, sigma_eta_sq: float):
     """Maximum-likelihood weights: lambda_a = 1/sigma_delta^2, lambda_y = 1/sigma_eta^2."""
-    from .correction import CorrectionParams
-
     _check_positive(sigma_delta_sq=sigma_delta_sq, sigma_eta_sq=sigma_eta_sq)
     return CorrectionParams(lambda_a=1.0 / sigma_delta_sq, lambda_y=1.0 / sigma_eta_sq)
 

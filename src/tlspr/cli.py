@@ -48,6 +48,8 @@ from .solvers import MODES, PROJECTIONS, SolverConfig, SolverError, solve_ls, so
 
 SWEEP_SCHEMA = "tlspr-sweep-csv v1"
 ANALYZE_SCHEMA = "tlspr-analyze-csv v1"
+MODELS = ("gaussian", "cdp")
+ANALYSIS_MODES = ("none", "first_order", "expected", "ml_sweep")
 
 SWEEP_COLUMNS = [
     "record",
@@ -100,14 +102,22 @@ class ExperimentConfig:
             raise UsageError("trials must be >= 1")
         if self.n < 1:
             raise UsageError("n must be >= 1")
-        if self.model not in ("gaussian", "cdp"):
+        if self.model not in MODELS:
             raise UsageError(f"unknown model {self.model!r}")
         if self.noise_model not in noise.NOISE_MODELS:
             raise UsageError(f"unknown noise model {self.noise_model!r}")
-        if self.analysis_mode not in ("none", "first_order", "expected", "ml_sweep"):
+        if self.analysis_mode not in ANALYSIS_MODES:
             raise UsageError(f"unknown analysis_mode {self.analysis_mode!r}")
         if self.grid_points < 2:
             raise UsageError("grid_points must be >= 2")
+        # Checked before the CDP ratios, where int(inf) raises an OverflowError.
+        for r in self.ratios:
+            if not 0 < r < np.inf:
+                raise UsageError(f"config key ratios does not take {r!r}: a ratio must be finite and > 0")
+        for name in ("measurement_snr_db", "sensing_snr_db"):
+            for db in getattr(self, name):
+                if db is not None and not -np.inf < db < np.inf:
+                    raise UsageError(f"config key {name} does not take {db!r}: an SNR must be finite or null")
         if self.model == "cdp":
             for r in self.ratios:
                 if float(r) != int(r):
@@ -225,15 +235,12 @@ def _write_csv(path: str, schema: str, columns: list[str], rows: list[dict]) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _noise_spec(config: ExperimentConfig, meas_db, sens_db) -> noise.NoiseSpec | None:
+def _noise_spec(config: ExperimentConfig, ens: SensingEnsemble, meas_db, sens_db) -> noise.NoiseSpec | None:
+    """The config's errors at one SNR pair for ``ens``: its sensing errors are
+    real exactly when ``ens`` is, whatever ``config.real_mode`` says."""
     if meas_db is None and sens_db is None:
         return None
-    return noise.NoiseSpec(
-        measurement_snr_db=meas_db,
-        sensing_snr_db=sens_db,
-        model=config.noise_model,
-        real_mode=config.real_mode,
-    )
+    return noise.NoiseSpec(meas_db, sens_db, model=config.noise_model, real_mode=ens.is_real())
 
 
 def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db, sens_db):
@@ -245,7 +252,7 @@ def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db
     else:
         ens = gaussian_ensemble(rng, config.n, int(round(ratio * config.n)), real_mode=config.real_mode)
     y = synthesize_measurements(ens, x_sharp)
-    spec = _noise_spec(config, meas_db, sens_db)
+    spec = _noise_spec(config, ens, meas_db, sens_db)
     y_obs, ens_obs = (y, ens) if spec is None else noise.inject(rng, y, ens, spec, x_sharp=x_sharp)
     return x_sharp, y_obs, ens_obs, ens
 
@@ -402,7 +409,8 @@ def run_error_analysis(config: ExperimentConfig, output: str | None = None) -> s
     if config.model != "gaussian" or config.noise_model != "gaussian":
         raise UsageError("error analysis requires model: gaussian and noise.model: gaussian")
     if config.analysis_mode == "none":
-        raise UsageError("analysis_mode must be first_order, expected or ml_sweep")
+        *modes, last = ANALYSIS_MODES[1:]
+        raise UsageError(f"analysis_mode must be {', '.join(modes)} or {last}")
     out_path = output or config.output
     cols = {"first_order": ("rel_e_tls", "rel_e_ls"), "expected": ("expected_sq_tls", "expected_sq_ls")}
     rows = _run_trials(config, _analysis_trial, cols.get(config.analysis_mode, ()))
@@ -439,7 +447,7 @@ def solve_single(
         x_sharp = serialization.load(signal_path)
         if not isinstance(x_sharp, np.ndarray):
             raise UsageError("signal file does not hold a signal")
-    spec = _noise_spec(config, *_single(config, "measurement_snr_db", "sensing_snr_db"))
+    spec = _noise_spec(config, ens, *_single(config, "measurement_snr_db", "sensing_snr_db"))
     if spec is not None:
         if spec.model == "handcrafted" and (x_sharp is None or ens.model_tag == "external"):
             raise UsageError(
@@ -616,32 +624,33 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest": "run fast property checks",
     }
     subparsers = {name: sub.add_parser(name, help=text) for name, text in commands.items()}
+    # A setting flag's dest is the ExperimentConfig field it sets (see _apply_overrides).
     for name, p in subparsers.items():
-        p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
-        p.add_argument("--out", type=str, default=None, help="output path or prefix")
-        p.add_argument("--config", type=str, default=None, help="YAML experiment config")
+        p.add_argument("--seed", type=int, help="base seed (overrides config)")
+        p.add_argument("--out", type=str, help="output path or prefix")
+        p.add_argument("--config", type=str, help="YAML experiment config")
         if name in ("synthesize", "solve"):
-            p.add_argument("--meas-snr-db", type=float, default=None)
-            p.add_argument("--sensing-snr-db", type=float, default=None)
-            p.add_argument("--noise-model", choices=noise.NOISE_MODELS, default=None)
+            p.add_argument("--meas-snr-db", dest="measurement_snr_db", metavar="MEAS_SNR_DB", type=float)
+            p.add_argument("--sensing-snr-db", type=float)
+            p.add_argument("--noise-model", choices=noise.NOISE_MODELS)
         if name in ("sweep", "analyze"):
-            p.add_argument("--trials", type=int, default=None)
+            p.add_argument("--trials", type=int)
 
     p = subparsers["synthesize"]
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=None, help="M/N (or pattern count for cdp)")
-    p.add_argument("--model", choices=("gaussian", "cdp"), default=None)
-    p.add_argument("--real", action="store_true", help="real-valued signal and ensemble")
+    p.add_argument("--n", type=int)
+    p.add_argument("--ratio", dest="ratios", metavar="RATIO", type=float, help="M/N (or pattern count for cdp)")
+    p.add_argument("--model", choices=MODELS)
+    p.add_argument("--real", dest="real_mode", action="store_const", const=True, help="real-valued signal and ensemble")
 
     p = subparsers["solve"]
     p.add_argument("--ensemble", required=True)
     p.add_argument("--measurements", required=True)
     p.add_argument("--signal", default=None, help="optional ground-truth signal file")
     p.add_argument("--mode", choices=MODES, default="tls")
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--projection", choices=PROJECTIONS, default=None)
+    p.add_argument("--step-size", type=float)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--projection", choices=PROJECTIONS)
     return parser
 
 
@@ -653,20 +662,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    for name in ("n", "model", "trials", "noise_model", "threshold", "max_iters", "projection"):
-        if getattr(args, name, None) is not None:
-            updates[name] = getattr(args, name)
-    for flag, name in (("ratio", "ratios"), ("meas_snr_db", "measurement_snr_db"), ("sensing_snr_db", "sensing_snr_db")):
-        if getattr(args, flag, None) is not None:
-            updates[name] = (getattr(args, flag),)
-    if getattr(args, "real", False):
-        updates["real_mode"] = True
-    if getattr(args, "step_size", None) is not None:
-        updates["step_size_tls"] = updates["step_size_ls"] = args.step_size
-    return replace(config, **updates)
+    """``config`` with the value of each given flag that names a field, typed
+    as a config file's value is; ``--step-size`` sets both solver steps."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    if "step_size" in given:
+        given.update({f"step_size_{mode}": given["step_size"] for mode in MODES})
+    return replace(config, **{name: _typed(name, name, v) for name, v in given.items() if name in _FIELD_TYPES})
 
 
 def main(argv=None) -> int:

@@ -237,6 +237,71 @@ def test_solve_step_size_flag_sets_both_solver_steps():
     assert config.step_size_tls == config.step_size_ls == 0.25
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("synthesize", ["--seed", "7"], "seed: 7"),
+        ("synthesize", ["--n", "12"], "n: 12"),
+        ("synthesize", ["--ratio", "6"], "ratios: [6]"),
+        ("synthesize", ["--model", "cdp"], "model: cdp"),
+        ("synthesize", ["--real"], "real_mode: true"),
+        ("synthesize", ["--meas-snr-db", "20"], "noise:\n  measurement_snr_db: 20"),
+        ("synthesize", ["--sensing-snr-db", "10"], "noise:\n  sensing_snr_db: 10"),
+        ("synthesize", ["--noise-model", "handcrafted"], "noise:\n  model: handcrafted"),
+        ("sweep", ["--trials", "3"], "trials: 3"),
+        ("solve", ["--step-size", "0.25"], "solver:\n  step_size_tls: 0.25\n  step_size_ls: 0.25"),
+        ("solve", ["--threshold", "1e-8"], "solver:\n  threshold: 1e-8"),
+        ("solve", ["--max-iters", "7"], "solver:\n  max_iters: 7"),
+        ("solve", ["--projection", "real_binary"], "solver:\n  projection: real_binary"),
+    ],
+)
+def test_each_setting_flag_sets_the_config_its_yaml_key_does(tmp_path, command, flag, text):
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text(text + "\n")
+    files = ["--ensemble", "e", "--measurements", "m"] if command == "solve" else []
+    parse = cli.build_parser().parse_args
+    from_flag = cli._apply_overrides(ExperimentConfig(), parse([command, *files, *flag]))
+    from_yaml = cli._apply_overrides(cli.load_config(str(config_path)), parse([command, *files]))
+    assert from_flag == from_yaml != ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (["synthesize", "--ratio", "inf"], None, "ratios"),
+        (["synthesize", "--meas-snr-db", "nan"], None, "measurement_snr_db"),
+        (["sweep"], "ratios: [.inf]", "ratios"),
+        (["sweep"], "ratios: [0]", "ratios"),
+        (["sweep"], "ratios: [-2]", "ratios"),
+        (["sweep"], "model: cdp\nratios: [.inf]", "ratios"),
+        (["sweep"], "measurement_snr_db: .nan", "measurement_snr_db"),
+        (["sweep"], "noise:\n  sensing_snr_db: [10, -.inf]", "sensing_snr_db"),
+    ],
+)
+def test_ratios_and_snrs_are_checked_at_the_gate(tmp_path, capsys, argv, text, key):
+    if text is not None:
+        (tmp_path / "exp.yaml").write_text(text + "\n")
+        argv = [*argv, "--config", str(tmp_path / "exp.yaml")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} does not take")
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_solve_injects_real_sensing_errors_into_real_files(tmp_path):
+    prefix, out = str(tmp_path / "real"), str(tmp_path / "sol")
+    assert main(["synthesize", "--real", "--n", "8", "--ratio", "4", "--seed", "1", "--out", prefix]) == 0
+    files = ["--ensemble", prefix + ".ensemble.tlspr", "--measurements", prefix + ".meas.tlspr"]
+    # The config keeps its default real_mode: false; the errors follow the data.
+    assert main(["solve", *files, "--sensing-snr-db", "10", "--meas-snr-db", "20", "--out", out]) == 0
+    corrected, x_hat = serialization.load(out + ".corrected.tlspr"), serialization.load(out + ".solution.tlspr")
+    assert corrected.is_real() and not x_hat.imag.any()
+    y, ens = serialization.load(prefix + ".meas.tlspr"), serialization.load(prefix + ".ensemble.tlspr")
+    y_obs, ens_obs = noise.inject(make_rng(0), y, ens, noise.NoiseSpec(20.0, 10.0, real_mode=True))
+    assert np.array_equal(solve_tls(y_obs, ens_obs, ExperimentConfig().solver_config("tls")).x_hat, x_hat)
+
+
 def _file_bytes(prefix, *kinds):
     return [(prefix.parent / f"{prefix.name}.{kind}.tlspr").read_bytes() for kind in kinds]
 

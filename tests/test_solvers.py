@@ -228,8 +228,8 @@ def test_tls_objective_gradient_matches_finite_differences():
 def _gradient_instances():
     """(x, ensemble, y) at a spectral start: noisy complex Gaussian, CDP and
     real Gaussian data."""
-    spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0)
     for kind in ("gaussian", "cdp", "real"):
+        spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0, real_mode=kind == "real")
         rng = make_rng(4100 + len(kind))
         if kind == "cdp":
             ens = cdp_ensemble(rng, CdpConfig(n=16, l=6))
