@@ -44,7 +44,8 @@ import numpy as np
 from . import analysis, metrics, noise, serialization
 from .core import MeasurementSet, SensingEnsemble, _complex_normal, _trial_seed, complex_gaussian_vector, make_rng
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
-from .solvers import MODES, PROJECTIONS, SolverConfig, SolverError, solve_ls, solve_tls, spectral_init
+from .solvers import MODES, PROJECTIONS, SolverConfig, SolverError, _initial_point, solve_ls, solve_tls
+from .solvers import spectral_init  # noqa: F401  (not called here; bench/harness.py traces it by this name)
 
 SWEEP_SCHEMA = "tlspr-sweep-csv v1"
 ANALYZE_SCHEMA = "tlspr-analyze-csv v1"
@@ -114,19 +115,19 @@ class ExperimentConfig:
         for r in self.ratios:
             if not 0 < r < np.inf:
                 raise UsageError(f"config key ratios does not take {r!r}: a ratio must be finite and > 0")
-        for name in ("measurement_snr_db", "sensing_snr_db"):
-            for db in getattr(self, name):
-                if db is not None and not -np.inf < db < np.inf:
-                    raise UsageError(f"config key {name} does not take {db!r}: an SNR must be finite or null")
         if self.model == "cdp":
             for r in self.ratios:
-                if float(r) != int(r):
+                if r != int(r):  # not float(r), which rounds and overflows
                     raise UsageError("CDP ratios are pattern counts and must be integers")
-        for key, name in _SOLVER_KEYS.items():  # each alone, so that an error names its key
+        # Each solver key through SolverConfig and each SNR through NoiseSpec, alone, so that an error names its key.
+        checks = [(f"solver.{key}", SolverConfig, name, getattr(self, key)) for key, name in _SOLVER_KEYS.items()]
+        checks += [(name, noise.NoiseSpec, name, db) for name in ("measurement_snr_db", "sensing_snr_db")
+                   for db in getattr(self, name) if db is not None]
+        for key, gate, field, value in checks:
             try:
-                SolverConfig(**{name: getattr(self, key)})
+                gate(**{field: value})
             except ValueError as exc:
-                raise UsageError(f"config key solver.{key} does not take {getattr(self, key)!r}: {exc}") from exc
+                raise UsageError(f"config key {key} does not take {value!r}: {exc}") from exc
         shared = {name: getattr(self, key) for key, name in _SOLVER_KEYS.items() if name != "step_size"}
         solvers = {mode: SolverConfig(step_size=getattr(self, f"step_size_{mode}"), **shared) for mode in MODES}
         object.__setattr__(self, "_solvers", solvers)
@@ -258,10 +259,10 @@ def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db
 
 
 def run_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_seed: int, trial_index: int) -> dict:
-    """One seeded comparison trial; both solvers share the initialization."""
+    """One seeded comparison trial; both solvers share the start each takes alone."""
     t_start = time.perf_counter()
     x_sharp, y_obs, ens_obs, ens = _simulate(make_rng(trial_seed), config, ratio, meas_db, sens_db)
-    x0 = spectral_init(y_obs, ens_obs, config.power_iters)
+    x0 = _initial_point(ens_obs.vectors, y_obs.values, config.power_iters)
     res_tls = solve_tls(y_obs, ens_obs, config.solver_config("tls"), x0=x0)
     res_ls = solve_ls(y_obs, ens_obs, config.solver_config("ls"), x0=x0)
     rc = metrics.rel_corr(ens, x_sharp, res_tls.corrections, res_tls.x_hat)
@@ -676,10 +677,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         if args.command == "synthesize":
-            out = args.out or "synthesized"
-            paths = run_synthesize(config, out)
-            for p in paths:
-                print(p)
+            print(*run_synthesize(config, args.out or "synthesized"), sep="\n")
             return 0
         if args.command == "solve":
             out = args.out or "solution"
@@ -699,7 +697,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "selftest":
             return 0 if run_selftest(config.seed) else 2
-    except (UsageError, serialization.FileFormatError, FileNotFoundError, OSError, ValueError) as exc:
+    except (UsageError, serialization.FileFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, analysis.IllConditionedError, FloatingPointError) as exc:

@@ -85,33 +85,23 @@ def _complex_normal(rng: np.random.Generator, shape, real_mode: bool = False) ->
     normal(size=shape)``, bit for bit (real mode: the first draw only, with
     zero imaginary parts), drawn straight into the result.
 
-    The S real draws fill the first half of the result's 2S float64 slots
-    and then move to the even slots, back to front, in moves whose
-    destination lies wholly behind their source; the last ``_DRAW_BLOCK``
-    or fewer, which cannot move so, go through one buffer of that many
-    floats.  The imaginary draws go to the odd slots through the same
-    buffer, so the generator consumes the same stream and no array of the
-    result's size is made beside it."""
+    The real draws, then the imaginary ones, go through one buffer of
+    ``_DRAW_BLOCK`` floats, block by block, to the even and then the odd
+    float64 slots of the result.  Drawn in blocks, the generator consumes the
+    same stream as in one draw, and no array of the result's size is made
+    beside it."""
     size = int(np.prod(shape))
     # Made before the result: made after it, the buffer changed glibc's heap
     # layout so that each sweep-paper bench trial faulted ~250 pages back in.
     block = np.empty(min(size, _DRAW_BLOCK))
     out = np.empty(shape, dtype=np.complex128)
     slots = out.reshape(-1).view(np.float64)
-    rng.standard_normal(out=slots[:size])
-    hi = size
-    while hi > len(block):
-        lo = max(hi - len(block), (hi + 1) // 2)
-        slots[2 * lo : 2 * hi : 2] = slots[lo:hi]
-        hi = lo
-    block[:hi] = slots[:hi]
-    slots[: 2 * hi : 2] = block[:hi]
+    for part in (0,) if real_mode else (0, 1):
+        for lo in range(0, size, _DRAW_BLOCK):
+            draws = rng.standard_normal(out=block[: size - lo])
+            slots[2 * lo + part : 2 * (lo + len(draws)) : 2] = draws
     if real_mode:
         slots[1::2] = 0.0
-        return out
-    for lo in range(0, size, _DRAW_BLOCK):
-        draws = rng.standard_normal(out=block[: size - lo])
-        slots[2 * lo + 1 : 2 * (lo + len(draws)) : 2] = draws
     return out
 
 

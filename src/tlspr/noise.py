@@ -17,6 +17,8 @@ Two models are provided:
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ NOISE_MODELS = ("gaussian", "handcrafted")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Target SNRs in dB; ``None`` leaves the corresponding block untouched."""
+    """Target SNRs in dB, finite numbers; ``None`` leaves the corresponding block untouched."""
 
     measurement_snr_db: float | None = None
     sensing_snr_db: float | None = None
@@ -38,6 +40,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.measurement_snr_db is None and self.sensing_snr_db is None:
             raise ValueError("at least one SNR target must be present")
+        for name in ("measurement_snr_db", "sensing_snr_db"):
+            db = getattr(self, name)
+            with contextlib.suppress(TypeError, OverflowError):  # not a number, or an int beyond float
+                if db is None or not isinstance(db, bool) and math.isfinite(db):
+                    continue
+            raise ValueError(f"{name} must be a finite number or None, got {db!r}")
         if self.model not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.model!r}")
 

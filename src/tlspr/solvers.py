@@ -42,8 +42,8 @@ gradient as A^T w.  The TLS corrections enter both only through length-M
 vectors: the correction of every row lies on the real line through
 inner(a_m, x) and zero, so the sweep, the gradient weights and both terms
 of J are real arithmetic on |inner(a_m, x)| and the smallest root t0, in
-in-place passes over length-M buffers made once per solve.  Both solvers
-start from :func:`spectral_init`.
+in-place passes over length-M buffers made once per solve.  Without ``x0``
+both solvers, like every sweep trial, start from :func:`_initial_point`.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from .correction import CorrectedRows, LineRoots, _norm_sq
 from .correction import sweep_corrections  # noqa: F401
 from .cubic import depressed_real_roots
 
-# Fixed internal seeds: power-method start vector and the fallback
-# initialization used when the spectral method is degenerate.
+# Fixed internal seeds: power-method start vector and the fallback start
+# used when the spectral start is undefined.
 _SPECTRAL_START_SEED = 0x5066_494E
 _FALLBACK_INIT_SEED = 0xFA11_BACC
 # LS's tuned fixed step mu, taken with projection only: LS otherwise searches.
@@ -142,7 +142,11 @@ def spectral_init(y, ensemble, power_iters: int = SolverConfig.power_iters) -> n
     start vector so the iteration stays real.
     """
     vectors = ensemble_array(ensemble)
-    yv = measurement_array(y, vectors.shape[0])
+    return _spectral(vectors, measurement_array(y, vectors.shape[0]), power_iters, _is_real(vectors))
+
+
+def _spectral(vectors: np.ndarray, yv: np.ndarray, power_iters: int, real_data: bool) -> np.ndarray:
+    """:func:`spectral_init` of checked rows and measurements, real exactly when ``real_data``."""
     if np.all(yv == 0.0):
         raise ValueError("all measurements are zero; spectral init undefined")
     total = float(np.sum(yv))
@@ -150,7 +154,6 @@ def spectral_init(y, ensemble, power_iters: int = SolverConfig.power_iters) -> n
         raise ValueError("measurements sum to a nonpositive value")
     m, n = vectors.shape
     spectral = _spectral_matrix(vectors, yv) if n * n <= m and n <= 2 * power_iters else None
-    real_data = _is_real(vectors)
     rng = make_rng(_SPECTRAL_START_SEED)
     u = _complex_normal(rng, n, real_data)
     u /= np.linalg.norm(u)
@@ -186,10 +189,16 @@ def _spectral_matrix(vectors: np.ndarray, yv: np.ndarray) -> np.ndarray:
     return spectral
 
 
-def fallback_init(n: int, real_mode: bool = False) -> np.ndarray:
-    """Deterministic random unit vector used when spectral init fails."""
-    v = _complex_normal(make_rng(_FALLBACK_INIT_SEED), n, real_mode)
-    return v / np.linalg.norm(v)
+def _initial_point(vectors: np.ndarray, yv: np.ndarray, power_iters: int) -> np.ndarray:
+    """The start of every solve without ``x0``, and of every sweep trial, from
+    checked rows and measurements: the spectral start, or where that is
+    undefined a deterministic random unit vector, real for real rows."""
+    real_data = _is_real(vectors)
+    try:
+        return _spectral(vectors, yv, power_iters, real_data)
+    except ValueError:
+        v = _complex_normal(make_rng(_FALLBACK_INIT_SEED), vectors.shape[1], real_data)
+        return v / np.linalg.norm(v)
 
 
 def project_real_binary(x: np.ndarray) -> np.ndarray:
@@ -242,15 +251,8 @@ def _start(y, ensemble, cfg: SolverConfig, x0, mode: str):
     if cfg.mode not in (None, mode):
         raise ValueError(f"cfg.mode must be {mode!r}")
     vectors = ensemble_array(ensemble)
-    m, n = vectors.shape
-    yv = measurement_array(y, m)
-    if x0 is not None:
-        x = as_cvector(x0, "x0", n).copy()
-    else:
-        try:  # the inputs as passed, so that a container is not checked twice
-            x = spectral_init(y, ensemble, cfg.power_iters)
-        except ValueError:
-            x = fallback_init(n, real_mode=_is_real(vectors))
+    yv = measurement_array(y, vectors.shape[0])
+    x = _initial_point(vectors, yv, cfg.power_iters) if x0 is None else as_cvector(x0, "x0", vectors.shape[1]).copy()
     x = _feasible(x, cfg)
     norm0_sq = float(np.vdot(x, x).real)
     if norm0_sq == 0.0:

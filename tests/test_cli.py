@@ -13,6 +13,7 @@ from tlspr.cli import (
     UsageError,
     _strip_wall_time,
     config_from_mapping,
+    load_config,
     main,
     run_error_analysis,
     run_sweep,
@@ -21,7 +22,7 @@ from tlspr.cli import (
 from tlspr.core import MeasurementSet, SensingEnsemble, make_rng, trial_rng
 from tlspr.metrics import rel_dist
 from tlspr.models import synthesize_measurements
-from tlspr.solvers import SolverConfig, solve_tls, spectral_init
+from tlspr.solvers import SolverConfig, solve_ls, solve_tls, spectral_init
 
 from oracles import peak_bytes
 
@@ -289,6 +290,13 @@ def test_ratios_and_snrs_are_checked_at_the_gate(tmp_path, capsys, argv, text, k
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("key", ["measurement_snr_db", "sensing_snr_db"])
+@pytest.mark.parametrize("db", ["20", float("nan"), pytest.param(10**400, id="int-beyond-float")])
+def test_config_checks_each_snr_as_a_noise_spec_does(key, db):
+    with pytest.raises(UsageError, match=f"config key {key} does not take .*: {key} must be a finite number or None"):
+        ExperimentConfig(**{key: (10.0, db)})
+
+
 def test_solve_injects_real_sensing_errors_into_real_files(tmp_path):
     prefix, out = str(tmp_path / "real"), str(tmp_path / "sol")
     assert main(["synthesize", "--real", "--n", "8", "--ratio", "4", "--seed", "1", "--out", prefix]) == 0
@@ -377,6 +385,54 @@ def test_run_trial_shares_initialization():
     assert row["rel_dist_ls"] >= 0.0
     assert row["rel_corr"] >= 0.0
     assert row["iterations_tls"] <= 30
+
+
+def test_sweep_trials_start_where_each_solver_would_alone(tmp_path, capsys):
+    # At -30 dB the measurements of many trials sum to <= 0, where the
+    # spectral start is undefined; such a trial runs from the fallback start
+    # that solve_tls and solve_ls take without x0, and the sweep completes.
+    path = tmp_path / "exp.yaml"
+    path.write_text("n: 8\nratios: [4]\ntrials: 20\nnoise:\n  measurement_snr_db: -30\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = load_config(str(path))
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    args = cfg.ratios[0], cfg.measurement_snr_db[0], cfg.sensing_snr_db[0]
+    degenerate = 0
+    for row in (r for r in rows if r["record"] == "trial"):
+        x, y, ens, _ = cli._simulate(trial_rng(cfg.seed, int(row["trial_index"])), cfg, *args)
+        if float(np.sum(y.values)) > 0.0:
+            continue
+        degenerate += 1
+        for mode, solve in (("tls", solve_tls), ("ls", solve_ls)):
+            assert float(row[f"rel_dist_{mode}"]) == rel_dist(x, solve(y, ens, cfg.solver_config(mode)).x_hat)
+    assert degenerate >= 5
+
+
+def test_a_problem_too_large_to_allocate_is_a_usage_error(tmp_path):
+    # Run under an address-space limit in a child process, so that no
+    # attempt can touch the memory it asks for (931 TiB here).
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-m", "tlspr.cli", "synthesize", "--ratio", "1e12", "--n", "8", "--out", str(tmp_path / "big")]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert not list(tmp_path.glob("big*"))
+
+
+@pytest.mark.parametrize("ratio", [str(10**399), "123456789012345678901"], ids=["400-digit", "21-digit"])
+def test_a_huge_integer_cdp_ratio_is_a_usage_error(tmp_path, capsys, ratio):
+    (tmp_path / "exp.yaml").write_text(f"model: cdp\nn: 8\nratios: [{ratio}]\n")
+    assert main(["synthesize", "--config", str(tmp_path / "exp.yaml"), "--out", str(tmp_path / "big")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be integers" not in err
+    assert not list(tmp_path.glob("big*"))
 
 
 def test_cli_synthesize_solve_roundtrip(tmp_path):

@@ -36,6 +36,18 @@ def test_spec_requires_an_snr():
         NoiseSpec(measurement_snr_db=10.0, model="bogus")
 
 
+@pytest.mark.parametrize("field", ["measurement_snr_db", "sensing_snr_db"])
+@pytest.mark.parametrize("db", [float("nan"), float("inf"), -float("inf"), "20", True, pytest.param(10**400, id="int-beyond-float"), 1j])
+def test_spec_rejects_a_target_that_is_not_a_finite_number_before_any_draw(field, db):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number or None"):
+        NoiseSpec(**{field: db})
+
+
+def test_spec_takes_any_finite_real_target():
+    for db in (20, -30.5, np.float32(7.0), np.int64(3)):
+        assert NoiseSpec(sensing_snr_db=db).sensing_snr_db == db
+
+
 def test_gaussian_exact_snr():
     rng, x, ens, y = _clean_instance(1)
     spec = NoiseSpec(measurement_snr_db=40.0, sensing_snr_db=17.5)
