@@ -119,6 +119,16 @@ class ExperimentConfig:
             for r in self.ratios:
                 if r != int(r):  # not float(r), which rounds and overflows
                     raise UsageError("CDP ratios are pattern counts and must be integers")
+        # No draw on an M x n complex128 ensemble beyond the machine's memory; M ~ ratio * n, as round(inf) overflows.
+        if all(name in getattr(os, "sysconf_names", {}) for name in ("SC_PHYS_PAGES", "SC_PAGE_SIZE")):
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            for r in self.ratios:
+                need = 16 * self.n * (int(r) * self.n if self.model == "cdp" else r * self.n)
+                if need > memory > 0:
+                    from decimal import Decimal  # formats an int beyond float too
+
+                    raise UsageError(f"config key ratios does not take {r!r} at n {self.n}: its ensemble needs "
+                                     f"{Decimal(need):.3g} bytes, more than the machine's {memory} bytes of memory")
         # Each solver key through SolverConfig and each SNR through NoiseSpec, alone, so that an error names its key.
         checks = [(f"solver.{key}", SolverConfig, name, getattr(self, key)) for key, name in _SOLVER_KEYS.items()]
         checks += [(name, noise.NoiseSpec, name, db) for name in ("measurement_snr_db", "sensing_snr_db")
@@ -236,12 +246,11 @@ def _write_csv(path: str, schema: str, columns: list[str], rows: list[dict]) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _noise_spec(config: ExperimentConfig, ens: SensingEnsemble, meas_db, sens_db) -> noise.NoiseSpec | None:
-    """The config's errors at one SNR pair for ``ens``: its sensing errors are
-    real exactly when ``ens`` is, whatever ``config.real_mode`` says."""
+def _noise_spec(config: ExperimentConfig, meas_db, sens_db) -> noise.NoiseSpec | None:
+    """The config's errors at one SNR pair, or None for no target; ``noise.inject`` gives them the ensemble's kind."""
     if meas_db is None and sens_db is None:
         return None
-    return noise.NoiseSpec(meas_db, sens_db, model=config.noise_model, real_mode=ens.is_real())
+    return noise.NoiseSpec(meas_db, sens_db, model=config.noise_model)
 
 
 def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db, sens_db):
@@ -253,7 +262,7 @@ def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db
     else:
         ens = gaussian_ensemble(rng, config.n, int(round(ratio * config.n)), real_mode=config.real_mode)
     y = synthesize_measurements(ens, x_sharp)
-    spec = _noise_spec(config, ens, meas_db, sens_db)
+    spec = _noise_spec(config, meas_db, sens_db)
     y_obs, ens_obs = (y, ens) if spec is None else noise.inject(rng, y, ens, spec, x_sharp=x_sharp)
     return x_sharp, y_obs, ens_obs, ens
 
@@ -448,7 +457,7 @@ def solve_single(
         x_sharp = serialization.load(signal_path)
         if not isinstance(x_sharp, np.ndarray):
             raise UsageError("signal file does not hold a signal")
-    spec = _noise_spec(config, ens, *_single(config, "measurement_snr_db", "sensing_snr_db"))
+    spec = _noise_spec(config, *_single(config, "measurement_snr_db", "sensing_snr_db"))
     if spec is not None:
         if spec.model == "handcrafted" and (x_sharp is None or ens.model_tag == "external"):
             raise UsageError(

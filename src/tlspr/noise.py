@@ -7,8 +7,8 @@ draw-to-target-in-expectation scheme would add.
 
 Two models are provided:
 
-* ``gaussian``: iid real Gaussian errors on measurements, iid complex (or
-  real in real mode) Gaussian errors on sensing vector entries.
+* ``gaussian``: iid real Gaussian errors on measurements, iid Gaussian errors
+  on sensing vector entries, real exactly when the ensemble is.
 * ``handcrafted``: the same draws but with row m pre-amplified by
   1 + 4*||x#||^2*y_m before the SNR rescaling, which loads the error onto
   rows with large clean measurements.  This model needs the ground-truth
@@ -30,12 +30,11 @@ NOISE_MODELS = ("gaussian", "handcrafted")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Target SNRs in dB, finite numbers; ``None`` leaves the corresponding block untouched."""
+    """Target SNRs in dB, finite numbers (``None`` leaves a block untouched), and the error ``model``."""
 
     measurement_snr_db: float | None = None
     sensing_snr_db: float | None = None
     model: str = "gaussian"
-    real_mode: bool = False
 
     def __post_init__(self):
         if self.measurement_snr_db is None and self.sensing_snr_db is None:
@@ -108,14 +107,15 @@ def inject(
     x_sharp: np.ndarray | None = None,
 ) -> tuple[MeasurementSet, SensingEnsemble]:
     """Errors of ``spec.model`` at the exact target SNRs, the measurement
-    errors drawn first.  Handcrafted errors, amplified by
-    :func:`handcrafted_row_scales`, need the ground truth ``x_sharp``."""
+    errors drawn first, the sensing errors real exactly when ``clean_a`` is.
+    Handcrafted errors, amplified by :func:`handcrafted_row_scales`, need the
+    ground truth ``x_sharp``."""
     if spec.model == "handcrafted" and x_sharp is None:
         raise ValueError("handcrafted errors need the ground-truth signal")
     if clean_y.m != clean_a.m:
         raise ValueError(f"clean_y holds {clean_y.m} measurements, clean_a has {clean_a.m} rows")
     e_y = rng.normal(size=clean_y.m)
-    e_a = _complex_normal(rng, (clean_y.m, clean_a.n), spec.real_mode)
+    e_a = _complex_normal(rng, (clean_y.m, clean_a.n), clean_a.is_real())
     if spec.model == "handcrafted":
         scales = handcrafted_row_scales(clean_y.values, float(np.vdot(x_sharp, x_sharp).real))
         e_y *= scales

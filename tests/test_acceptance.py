@@ -254,7 +254,7 @@ def test_criterion_09_first_order_accuracy_decay():
             x = rng.normal(size=n).astype(np.complex128)
             ens = gaussian_ensemble(rng, n, m, real_mode=True)
             y = synthesize_measurements(ens, x)
-            spec = NoiseSpec(measurement_snr_db=meas_db, sensing_snr_db=sens_db, real_mode=True)
+            spec = NoiseSpec(measurement_snr_db=meas_db, sensing_snr_db=sens_db)
             y2, a2 = inject(rng, y, ens, spec)
             x0 = spectral_init(y2, a2)
             lam_a = 1.0 / n

@@ -306,7 +306,7 @@ def test_solve_injects_real_sensing_errors_into_real_files(tmp_path):
     corrected, x_hat = serialization.load(out + ".corrected.tlspr"), serialization.load(out + ".solution.tlspr")
     assert corrected.is_real() and not x_hat.imag.any()
     y, ens = serialization.load(prefix + ".meas.tlspr"), serialization.load(prefix + ".ensemble.tlspr")
-    y_obs, ens_obs = noise.inject(make_rng(0), y, ens, noise.NoiseSpec(20.0, 10.0, real_mode=True))
+    y_obs, ens_obs = noise.inject(make_rng(0), y, ens, noise.NoiseSpec(20.0, 10.0))
     assert np.array_equal(solve_tls(y_obs, ens_obs, ExperimentConfig().solver_config("tls")).x_hat, x_hat)
 
 
@@ -433,6 +433,13 @@ def test_a_huge_integer_cdp_ratio_is_a_usage_error(tmp_path, capsys, ratio):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be integers" not in err
     assert not list(tmp_path.glob("big*"))
+
+
+@pytest.mark.parametrize("model, ratio, size", [("gaussian", 1e12, "1.02e+15"), ("cdp", 10**399, "1.02e+402")])
+def test_a_ratio_too_large_for_memory_fails_at_the_config_gate_naming_the_key(model, ratio, size):
+    with pytest.raises(UsageError) as exc:
+        ExperimentConfig(model=model, n=8, ratios=(ratio,))
+    assert str(exc.value).startswith(f"config key ratios does not take {ratio!r} at n 8: its ensemble needs {size} bytes")
 
 
 def test_cli_synthesize_solve_roundtrip(tmp_path):

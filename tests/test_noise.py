@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tlspr import core
-from tlspr.core import MeasurementSet, _complex_normal, complex_gaussian_vector, make_rng
-from tlspr.models import gaussian_ensemble, synthesize_measurements
+from tlspr.core import MeasurementSet, SensingEnsemble, _complex_normal, complex_gaussian_vector, make_rng
+from tlspr.models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
 from tlspr.noise import (
     NoiseSpec,
     error_variance,
@@ -79,7 +79,7 @@ def test_measurement_errors_real_sensing_errors_complex():
 
 def test_real_mode_sensing_errors_real():
     rng, x, ens, y = _clean_instance(5, real_mode=True)
-    spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=20.0, real_mode=True)
+    spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=20.0)
     y2, a2 = inject(rng, y, ens, spec)
     assert np.all((a2.vectors - ens.vectors).imag == 0.0)
 
@@ -161,7 +161,7 @@ def test_seeded_data_is_bitwise_unchanged(real_mode):
     x = complex_gaussian_vector(make_rng(92), n)
     y = synthesize_measurements(ens, x)
     for model in ("gaussian", "handcrafted"):
-        spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0, model=model, real_mode=real_mode)
+        spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0, model=model)
         y_noisy, a_noisy = inject(make_rng(93), y, ens, spec, x_sharp=x)
         rng = make_rng(93)
         e_y, e_a = rng.normal(size=m), _old_draw(rng, (m, n), real_mode)
@@ -173,18 +173,50 @@ def test_seeded_data_is_bitwise_unchanged(real_mode):
             assert _bitwise_equal(got, clean + error * factor)
 
 
+def _ensemble_of_kind(kind, rng, n, m):
+    """A clean ensemble of ``kind`` and whether its entries are real."""
+    if kind == "cdp":
+        return cdp_ensemble(rng, CdpConfig(n=n, l=m // n)), False
+    if kind == "external":  # a raw real array, wrapped as a file's is
+        return SensingEnsemble(rng.normal(size=(m, n)), model_tag="external"), True
+    return gaussian_ensemble(rng, n, m, real_mode=kind == "real"), kind == "real"
+
+
+@pytest.mark.parametrize("model", ["gaussian", "handcrafted"])
+@pytest.mark.parametrize("kind", ["real", "external", "complex", "cdp"])
+def test_sensing_errors_take_their_kind_from_the_ensemble(kind, model):
+    n, m = 12, 96
+    ens, real = _ensemble_of_kind(kind, make_rng(81), n, m)
+    assert ens.is_real() == real
+    x = complex_gaussian_vector(make_rng(82), n)
+    y = synthesize_measurements(ens, x)
+    y_noisy, a_noisy = inject(make_rng(83), y, ens, NoiseSpec(20.0, 10.0, model=model), x_sharp=x)
+    assert a_noisy.is_real() == real
+    assert (a_noisy.vectors - ens.vectors).imag.any() != real
+    # Bit for bit the draws a caller got by naming the kind of the errors.
+    rng = make_rng(83)
+    e_y, e_a = rng.normal(size=m), _old_draw(rng, (m, n), real)
+    if model == "handcrafted":
+        scales = handcrafted_row_scales(y.values, float(np.vdot(x, x).real))
+        e_y, e_a = e_y * scales, e_a * scales[:, None]
+    for clean, error, db, got in ((y.values, e_y, 20.0, y_noisy.values), (ens.vectors, e_a, 10.0, a_noisy.vectors)):
+        factor = np.linalg.norm(clean) * 10.0 ** (-db / 20.0) / np.linalg.norm(error)
+        assert _bitwise_equal(got, clean + error * factor)
+
+
 def test_data_generation_makes_no_complex_temporary():
     # A complex temporary beside the result took the peak to 2.07
     # ensembles, and a full-size float draw buffer to 1.5.
     n, m = 128, 1024
     ens_bytes = 16 * m * n
-    ens = gaussian_ensemble(make_rng(94), n, m)
     x = complex_gaussian_vector(make_rng(95), n)
-    y = synthesize_measurements(ens, x)
     for real_mode in (False, True):
         assert peak_bytes(gaussian_ensemble, make_rng(94), n, m, real_mode=real_mode) < 1.52 * ens_bytes
+        # The sensing errors are drawn real exactly when the ensemble is.
+        ens = gaussian_ensemble(make_rng(94), n, m, real_mode=real_mode)
+        y = synthesize_measurements(ens, x)
         for model in ("gaussian", "handcrafted"):
-            spec = NoiseSpec(20.0, 10.0, model=model, real_mode=real_mode)
+            spec = NoiseSpec(20.0, 10.0, model=model)
             assert peak_bytes(inject, make_rng(96), y, ens, spec, x_sharp=x) < 1.52 * ens_bytes
 
 

@@ -230,7 +230,7 @@ def _gradient_instances():
     """(x, ensemble, y) at a spectral start: noisy complex Gaussian, CDP and
     real Gaussian data."""
     for kind in ("gaussian", "cdp", "real"):
-        spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0, real_mode=kind == "real")
+        spec = NoiseSpec(measurement_snr_db=20.0, sensing_snr_db=10.0)
         rng = make_rng(4100 + len(kind))
         if kind == "cdp":
             ens = cdp_ensemble(rng, CdpConfig(n=16, l=6))
