@@ -33,10 +33,10 @@ import numpy as np
 
 from .core import DimensionMismatchError, _check_positive, _finite_array
 from .correction import CorrectionParams
-from .solvers import MODES, SolverConfig, _daggers, _tls_step, solve_ls, solve_tls
+from .solvers import MODES, SolverConfig, _daggers, _ls_step, _tls_step, solve_ls, solve_tls
 
 COND_LIMIT = 1e12
-_FD_THRESHOLD, _FD_LS_STEP = 1e-22, 0.02  # of finite_difference_jacobians
+_FD_THRESHOLD = 1e-22  # of finite_difference_jacobians
 
 
 class IllConditionedError(RuntimeError):
@@ -202,7 +202,7 @@ def finite_difference_jacobians(
     if method == "tls":
         solve, step, weights = solve_tls, _tls_step(lambda_a), _daggers(lambda_a, lambda_y, n, x0)
     else:
-        solve, step, weights = solve_ls, _FD_LS_STEP, {}
+        solve, step, weights = solve_ls, _ls_step(), {}
     cfg = SolverConfig(step_size=step, threshold=_FD_THRESHOLD, max_iters=max_iters, **weights)
 
     def central_difference(arr: np.ndarray, index) -> np.ndarray:

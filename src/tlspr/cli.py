@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, metrics, noise, serialization
-from .core import MeasurementSet, SensingEnsemble, _complex_normal, _trial_seed, complex_gaussian_vector, make_rng
+from .core import MeasurementSet, SensingEnsemble, _check_positive, _complex_normal, _trial_seed, make_rng
+from .core import complex_gaussian_vector
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
 from .solvers import MODES, PROJECTIONS, SolverConfig, SolverError, _initial_point, solve_ls, solve_tls
 from .solvers import spectral_init  # noqa: F401  (not called here; bench/harness.py traces it by this name)
@@ -115,10 +116,13 @@ class ExperimentConfig:
         for r in self.ratios:
             if not 0 < r < np.inf:
                 raise UsageError(f"config key ratios does not take {r!r}: a ratio must be finite and > 0")
-        if self.model == "cdp":
-            for r in self.ratios:
-                if r != int(r):  # not float(r), which rounds and overflows
-                    raise UsageError("CDP ratios are pattern counts and must be integers")
+        for r in self.ratios:
+            if self.model == "cdp" and r != int(r):  # not float(r), which rounds and overflows
+                raise UsageError("CDP ratios are pattern counts and must be integers")
+            # Only a finite r * n is rounded, as round(inf) overflows.
+            if self.model == "gaussian" and r * self.n < np.inf and _gaussian_rows(r, self.n) < 1:
+                raise UsageError(f"config key ratios does not take {r!r} at n {self.n}: its ensemble has "
+                                 f"round({r!r} * {self.n}) = 0 rows, and an ensemble needs at least one")
         # No draw on an M x n complex128 ensemble beyond the machine's memory; M ~ ratio * n, as round(inf) overflows.
         if all(name in getattr(os, "sysconf_names", {}) for name in ("SC_PHYS_PAGES", "SC_PAGE_SIZE")):
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -129,10 +133,13 @@ class ExperimentConfig:
 
                     raise UsageError(f"config key ratios does not take {r!r} at n {self.n}: its ensemble needs "
                                      f"{Decimal(need):.3g} bytes, more than the machine's {memory} bytes of memory")
-        # Each solver key through SolverConfig and each SNR through NoiseSpec, alone, so that an error names its key.
+        # Each solver key through SolverConfig, each SNR through NoiseSpec and each analysis key through the
+        # package's positivity rule, alone, so that an error names its key.
         checks = [(f"solver.{key}", SolverConfig, name, getattr(self, key)) for key, name in _SOLVER_KEYS.items()]
         checks += [(name, noise.NoiseSpec, name, db) for name in ("measurement_snr_db", "sensing_snr_db")
                    for db in getattr(self, name) if db is not None]
+        checks += [("analysis.lambda_ratio", functools.partial(_check_positive, allow_zero=True), "lambda_ratio",
+                    self.lambda_ratio), ("analysis.grid_decades", _check_positive, "grid_decades", self.grid_decades)]
         for key, gate, field, value in checks:
             try:
                 gate(**{field: value})
@@ -253,6 +260,11 @@ def _noise_spec(config: ExperimentConfig, meas_db, sens_db) -> noise.NoiseSpec |
     return noise.NoiseSpec(meas_db, sens_db, model=config.noise_model)
 
 
+def _gaussian_rows(ratio, n: int) -> int:
+    """M of a Gaussian ensemble of N = ``n`` columns at the ratio M/N ``ratio``."""
+    return int(round(ratio * n))
+
+
 def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db, sens_db):
     """Draw a signal and an ensemble, synthesize the measurements and inject
     the configured errors: ``(x_sharp, y_obs, ens_obs, clean ensemble)``."""
@@ -260,7 +272,7 @@ def _simulate(rng: np.random.Generator, config: ExperimentConfig, ratio, meas_db
     if config.model == "cdp":
         ens = cdp_ensemble(rng, CdpConfig(n=config.n, l=int(ratio)))
     else:
-        ens = gaussian_ensemble(rng, config.n, int(round(ratio * config.n)), real_mode=config.real_mode)
+        ens = gaussian_ensemble(rng, config.n, _gaussian_rows(ratio, config.n), real_mode=config.real_mode)
     y = synthesize_measurements(ens, x_sharp)
     spec = _noise_spec(config, meas_db, sens_db)
     y_obs, ens_obs = (y, ens) if spec is None else noise.inject(rng, y, ens, spec, x_sharp=x_sharp)
@@ -371,7 +383,7 @@ def _analysis_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_see
     """One seeded real Gaussian instance and its ``config.analysis_mode`` prediction."""
     rng = make_rng(trial_seed)
     x = rng.normal(size=config.n)
-    a = rng.normal(size=(int(round(ratio * config.n)), config.n))
+    a = rng.normal(size=(_gaussian_rows(ratio, config.n), config.n))
     y = (a @ x) ** 2
     mode = config.analysis_mode
     row = {
@@ -398,8 +410,6 @@ def _analysis_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_see
         row["expected_sq_tls"] = e_tls
         row["expected_sq_ls"] = e_ls
         return row
-    if s2_delta <= 0 or s2_eta <= 0:
-        raise UsageError("ml_sweep needs finite SNR targets on both blocks")
     optimal = s2_delta / s2_eta
     grid = optimal * 10.0 ** np.linspace(
         -config.grid_decades, config.grid_decades, config.grid_points
@@ -421,6 +431,10 @@ def run_error_analysis(config: ExperimentConfig, output: str | None = None) -> s
     if config.analysis_mode == "none":
         *modes, last = ANALYSIS_MODES[1:]
         raise UsageError(f"analysis_mode must be {', '.join(modes)} or {last}")
+    # The sweep centres on s2_delta / s2_eta: no target, or one whose 10^(-dB/10) underflows, gives a zero variance.
+    targets = (*config.measurement_snr_db, *config.sensing_snr_db)
+    if config.analysis_mode == "ml_sweep" and not all(db is not None and noise.snr_scale(2 * db) > 0 for db in targets):
+        raise UsageError("ml_sweep needs finite SNR targets on both blocks")
     out_path = output or config.output
     cols = {"first_order": ("rel_e_tls", "rel_e_ls"), "expected": ("expected_sq_tls", "expected_sq_ls")}
     rows = _run_trials(config, _analysis_trial, cols.get(config.analysis_mode, ()))

@@ -9,10 +9,12 @@ psi3 = cbrt((psi1 + sqrt(psi1^2 - 4 psi0^3)) / 2) and t the primitive cube
 root of unity.  :func:`all_roots` computes them in complex arithmetic, so
 complex coefficients and the casus irreducibilis need no special casing.
 
-The sensing-vector correction only needs the smallest real root of real
-depressed cubics alpha*t^3 + beta*t + const, which
-:func:`smallest_real_root` finds in real arithmetic.  With p = beta/alpha,
-q = const/alpha and discriminant D = (q/2)^2 + (p/3)^3:
+The solvers take real roots of depressed cubics t^3 + p t + q in two places:
+the correction takes the smallest real root of one cubic per measurement,
+batched by :func:`smallest_real_root_into`, and the least squares step the
+least-loss one of the real roots :func:`depressed_real_roots` gives.  Both
+take D = (q/2)^2 + (p/3)^3 with (p/3)^3 by pow, so that their root counts
+part only where D is rounding noise, and the same closed forms:
 
 * D <= 0 and p < 0 (three real roots): the lowest of Viete's trigonometric
   roots t_k = m cos(theta/3 - 2 pi k/3), m = 2 sqrt(-p/3),
@@ -21,8 +23,7 @@ q = const/alpha and discriminant D = (q/2)^2 + (p/3)^3:
   cancellation, t = -q / (A^2 + p/3 + B^2) with A = cbrt(|q|/2 + sqrt(D))
   and B = p / (3A) (W. Kahan, "To solve a real cubic equation", 1986).
 
-:func:`depressed_real_roots` applies the same forms to one cubic t^3 + p t + q
-in ``math`` arithmetic, for callers that solve a single cubic per step.
+Each root then takes one guarded Newton step.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def residual_scale(a, b, c, d, root) -> float:
 
 def _newton_step(t: np.ndarray, p, q, work: np.ndarray, keep: np.ndarray) -> None:
     """One Newton step on t^3 + p t + q, in place, kept only where it lowers
-    |residual|.  ``work`` is a float array of shape (3,) + t.shape and
-    ``keep`` a bool array of t's shape.  Where the derivative is zero the
+    |residual|.  ``work`` is a float array of shape (3, len(t)) and
+    ``keep`` a bool array of t's length.  Where the derivative is zero the
     step is non-finite, its residual is not lower, and t stays (call under
     ``np.errstate(divide="ignore", invalid="ignore")``)."""
     f, f_step, step = work
@@ -126,24 +127,10 @@ def root_workspace(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((5, m)), np.empty((2, m), dtype=bool)
 
 
-def smallest_real_root(alpha: float, beta: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Smallest real root of alpha*t^3 + beta_i*t + const_i for a whole batch,
-    as a (len(beta),) float64 array; alpha is a shared positive scalar.  See
-    the module docstring for the closed forms; the root then takes one
-    guarded Newton step."""
-    beta = np.asarray(beta, dtype=np.float64)
-    t = np.empty_like(beta)
-    rows, masks = root_workspace(beta.shape[0])
-    rows[0], rows[1] = beta, const
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        smallest_real_root_into(t, alpha, rows, masks)
-    return t
-
-
 def smallest_real_root_into(t: np.ndarray, alpha: float, rows: np.ndarray, masks: np.ndarray) -> None:
-    """:func:`smallest_real_root` of the cubics with beta = ``rows[0]`` and
-    const = ``rows[1]``, written into ``t``; ``rows`` and ``masks`` are the
-    scratch of :func:`root_workspace` and are overwritten.
+    """Smallest real root of alpha*t^3 + beta_i*t + const_i, alpha > 0 shared,
+    with beta = ``rows[0]`` and const = ``rows[1]``, written into ``t``; ``rows``
+    and ``masks`` are the scratch of :func:`root_workspace` and are overwritten.
 
     Viete's root and the Newton step run in place on all rows; only the rows
     whose branch needs the exact discriminant are gathered.  Rows outside
@@ -158,7 +145,7 @@ def smallest_real_root_into(t: np.ndarray, alpha: float, rows: np.ndarray, masks
     # numpy's (p/3)**3 leaves its vectorized pow for p < 0 and is ~100x
     # slower than c*c*c, which is within 5e-16 |c|^3 of it.  Rows where c*c*c
     # gives D < -1e-15 |c|^3, clear of underflow, have three real roots for
-    # certain; the others take D exactly as depressed_roots_batch does.
+    # certain; the others take D exactly as depressed_real_roots does.
     np.divide(p, 3.0, out=c)
     np.multiply(c, c, out=a)
     a *= c
@@ -204,33 +191,6 @@ def smallest_real_root_into(t: np.ndarray, alpha: float, rows: np.ndarray, masks
     _newton_step(t, p, q, rows[2:], spare)
 
 
-def depressed_roots_batch(alpha: float, beta: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Real roots of alpha*t^3 + beta_i*t + const_i for a whole batch at once.
-
-    Returns an (len(beta), 3) float64 array whose rows hold the real roots in
-    ascending order, padded with NaN where a cubic has only one.  alpha is a
-    shared positive scalar.  Column 0 is :func:`smallest_real_root`; the
-    cubic deflated by it leaves a quadratic for the other two roots.
-    """
-    low = smallest_real_root(alpha, beta, const)
-    p = np.asarray(beta, dtype=np.float64) / alpha
-    q = np.asarray(const, dtype=np.float64) / alpha
-    # With three real roots, low < 0 and the other two solve t^2 + low t +
-    # low^2 + p = 0: the larger one has no cancellation, and the middle one
-    # from the product of the roots, -q, stays accurate when it is tiny.
-    three = np.flatnonzero(((0.5 * q) ** 2 + (p / 3.0) ** 3 <= 0.0) & (p < 0.0))
-    t0, p3, q3 = low[three], p[three], q[three]
-    high = 0.5 * (np.sqrt(np.maximum(-3.0 * t0 * t0 - 4.0 * p3, 0.0)) - t0)
-    roots = np.full((low.size, 3), np.nan)
-    roots[:, 0] = low
-    upper = np.column_stack([-q3 / (t0 * high), high])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _newton_step(upper, p3[:, None], q3[:, None], np.empty((3,) + upper.shape), np.empty(upper.shape, dtype=bool))
-    # Rounding can swap roots that nearly coincide; keep each row ascending.
-    roots[three, 1:] = np.maximum(np.sort(upper, axis=1), t0[:, None])
-    return roots
-
-
 def _newton_scalar(t: float, p: float, q: float) -> float:
     """:func:`_newton_step` for one root."""
     f = (t * t + p) * t + q
@@ -244,7 +204,7 @@ def _newton_scalar(t: float, p: float, q: float) -> float:
 def depressed_real_roots(p: float, q: float) -> tuple[float, ...]:
     """Real roots of one depressed cubic t^3 + p*t + q with finite p and q,
     ascending: one or three floats, from the closed forms and the guarded
-    Newton step of :func:`depressed_roots_batch`, in ``math`` arithmetic (a
+    Newton step of :func:`smallest_real_root_into`, in ``math`` arithmetic (a
     length-1 batch costs ~100x more in numpy call overhead).  t is first
     scaled by a power of two that brings p and q near one, which is exact
     and keeps every intermediate clear of overflow and underflow."""
@@ -253,13 +213,16 @@ def depressed_real_roots(p: float, q: float) -> tuple[float, ...]:
     k = math.frexp(max(math.sqrt(abs(p)), math.cbrt(abs(q))))[1]
     p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
     half, third = 0.5 * q, p / 3.0
-    # third**3, not third*third*third, like depressed_roots_batch: the root
+    # third**3, not third*third*third, like smallest_real_root_into: the root
     # counts then differ only where the discriminant is rounding noise.
     disc = half * half + third**3
     if disc <= 0.0 and p < 0.0:
         m = 2.0 * math.sqrt(-third)
         theta = math.acos(min(max(3.0 * q / (p * m), -1.0), 1.0)) / 3.0
         low = _newton_scalar(m * math.cos(theta - 4.0 * math.pi / 3.0), p, q)
+        # low < 0 and the others solve t^2 + low t + low^2 + p = 0: high has no
+        # cancellation, mid comes from the product -q of the roots, and both
+        # are sorted above low, as rounding can swap roots that nearly meet.
         high = 0.5 * (math.sqrt(max(-3.0 * low * low - 4.0 * p, 0.0)) - low)
         mid, high = sorted((_newton_scalar(-q / (low * high), p, q), _newton_scalar(high, p, q)))
         roots = (low, max(mid, low), max(high, low))
@@ -268,3 +231,18 @@ def depressed_real_roots(p: float, q: float) -> tuple[float, ...]:
         small = p / (3.0 * big)
         roots = (_newton_scalar(-q / (big * big + third + small * small), p, q),)
     return tuple(math.ldexp(t, k) for t in roots)
+
+
+def depressed_roots_batch(alpha: float, beta: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Real roots of alpha*t^3 + beta_i*t + const_i, alpha > 0 shared, as an
+    (len(beta), 3) array: row i is :func:`depressed_real_roots` of beta_i/alpha
+    and const_i/alpha, NaN-padded, and all NaN where either is not finite."""
+    if not (alpha > 0):
+        raise ValueError("alpha must be > 0")
+    p = np.asarray(beta, dtype=np.float64) / alpha
+    q = np.asarray(const, dtype=np.float64) / alpha
+    roots = np.full((p.shape[0], 3), np.nan)
+    for i in np.flatnonzero(np.isfinite(p) & np.isfinite(q)):
+        found = depressed_real_roots(float(p[i]), float(q[i]))
+        roots[i, : len(found)] = found
+    return roots

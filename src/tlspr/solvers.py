@@ -32,7 +32,7 @@ of the iterations of its fixed step.
 Otherwise the step is fixed: x <- x - (mu / ||x0||^2) g(x), ||x0|| frozen at
 initialization, then projected in real-binary mode.  An explicit step is
 used as given, and without one each solver takes its tuned mu
-(:func:`_tls_step`, ``_LS_STEP``).  TLS's weights are :func:`_weights`; its
+(:func:`_tls_step`, :func:`_ls_step`).  TLS's weights are :func:`_weights`; its
 tuned step ignores lambda_y and diverges at the maximum-likelihood ratio.
 
 An iteration under either policy costs two products with the one stored
@@ -66,8 +66,6 @@ from .cubic import depressed_real_roots
 # used when the spectral start is undefined.
 _SPECTRAL_START_SEED = 0x5066_494E
 _FALLBACK_INIT_SEED = 0xFA11_BACC
-# LS's tuned fixed step mu, taken with projection only: LS otherwise searches.
-_LS_STEP = 0.005
 
 PROJECTIONS = ("none", "real_binary")
 MODES = ("tls", "ls")
@@ -275,6 +273,11 @@ def _tls_step(lambda_a: float, projection: str = "none") -> float:
     return (0.4 if projection == "real_binary" else 0.5) / lambda_a
 
 
+def _ls_step(projection: str = "none") -> float:
+    """LS's tuned fixed step mu, 0.02 (0.005 in real-binary projection mode, which alone takes it by default)."""
+    return 0.005 if projection == "real_binary" else 0.02
+
+
 def _feasible(x, cfg: SolverConfig) -> np.ndarray:
     """``x`` itself, or in real-binary projection mode :func:`project_real_binary` of it."""
     return project_real_binary(x) if cfg.projection == "real_binary" else x
@@ -387,7 +390,7 @@ def solve_ls(y, ensemble, cfg: SolverConfig, x0=None) -> SolveResult:
     residuals of :class:`_LSRows`, whose searched step is the exact
     minimizer of the loss along d (:func:`_exact_step`)."""
     vectors, yv, x, nu, norm0_sq = _start(y, ensemble, cfg, x0, "ls")
-    mu = _LS_STEP if cfg.step_size is None else cfg.step_size
+    mu = _ls_step(cfg.projection) if cfg.step_size is None else cfg.step_size
     # The rows' gradient A^T (r nu) leaves out the 1/M of g.
     return _descend(_LSRows(vectors, yv, nu), x, cfg, mu / norm0_sq / yv.shape[0])
 

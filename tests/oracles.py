@@ -220,6 +220,32 @@ def real_roots_reference(alpha, beta, const) -> np.ndarray:
     return np.where(np.abs(f_step) < np.abs(f), step, roots)
 
 
+# Frozen copy of the batch enumeration of all real roots the package shipped
+# before its batch became a per-row map of the least squares step's scalar
+# routine: the smallest real root (column 0 of real_roots_reference, which
+# the package's batched root matches bit for bit), then the cubic deflated by
+# it, the middle root from the product of the roots, one guarded Newton step
+# on both upper roots, and a sort clamped to the lowest root.  Regression
+# reference only.
+def depressed_roots_batch_reference(alpha, beta, const) -> np.ndarray:
+    low = real_roots_reference(alpha, beta, const)[:, 0]
+    p = np.asarray(beta, dtype=np.float64) / alpha
+    q = np.asarray(const, dtype=np.float64) / alpha
+    three = np.flatnonzero(((0.5 * q) ** 2 + (p / 3.0) ** 3 <= 0.0) & (p < 0.0))
+    t0, p3, q3 = low[three], p[three][:, None], q[three][:, None]
+    high = 0.5 * (np.sqrt(np.maximum(-3.0 * t0 * t0 - 4.0 * p[three], 0.0)) - t0)
+    upper = np.column_stack([-q[three] / (t0 * high), high])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (upper * upper + p3) * upper + q3
+        step = upper - f / (upper * 3.0 * upper + p3)
+        f_step = (step * step + p3) * step + q3
+        upper = np.where(np.abs(f_step) < np.abs(f), step, upper)
+    roots = np.full((low.size, 3), np.nan)
+    roots[:, 0] = low
+    roots[three, 1:] = np.maximum(np.sort(upper, axis=1), t0[:, None])
+    return roots
+
+
 def sweep_corrections_reference(vectors, y, x, lambda_a, lambda_y):
     """``(nu_star, f_star, roots)`` by candidate enumeration; ``roots`` are
     the (M, 3) real roots of the plus cubic, NaN-padded."""

@@ -290,6 +290,120 @@ def test_ratios_and_snrs_are_checked_at_the_gate(tmp_path, capsys, argv, text, k
     assert not list(tmp_path.glob("out*"))
 
 
+_REAL_ANALYSIS = "n: 8\nratios: [4]\ntrials: 1\nreal_mode: true\nnoise:\n  measurement_snr_db: 30\n  sensing_snr_db: 30\n"
+
+
+def _draws(monkeypatch) -> list:
+    """The seeds of every generator the CLI makes from here on."""
+    drawn = []
+    make_rng = cli.make_rng
+    monkeypatch.setattr(cli, "make_rng", lambda seed: drawn.append(seed) or make_rng(seed))
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["synthesize", "--ratio", "0.01", "--n", "8"], None),
+        (["sweep"], "n: 8\nratios: [4, 0.01]"),
+        (["analyze"], _REAL_ANALYSIS + "ratios: [0.01]\nanalysis:\n  mode: first_order"),
+    ],
+    ids=["synthesize", "sweep", "analyze"],
+)
+def test_a_ratio_that_gives_no_rows_fails_at_the_gate_before_any_draw(tmp_path, capsys, monkeypatch, argv, text):
+    if text is not None:
+        (tmp_path / "exp.yaml").write_text(text + "\n")
+        argv = [*argv, "--config", str(tmp_path / "exp.yaml")]
+    drawn = _draws(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ratios does not take 0.01 at n 8: its ensemble has round(0.01 * 8) = 0 rows")
+    assert "Traceback" not in err and not drawn
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_a_ratio_beyond_float_range_is_not_rounded_without_the_memory_probe(monkeypatch):
+    # ratio * n is infinite, and round(inf) would raise an OverflowError.
+    monkeypatch.setattr(os, "sysconf_names", {})
+    assert ExperimentConfig(n=64, ratios=(1e308,)).ratios == (1e308,)
+
+
+@pytest.mark.parametrize(
+    "text, key, reason",
+    [
+        ("grid_decades: .inf", "analysis.grid_decades", "grid_decades must be finite and > 0, got inf"),
+        ("grid_decades: .nan", "analysis.grid_decades", "grid_decades must be finite and > 0, got nan"),
+        ("grid_decades: -1.0", "analysis.grid_decades", "grid_decades must be finite and > 0, got -1.0"),
+        ("grid_decades: 0", "analysis.grid_decades", "grid_decades must be finite and > 0, got 0"),
+        ("lambda_ratio: -1.0", "analysis.lambda_ratio", "lambda_ratio must be finite and >= 0, got -1.0"),
+        ("lambda_ratio: .inf", "analysis.lambda_ratio", "lambda_ratio must be finite and >= 0, got inf"),
+    ],
+    ids=["grid_decades-inf", "grid_decades-nan", "grid_decades-negative", "grid_decades-zero",
+         "lambda_ratio-negative", "lambda_ratio-inf"],
+)
+def test_config_rejects_analysis_values_when_it_is_read(tmp_path, capsys, monkeypatch, text, key, reason):
+    config_path = tmp_path / "analysis.yaml"
+    config_path.write_text(_REAL_ANALYSIS + f"analysis:\n  mode: ml_sweep\n  {text}\n")
+    with pytest.raises(UsageError, match=f"config key {key} does not take") as err:
+        cli.load_config(str(config_path))
+    assert str(err.value).endswith(reason)
+    drawn = _draws(monkeypatch)
+    rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1 and not drawn
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "noise_section",
+    ["", "  measurement_snr_db: 30\n", "  sensing_snr_db: 30\n",
+     "  measurement_snr_db: 30\n  sensing_snr_db: [30, null]\n", "  measurement_snr_db: 30\n  sensing_snr_db: 4000\n"],
+    ids=["no-targets", "no-sensing", "no-measurement", "null-in-list", "variance-underflows"],
+)
+def test_ml_sweep_without_both_snr_targets_fails_before_any_trial(tmp_path, capsys, monkeypatch, noise_section):
+    config_path = tmp_path / "ml.yaml"
+    config_path.write_text("n: 8\nratios: [4]\ntrials: 1\nreal_mode: true\n"
+                           f"noise:\n  model: gaussian\n{noise_section}analysis:\n  mode: ml_sweep\n")
+    drawn = _draws(monkeypatch)
+    rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1 and not drawn
+    assert capsys.readouterr().err == "error: ml_sweep needs finite SNR targets on both blocks\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("noise: 5\n", "config section 'noise' must be a mapping"),
+        ("analysis: [first_order]\n", "config section 'analysis' must be a mapping"),
+        ("n: [1, 2\n", "config parse error"),
+        ("- n\n- 8\n", "config root must be a mapping"),
+        ("n: 0\n", "n must be >= 1"),
+        ("model: dft\n", "unknown model 'dft'"),
+        ("noise:\n  model: laplace\n", "unknown noise model 'laplace'"),
+        ("analysis:\n  mode: exact\n", "unknown analysis_mode 'exact'"),
+    ],
+)
+def test_a_malformed_config_file_is_a_usage_error_naming_its_key(tmp_path, capsys, text, message):
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text(text)
+    with pytest.raises(UsageError, match=message):
+        load_config(str(config_path))
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_analyze_without_a_mode_lists_the_three_modes(tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "none.yaml"
+    config_path.write_text(_REAL_ANALYSIS)
+    drawn = _draws(monkeypatch)
+    assert main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: analysis_mode must be first_order, expected or ml_sweep\n"
+    assert not drawn and not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["measurement_snr_db", "sensing_snr_db"])
 @pytest.mark.parametrize("db", ["20", float("nan"), pytest.param(10**400, id="int-beyond-float")])
 def test_config_checks_each_snr_as_a_noise_spec_does(key, db):
@@ -435,7 +549,8 @@ def test_a_huge_integer_cdp_ratio_is_a_usage_error(tmp_path, capsys, ratio):
     assert not list(tmp_path.glob("big*"))
 
 
-@pytest.mark.parametrize("model, ratio, size", [("gaussian", 1e12, "1.02e+15"), ("cdp", 10**399, "1.02e+402")])
+@pytest.mark.parametrize("model, ratio, size", [("gaussian", 1e12, "1.02e+15"), ("gaussian", 1e308, "Infinity"),
+                                               ("cdp", 10**399, "1.02e+402")])
 def test_a_ratio_too_large_for_memory_fails_at_the_config_gate_naming_the_key(model, ratio, size):
     with pytest.raises(UsageError) as exc:
         ExperimentConfig(model=model, n=8, ratios=(ratio,))
@@ -551,6 +666,28 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ensemble, measurements, signal, message",
+    [
+        ("meas", "ensemble", None, "inputs must be an ensemble file and a measurements file"),
+        ("ensemble", "ensemble", None, "inputs must be an ensemble file and a measurements file"),
+        ("signal", "meas", None, "inputs must be an ensemble file and a measurements file"),
+        ("ensemble", "meas", "meas", "signal file does not hold a signal"),
+        ("ensemble", "meas", "ensemble", "signal file does not hold a signal"),
+    ],
+)
+def test_solve_rejects_files_of_the_wrong_kind(tmp_path, capsys, ensemble, measurements, signal, message):
+    prefix = str(tmp_path / "kind")
+    assert main(["synthesize", "--n", "4", "--ratio", "2", "--out", prefix]) == 0
+    capsys.readouterr()
+    argv = ["solve", "--ensemble", f"{prefix}.{ensemble}.tlspr", "--measurements", f"{prefix}.{measurements}.tlspr"]
+    if signal is not None:
+        argv += ["--signal", f"{prefix}.{signal}.tlspr"]
+    assert main([*argv, "--out", str(tmp_path / "sol")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("sol*"))
 
 
 @pytest.mark.parametrize("meas_db", [None, 30.0])

@@ -140,8 +140,10 @@ def test_ensemble_validation():
     assert ens.m == 4 and ens.n == 3
     with pytest.raises(ValueError):
         SensingEnsemble(np.empty((0, 3), dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown model_tag 'bogus'"):
         SensingEnsemble(arr, model_tag="bogus")
+    with pytest.raises(ValueError, match="unknown noise_tag 'bogus'"):
+        SensingEnsemble(arr, noise_tag="bogus")
     bad = arr.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

@@ -8,11 +8,10 @@ from tlspr.cubic import (
     depressed_roots_batch,
     residual_scale,
     root_workspace,
-    smallest_real_root,
     smallest_real_root_into,
 )
 
-from oracles import real_roots_reference
+from oracles import depressed_roots_batch_reference, real_roots_reference
 
 
 # Roots of all_roots with |Im| <= REAL_TOL count as real.
@@ -21,6 +20,18 @@ REAL_TOL = 1e-9
 
 def _poly(a, b, c, d, z):
     return ((a * z + b) * z + c) * z + d
+
+
+def smallest_real_root(alpha, beta, const):
+    """smallest_real_root_into of the cubics alpha*t^3 + beta_i*t + const_i,
+    with a new workspace; raises its ValueError for alpha <= 0."""
+    beta = np.asarray(beta, dtype=np.float64)
+    t = np.empty_like(beta)
+    rows, masks = root_workspace(beta.shape[0])
+    rows[0], rows[1] = beta, const
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        smallest_real_root_into(t, alpha, rows, masks)
+    return t
 
 
 def test_roots_of_unity():
@@ -95,8 +106,8 @@ def test_batch_matches_scalar():
 
 
 def _real_roots(alpha, beta, const):
-    row = depressed_roots_batch(alpha, np.array([beta]), np.array([const]))[0]
-    return row[~np.isnan(row)]
+    """The real roots the least squares step's routine gives for one cubic."""
+    return np.array(depressed_real_roots(beta / alpha, const / alpha))
 
 
 @pytest.mark.parametrize(
@@ -206,8 +217,8 @@ def test_smallest_real_root_into_a_reused_workspace_matches_the_allocating_call(
 
 def _scalar_against_batch(p, q):
     """(count mismatches, worst relative root difference) of
-    depressed_real_roots against depressed_roots_batch with alpha = 1."""
-    batch = depressed_roots_batch(1.0, p, q)
+    depressed_real_roots against the frozen batch enumeration with alpha = 1."""
+    batch = depressed_roots_batch_reference(1.0, p, q)
     mismatched, worst = 0, 0.0
     for i in range(p.size):
         got = np.array(depressed_real_roots(float(p[i]), float(q[i])))
@@ -221,11 +232,11 @@ def _scalar_against_batch(p, q):
     return mismatched, worst
 
 
-def test_depressed_real_roots_matches_batch():
-    # Random cubics over 16 decades; near-double roots r, r(1 + d), -r(2 + d)
-    # for relative gaps d down to 1e-6; exact double roots (t - r)^2 (t + 2r)
-    # with r a power of two, so that p and q carry no rounding; near-triple
-    # roots at 0 (tiny p and q); p = q = 0.
+def _hard_cubics():
+    """(p, q) of random cubics over 16 decades; near-double roots r, r(1 + d),
+    -r(2 + d) for relative gaps d down to 1e-6; exact double roots
+    (t - r)^2 (t + 2r) with r a power of two, so that p and q carry no
+    rounding; near-triple roots at 0 (tiny p and q); p = q = 0."""
     rng = make_rng(83)
     n = 4000
     scale = 10.0 ** rng.uniform(-8.0, 8.0, n)
@@ -243,7 +254,19 @@ def test_depressed_real_roots_matches_batch():
     q.append(rng.normal(size=400) * 10.0 ** rng.uniform(-150.0, -30.0, 400))
     p.append(np.zeros(1))
     q.append(np.zeros(1))
-    p, q = np.concatenate(p), np.concatenate(q)
+    return np.concatenate(p), np.concatenate(q)
+
+
+def _rounded_double_roots():
+    """(r, p, q) of (t - r)^2 (t + 2r) for 20,000 r over 16 decades, with the
+    double root rounded into p and q."""
+    rng = make_rng(84)
+    r = rng.normal(size=20_000) * 10.0 ** rng.uniform(-8.0, 8.0, 20_000)
+    return r, -3.0 * r * r, 2.0 * r**3
+
+
+def test_depressed_real_roots_matches_batch():
+    p, q = _hard_cubics()
     assert p.size >= 10_000
     mismatched, worst = _scalar_against_batch(p, q)
     assert mismatched == 0
@@ -256,10 +279,8 @@ def test_depressed_real_roots_count_differs_only_on_rounding_noise():
     # Where a double root is rounded into p and q, the discriminant is
     # rounding noise: the batch's vectorized cube and the scalar cube may
     # then split the double root or not, and only there may the counts differ.
-    rng = make_rng(84)
-    r = rng.normal(size=20_000) * 10.0 ** rng.uniform(-8.0, 8.0, 20_000)
-    p, q = -3.0 * r * r, 2.0 * r**3
-    batch = depressed_roots_batch(1.0, p, q)
+    r, p, q = _rounded_double_roots()
+    batch = depressed_roots_batch_reference(1.0, p, q)
     for i in range(r.size):
         got = depressed_real_roots(float(p[i]), float(q[i]))
         want = batch[i][~np.isnan(batch[i])]
@@ -271,3 +292,17 @@ def test_depressed_real_roots_count_differs_only_on_rounding_noise():
         # The simple root -2r is found either way.
         assert np.isclose(got, -2.0 * r[i], rtol=1e-12, atol=0).any()
         assert np.isclose(want, -2.0 * r[i], rtol=1e-12, atol=0).any()
+
+
+def test_least_squares_and_correction_roots_agree_on_the_lowest_root():
+    # The two live routines on the hard cubics above with q >= 0, the
+    # correction's domain, where the lowest root is simple.  For q < 0 a
+    # negative double root may count as one root or two in either routine.
+    p, q = np.concatenate([_hard_cubics(), _rounded_double_roots()[1:]], axis=1)
+    keep = q >= 0.0
+    p, q = p[keep], q[keep]
+    assert p.size >= 15_000
+    want = smallest_real_root(1.0, p, q)
+    got = np.array([depressed_real_roots(float(p[i]), float(q[i]))[0] for i in range(p.size)])
+    diff = np.abs(got - want)
+    assert np.all(diff <= 1e-12 * np.abs(want))

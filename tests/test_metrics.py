@@ -119,6 +119,16 @@ def test_rel_corr_beats_phase_grid():
     assert got <= alt + 1e-6
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (5, 3), (4, 4)], ids=["more-rows", "fewer-columns", "fewer-rows"])
+def test_rel_corr_shape_mismatch(shape):
+    rng = make_rng(10)
+    a = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    x = rng.normal(size=4) + 1j * rng.normal(size=4)
+    with pytest.raises(DimensionMismatchError) as err:
+        rel_corr(a, x, np.ones(shape, dtype=complex), x)
+    assert str(err.value) == f"a_sharp has shape (5, 4), a_dag has shape {shape}"
+
+
 def test_rel_corr_zero_denominator():
     a = np.ones((2, 2), dtype=complex)
     x = np.array([1.0, -1.0], dtype=complex)  # all inner products vanish

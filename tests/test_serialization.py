@@ -88,6 +88,39 @@ def test_malformed_header_errors(tmp_path, header):
         load(path)
 
 
+def _binary(header: bytes, length: int | None = None) -> bytes:
+    """A binary container's magic, header length (``len(header)`` unless given) and header."""
+    return b"TLSPRBIN" + struct.pack("<I", len(header) if length is None else length) + header
+
+
+# A file name, its bytes and what the error says.
+_MALFORMED = [
+    ("bad.json", b'{"format_version": 1, "kind": ', "invalid JSON container"),
+    ("short.tlspr", _binary(b'{"kind": "signal"}', 64), "truncated header"),
+    ("bytes.tlspr", _binary(b"\xff\xfe\xfd\xfc"), "malformed header"),
+    ("text.tlspr", _binary(b"{kind:"), "malformed header"),
+    ("kind.json", b'{"format_version": 1, "kind": "matrix", "n": 1, "data": [[1, 0]]}', "unknown kind 'matrix'"),
+    ("kind.tlspr", _binary(b'{"format_version": 1, "kind": "grid"}'), "unknown kind 'grid'"),
+    ("nodata.json", b'{"format_version": 1, "kind": "signal", "n": 1}', "missing payload"),
+    ("short.json", b'{"format_version": 1, "kind": "measurements", "m": 3, "data": [1, 2]}',
+     "header says m=3 but payload has 2 values"),
+    ("pairs.json", b'{"format_version": 1, "kind": "signal", "n": 2, "data": [[1, 0]]}',
+     "JSON data does not match header dimensions (2,)"),
+    ("rows.json", b'{"format_version": 1, "kind": "ensemble", "m": 2, "n": 1, "data": [[[1, 0]]]}',
+     "JSON data does not match header dimensions (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("name, content, message", _MALFORMED, ids=[name for name, *_ in _MALFORMED])
+def test_malformed_container_errors_naming_the_file(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)
+
+
 def test_bad_magic_errors(tmp_path):
     path = tmp_path / "junk.tlspr"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 20)
