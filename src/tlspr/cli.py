@@ -13,8 +13,9 @@ Subcommands
 
 Every subcommand takes ``--seed``, ``--out`` and ``--config``.  Config files
 are YAML (key/value with nesting, see the README for the grammar); command
-line flags override file values.  The worker count for sweeps comes from the
-``TLSPR_WORKERS`` environment variable, a positive integer (default 1).
+line flags replace file values before the one config is built and checked.
+The worker count for sweeps comes from the ``TLSPR_WORKERS`` environment
+variable, a positive integer (default 1).
 ``analyze`` covers the real-valued Gaussian model with Gaussian errors only.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
@@ -33,17 +34,18 @@ import contextlib
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, metrics, noise, serialization
-from .core import MeasurementSet, SensingEnsemble, _check_positive, _complex_normal, _trial_seed, make_rng
-from .core import complex_gaussian_vector
+from .core import MeasurementSet, SensingEnsemble, _check_positive, _complex_normal, _is_integer, _trial_seed
+from .core import complex_gaussian_vector, make_rng
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
 from .solvers import MODES, PROJECTIONS, SolverConfig, SolverError, _initial_point, solve_ls, solve_tls
 from .solvers import spectral_init  # noqa: F401  (not called here; bench/harness.py traces it by this name)
@@ -100,18 +102,16 @@ class ExperimentConfig:
     output: str = "results.csv"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
-        if self.n < 1:
-            raise UsageError("n must be >= 1")
-        if self.model not in MODELS:
-            raise UsageError(f"unknown model {self.model!r}")
-        if self.noise_model not in noise.NOISE_MODELS:
-            raise UsageError(f"unknown noise model {self.noise_model!r}")
-        if self.analysis_mode not in ANALYSIS_MODES:
-            raise UsageError(f"unknown analysis_mode {self.analysis_mode!r}")
-        if self.grid_points < 2:
-            raise UsageError("grid_points must be >= 2")
+        # However the config is built, each value first passes its field's type gate, stored as the gate gives it.
+        for name in _FIELD_TYPES:
+            object.__setattr__(self, name, _typed(name, getattr(self, name)))
+        for name, least in (("trials", 1), ("n", 1), ("grid_points", 2)):
+            if getattr(self, name) < least:
+                raise UsageError(f"{name} must be >= {least}")
+        for name, label, known in (("model", "model", MODELS), ("noise_model", "noise model", noise.NOISE_MODELS),
+                                   ("analysis_mode", "analysis_mode", ANALYSIS_MODES)):
+            if getattr(self, name) not in known:
+                raise UsageError(f"unknown {label} {getattr(self, name)!r}")
         # Checked before the CDP ratios, where int(inf) raises an OverflowError.
         for r in self.ratios:
             if not 0 < r < np.inf:
@@ -160,48 +160,47 @@ _SOLVER_KEYS.update({f"step_size_{mode}": "step_size" for mode in MODES})
 _NESTED_KEYS = {
     "noise": {"model": "noise_model", "measurement_snr_db": "measurement_snr_db", "sensing_snr_db": "sensing_snr_db"},
     "solver": {key: key for key in _SOLVER_KEYS},
-    "analysis": {
-        "mode": "analysis_mode",
-        "lambda_ratio": "lambda_ratio",
-        "grid_points": "grid_points",
-        "grid_decades": "grid_decades",
-    },
+    "analysis": {"mode": "analysis_mode", **{key: key for key in ("lambda_ratio", "grid_points", "grid_decades")}},
 }
 
 
+# Each field given in a section to its key there, such as ``solver.threshold``.
+_CONFIG_KEYS = {name: f"{section}.{key}" for section, keys in _NESTED_KEYS.items() for key, name in keys.items()}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _typed(key: str, name: str, value):
-    """``value`` of the config key ``key`` if it fits the type of the field
-    ``name``, else a UsageError.  A float field also takes the strings that
-    float() parses, since YAML reads 1e-6 as a string.  Ratio and SNR lists
-    hold numbers, and SNRs may be null."""
+# Whether a value fits a field of each type but a list.
+_FITS = {"bool": lambda v: isinstance(v, bool), "int": _is_integer, "str": lambda v: isinstance(v, str),
+         "float": _is_number, "float | None": lambda v: v is None or _is_number(v)}
+
+
+def _typed(name: str, value):
+    """``value`` of the field ``name`` as the config stores it, or a UsageError naming its config key if it
+    does not fit the field's type.  An integer is any integral but a bool, stored as an int, as SolverConfig
+    takes one.  A float field also takes the strings that float() parses, since YAML reads 1e-6 as a string.
+    A ratio or SNR list takes one value or a list: ratios are numbers, and each SNR is null or a target that
+    NoiseSpec checks."""
     kind = _FIELD_TYPES[name]
     if kind.startswith("float") and isinstance(value, str):
         with contextlib.suppress(ValueError):
             value = float(value)
     items = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-    fits = {
-        "bool": isinstance(value, bool),
-        "int": isinstance(value, int) and not isinstance(value, bool),
-        "str": isinstance(value, str),
-        "float": _is_number(value),
-        "float | None": value is None or _is_number(value),
-        "tuple": all(_is_number(v) or (v is None and name != "ratios") for v in items),
-    }
-    if not fits[kind]:
-        raise UsageError(f"config key {key} does not take {value!r}")
-    return items if kind == "tuple" else value
+    if kind == "tuple":
+        fits = all(_is_number(v) if name == "ratios" else not isinstance(v, bool) for v in items)
+    else:
+        fits = _FITS[kind](value)
+    if not fits:
+        raise UsageError(f"config key {_CONFIG_KEYS.get(name, name)} does not take {value!r}")
+    return items if kind == "tuple" else operator.index(value) if kind == "int" else value
 
 
-def config_from_mapping(data: dict) -> ExperimentConfig:
-    """Build a config from a (possibly nested) mapping; unknown keys and
-    values of the wrong type error."""
+def config_from_mapping(data: dict, flags: dict | None = None) -> ExperimentConfig:
+    """The config of a (possibly nested) mapping with ``flags``, a mapping of field names, laid over it; an
+    unknown key errors.  The config checks every value, so a value that a flag replaces is never checked."""
     flat: dict = {}
     for key, value in (data or {}).items():
         if key in _NESTED_KEYS:
@@ -210,18 +209,18 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
             for sub, v in value.items():
                 if sub not in _NESTED_KEYS[key]:
                     raise UsageError(f"unknown config key {key}.{sub}")
-                name = _NESTED_KEYS[key][sub]
-                flat[name] = _typed(f"{key}.{sub}", name, v)
+                flat[_NESTED_KEYS[key][sub]] = v
         elif key in _FIELD_TYPES:
-            flat[key] = _typed(key, key, value)
+            flat[key] = value
         else:
             raise UsageError(f"unknown config key {key!r}")
-    return ExperimentConfig(**flat)
+    return ExperimentConfig(**{**flat, **(flags or {})})
 
 
-def load_config(path: str | None) -> ExperimentConfig:
+def load_config(path: str | None, flags: dict | None = None) -> ExperimentConfig:
+    """The config of the YAML file ``path`` (none: the defaults) with ``flags`` laid over it."""
     if path is None:
-        return ExperimentConfig()
+        return ExperimentConfig(**(flags or {}))
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
@@ -233,7 +232,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise UsageError(f"config parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config root must be a mapping")
-    return config_from_mapping(data)
+    return config_from_mapping(data, flags)
 
 
 def _fmt(value) -> str:
@@ -431,9 +430,8 @@ def run_error_analysis(config: ExperimentConfig, output: str | None = None) -> s
     if config.analysis_mode == "none":
         *modes, last = ANALYSIS_MODES[1:]
         raise UsageError(f"analysis_mode must be {', '.join(modes)} or {last}")
-    # The sweep centres on s2_delta / s2_eta: no target, or one whose 10^(-dB/10) underflows, gives a zero variance.
-    targets = (*config.measurement_snr_db, *config.sensing_snr_db)
-    if config.analysis_mode == "ml_sweep" and not all(db is not None and noise.snr_scale(2 * db) > 0 for db in targets):
+    # The sweep centres on s2_delta / s2_eta: no target gives a zero variance (NoiseSpec keeps the rest positive).
+    if config.analysis_mode == "ml_sweep" and None in (*config.measurement_snr_db, *config.sensing_snr_db):
         raise UsageError("ml_sweep needs finite SNR targets on both blocks")
     out_path = output or config.output
     cols = {"first_order": ("rel_e_tls", "rel_e_ls"), "expected": ("expected_sq_tls", "expected_sq_ls")}
@@ -648,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest": "run fast property checks",
     }
     subparsers = {name: sub.add_parser(name, help=text) for name, text in commands.items()}
-    # A setting flag's dest is the ExperimentConfig field it sets (see _apply_overrides).
+    # A setting flag's dest is the ExperimentConfig field it sets (see _flags).
     for name, p in subparsers.items():
         p.add_argument("--seed", type=int, help="base seed (overrides config)")
         p.add_argument("--out", type=str, help="output path or prefix")
@@ -685,33 +683,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    """``config`` with the value of each given flag that names a field, typed
-    as a config file's value is; ``--step-size`` sets both solver steps."""
+def _flags(args) -> dict:
+    """Each config field that a given flag of ``args`` sets, to its value;
+    ``--step-size`` sets both solver steps."""
     given = {name: value for name, value in vars(args).items() if value is not None}
     if "step_size" in given:
         given.update({f"step_size_{mode}": given["step_size"] for mode in MODES})
-    return replace(config, **{name: _typed(name, name, v) for name, v in given.items() if name in _FIELD_TYPES})
+    return {name: value for name, value in given.items() if name in _FIELD_TYPES}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
+        config = load_config(args.config, _flags(args))
         if args.command == "synthesize":
             print(*run_synthesize(config, args.out or "synthesized"), sep="\n")
             return 0
         if args.command == "solve":
-            out = args.out or "solution"
-            report = solve_single(
-                args.ensemble,
-                args.measurements,
-                config,
-                args.mode,
-                out,
-                signal_path=args.signal,
-            )
+            report = solve_single(args.ensemble, args.measurements, config, args.mode, args.out or "solution",
+                                  signal_path=args.signal)
             print(json.dumps({k: v for k, v in report.items() if k != "objective_trace"}))
             return 0
         if args.command in ("sweep", "analyze"):

@@ -47,6 +47,11 @@ def trial_rng(base_seed: int, trial_index: int, combination: int = 0) -> np.rand
     return make_rng(_trial_seed(base_seed, trial_index, combination))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer other than a bool, such as an int or an ``np.int64``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_positive(allow_zero: bool = False, **scalars) -> None:
     """Raise a ValueError naming the first of ``scalars`` not finite and > 0 (>= 0 with ``allow_zero``)."""
     for name, value in scalars.items():

@@ -30,7 +30,8 @@ NOISE_MODELS = ("gaussian", "handcrafted")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Target SNRs in dB, finite numbers (``None`` leaves a block untouched), and the error ``model``."""
+    """Target SNRs in dB (``None`` leaves a block untouched), and the error ``model``.  A target lies within
+    about -3082.5 to 3236 dB, where its energy ratio 10^(-dB/10) neither overflows nor underflows to 0."""
 
     measurement_snr_db: float | None = None
     sensing_snr_db: float | None = None
@@ -41,10 +42,13 @@ class NoiseSpec:
             raise ValueError("at least one SNR target must be present")
         for name in ("measurement_snr_db", "sensing_snr_db"):
             db = getattr(self, name)
-            with contextlib.suppress(TypeError, OverflowError):  # not a number, or an int beyond float
-                if db is None or not isinstance(db, bool) and math.isfinite(db):
+            # TypeError: not a number; OverflowError: an int, or a 10^(-dB/10), beyond float.
+            with contextlib.suppress(TypeError, OverflowError):
+                if db is None or (not isinstance(db, bool) and math.isfinite(db)
+                                  and 0 < snr_scale(2 * float(db)) < math.inf):
                     continue
-            raise ValueError(f"{name} must be a finite number or None, got {db!r}")
+            raise ValueError(f"{name} must be a finite number or None, a number within about -3082.5 to 3236 dB, "
+                             f"where 10^(-dB/10) is a positive finite float, got {db!r}")
         if self.model not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.model!r}")
 

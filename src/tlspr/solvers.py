@@ -50,13 +50,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SensingEnsemble, _complex_normal, _is_real, as_cvector, inner_rows, make_rng
-from .core import _check_positive, _checked, ensemble_array, measurement_array  # the input gate
+from .core import _check_positive, _checked, _is_integer, ensemble_array, measurement_array  # the input gate
 from .correction import CorrectedRows, LineRoots, _norm_sq
 # Not called here; bench/harness.py traces the sweep under this name.
 from .correction import sweep_corrections  # noqa: F401
@@ -100,8 +99,7 @@ class SolverConfig:
                         threshold=self.threshold)
         for name, least in (("max_iters", 0), ("power_iters", 1)):
             value = getattr(self, name)
-            integral = hasattr(type(value), "__index__") and not isinstance(value, bool)
-            if not (integral and operator.index(value) >= least):
+            if not (_is_integer(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

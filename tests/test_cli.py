@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -234,7 +235,7 @@ def test_sweep_rejects_a_worker_count_that_is_not_a_positive_integer(tmp_path, m
 
 def test_solve_step_size_flag_sets_both_solver_steps():
     args = cli.build_parser().parse_args(["solve", "--ensemble", "e", "--measurements", "m", "--step-size", "0.25"])
-    config = cli._apply_overrides(ExperimentConfig(), args)
+    config = cli.load_config(None, cli._flags(args))
     assert config.step_size_tls == config.step_size_ls == 0.25
 
 
@@ -261,9 +262,80 @@ def test_each_setting_flag_sets_the_config_its_yaml_key_does(tmp_path, command, 
     config_path.write_text(text + "\n")
     files = ["--ensemble", "e", "--measurements", "m"] if command == "solve" else []
     parse = cli.build_parser().parse_args
-    from_flag = cli._apply_overrides(ExperimentConfig(), parse([command, *files, *flag]))
-    from_yaml = cli._apply_overrides(cli.load_config(str(config_path)), parse([command, *files]))
+    from_flag = cli.load_config(None, cli._flags(parse([command, *files, *flag])))
+    from_yaml = cli.load_config(str(config_path), cli._flags(parse([command, *files])))
     assert from_flag == from_yaml != ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sweep", "--trials", "1"], "n: 8\nratios: [4]\ntrials: 0\nsolver:\n  max_iters: 5"),
+        (["synthesize", "--ratio", "4"], "n: 8\nratios: [0.01]"),
+        (["synthesize", "--sensing-snr-db", "10"], "n: 8\nratios: [4]\nnoise:\n  sensing_snr_db: -7000"),
+    ],
+    ids=["trials", "ratios", "sensing_snr_db"],
+)
+def test_a_file_value_that_a_flag_replaces_is_never_checked(tmp_path, capsys, argv, text):
+    (tmp_path / "exp.yaml").write_text(text + "\n")
+    assert main([*argv, "--config", str(tmp_path / "exp.yaml"), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("real_mode", "no", "real_mode"),
+        ("trials", 2.5, "trials"),
+        ("n", 8.0, "n"),
+        ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
+        ("max_iters", 7.0, "solver.max_iters"),
+        ("threshold", "1e-6x", "solver.threshold"),
+        ("noise_model", 3, "noise.model"),
+        ("analysis_mode", None, "analysis.mode"),
+        ("ratios", (4, "8"), "ratios"),
+        ("sensing_snr_db", (10, True), "noise.sensing_snr_db"),
+    ],
+)
+def test_a_config_built_in_python_passes_the_type_gate_naming_the_key(field, value, key):
+    with pytest.raises(UsageError, match=f"^config key {key} does not take {re.escape(repr(value))}$"):
+        ExperimentConfig(**{field: value})
+
+
+def test_a_config_built_in_python_stores_values_as_the_gate_gives_them():
+    assert ExperimentConfig(ratios=8) == ExperimentConfig(ratios=(8,))
+    assert ExperimentConfig(measurement_snr_db=[20, None]).measurement_snr_db == (20, None)
+    assert ExperimentConfig(threshold="1e-7").threshold == 1e-7
+    config = ExperimentConfig(seed=np.int64(3), n=np.int64(8), trials=np.int64(2), grid_points=np.int64(5),
+                              max_iters=np.int64(7), power_iters=np.int64(9))
+    assert config == ExperimentConfig(seed=3, n=8, trials=2, grid_points=5, max_iters=7, power_iters=9)
+    assert all(type(getattr(config, name)) is int for name in ("seed", "n", "trials", "grid_points", "max_iters"))
+    assert config.solver_config("tls").power_iters == 9
+
+
+@pytest.mark.parametrize("value", [True, 7.0, np.float64(7.0), "7"])
+def test_both_config_dataclasses_take_the_same_integers(value):
+    for name in ("max_iters", "power_iters"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            SolverConfig(**{name: value})
+    for name in ("seed", "n", "trials", "grid_points", "max_iters", "power_iters"):
+        with pytest.raises(UsageError, match=f"config key {cli._CONFIG_KEYS.get(name, name)} does not take"):
+            ExperimentConfig(**{name: value})
+    for integer in (7, np.int64(7), np.uint8(7)):
+        assert SolverConfig(max_iters=integer).max_iters == ExperimentConfig(max_iters=integer).max_iters == 7
+
+
+def test_main_builds_one_config_per_call(tmp_path, monkeypatch, capsys):
+    (tmp_path / "exp.yaml").write_text("n: 8\nratios: [4]\n")
+    built = []
+    post_init = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda self: built.append(self) or post_init(self))
+    argv = ["synthesize", "--config", str(tmp_path / "exp.yaml"), "--n", "6", "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    assert [(config.n, config.ratios) for config in built] == [(6, (4,))]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -357,8 +429,8 @@ def test_config_rejects_analysis_values_when_it_is_read(tmp_path, capsys, monkey
 @pytest.mark.parametrize(
     "noise_section",
     ["", "  measurement_snr_db: 30\n", "  sensing_snr_db: 30\n",
-     "  measurement_snr_db: 30\n  sensing_snr_db: [30, null]\n", "  measurement_snr_db: 30\n  sensing_snr_db: 4000\n"],
-    ids=["no-targets", "no-sensing", "no-measurement", "null-in-list", "variance-underflows"],
+     "  measurement_snr_db: 30\n  sensing_snr_db: [30, null]\n"],
+    ids=["no-targets", "no-sensing", "no-measurement", "null-in-list"],
 )
 def test_ml_sweep_without_both_snr_targets_fails_before_any_trial(tmp_path, capsys, monkeypatch, noise_section):
     config_path = tmp_path / "ml.yaml"
@@ -369,6 +441,37 @@ def test_ml_sweep_without_both_snr_targets_fails_before_any_trial(tmp_path, caps
     assert rc == 1 and not drawn
     assert capsys.readouterr().err == "error: ml_sweep needs finite SNR targets on both blocks\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+def _analysis_at(meas_db, sens_db, mode):
+    return (f"n: 8\nratios: [4]\ntrials: 1\nreal_mode: true\nnoise:\n  measurement_snr_db: {meas_db}\n"
+            f"  sensing_snr_db: {sens_db}\nanalysis:\n  mode: {mode}")
+
+
+@pytest.mark.parametrize(
+    "argv, text, key, db",
+    [
+        (["synthesize", "--n", "4", "--ratio", "4", "--sensing-snr-db", "-7000"], None, "sensing_snr_db", "-7000.0"),
+        (["analyze"], _analysis_at(-3100, 30, "expected"), "measurement_snr_db", "-3100"),
+        (["analyze"], _analysis_at(-3100, 30, "ml_sweep"), "measurement_snr_db", "-3100"),
+        (["analyze"], _analysis_at(30, 4000, "ml_sweep"), "sensing_snr_db", "4000"),
+        (["sweep"], "n: 8\nratios: [4]\ntrials: 1\nmeasurement_snr_db: 7000", "measurement_snr_db", "7000"),
+    ],
+    ids=["synthesize-overflow", "expected-overflow", "ml_sweep-overflow", "ml_sweep-underflow", "sweep-underflow"],
+)
+def test_an_snr_target_whose_energy_ratio_is_not_a_positive_float_fails_at_the_gate(
+    tmp_path, capsys, monkeypatch, argv, text, key, db
+):
+    if text is not None:
+        (tmp_path / "exp.yaml").write_text(text + "\n")
+        argv = [*argv, "--config", str(tmp_path / "exp.yaml")]
+    drawn = _draws(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    reason = f"{key} must be a finite number or None, a number within about -3082.5 to 3236 dB"
+    assert err.startswith(f"error: config key {key} does not take {db}: {reason}")
+    assert "Traceback" not in err and not drawn
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize(

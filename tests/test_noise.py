@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +43,21 @@ def test_spec_requires_an_snr():
 def test_spec_rejects_a_target_that_is_not_a_finite_number_before_any_draw(field, db):
     with pytest.raises(ValueError, match=f"{field} must be a finite number or None"):
         NoiseSpec(**{field: db})
+
+
+@pytest.mark.parametrize("field", ["measurement_snr_db", "sensing_snr_db"])
+@pytest.mark.parametrize("db", [-7000.0, -3083, 3237.0, 7000, 1e308, np.float64(-7000.0), np.float32(3300.0)])
+def test_spec_rejects_a_target_whose_energy_ratio_is_not_a_positive_finite_float(field, db):
+    # Below the range 10^(-dB/10) overflows; above it, it underflows to 0.0 and the error would be exactly zero.
+    reason = f"{field} must be a finite number or None, a number within about -3082.5 to 3236 dB, "
+    with pytest.raises(ValueError, match=f"{reason}.* got {re.escape(repr(db))}$"):
+        NoiseSpec(**{field: db})
+
+
+def test_spec_takes_the_targets_at_the_ends_of_the_range():
+    for db in (-3082.5, 3236):
+        assert 0.0 < snr_scale(2 * db) < math.inf
+        assert NoiseSpec(db, db).sensing_snr_db == db
 
 
 def test_spec_takes_any_finite_real_target():
