@@ -249,7 +249,7 @@ def _write_csv(path: str, schema: str, columns: list[str], rows: list[dict]) -> 
     lines = [f"# {schema}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    serialization._write_new(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _noise_spec(config: ExperimentConfig, meas_db, sens_db) -> noise.NoiseSpec | None:
@@ -492,7 +492,7 @@ def solve_single(
     }
     if x_sharp is not None:
         report["rel_dist"] = metrics.rel_dist(x_sharp, result.x_hat)
-    Path(str(out) + ".report.json").write_text(json.dumps(report, indent=2))
+    serialization._write_new(str(out) + ".report.json", [json.dumps(report, indent=2).encode("utf-8")])
     return report
 
 

@@ -119,11 +119,36 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
+_ROW_BLOCK_BYTES = 512 * 1024  # bytes of rows per product of inner_rows, in a multiple of 8 rows, at least 8
+
+
 def inner_rows(vectors: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """inner(a_m, x) for every row a_m of ``vectors``, as conj(vectors @ conj(x)),
     which reads the stored rows without making a conjugate copy of them.
-    ``out``, if given, is a complex128 array of length M that receives it."""
-    nu = np.matmul(vectors, np.conj(x), out=out)
+    ``out``, if given, is a complex128 array of length M that receives it.
+
+    Row-major rows of at least twice ``_ROW_BLOCK_BYTES`` are read in one
+    product per block of about that size, the last block first; the last
+    block also takes the rows left over, so that no block is a single row,
+    which BLAS would take as a dot product rounded otherwise.  The A^T w
+    that alternates with this product in every solver iteration reads A
+    from its first row to its last, so each product starts on the rows the
+    other just read, still in cache.  Every entry is the same BLAS dot
+    product as in one call over all rows, so the result is the same bit for
+    bit.  Fewer rows, or rows stored otherwise, are read in one product: a
+    threaded BLAS may split a column-major product over its columns, which a
+    block would round otherwise."""
+    xc = np.conj(x)
+    if vectors.nbytes < 2 * _ROW_BLOCK_BYTES or not vectors.flags.c_contiguous:
+        nu = np.matmul(vectors, xc, out=out)
+    else:
+        m = vectors.shape[0]
+        rows = max(8, _ROW_BLOCK_BYTES // (8 * vectors.itemsize * vectors.shape[1]) * 8)
+        nu = np.empty(m, np.result_type(vectors, xc)) if out is None else out
+        hi = m
+        for lo in range(max(m // rows - 1, 0) * rows, -1, -rows):
+            np.matmul(vectors[lo:hi], xc, out=nu[lo:hi])
+            hi = lo
     return np.conjugate(nu, out=nu)
 
 

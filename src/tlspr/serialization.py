@@ -27,14 +27,18 @@ A JSON variant is written when the path ends in ``.json``: the same header
 keys plus a ``data`` field holding nested ``[re, im]`` pairs (signals: list of
 pairs; ensembles: list of rows of pairs; measurements: plain list of floats).
 Round-trips are bit-exact for finite values in both formats; :func:`load`
-rejects a non-finite value.
+rejects a non-finite value.  An existing regular file at an output path is
+removed and written anew (:func:`_write_new`), not written over.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
+import stat
 import struct
 from collections.abc import Iterator
 from pathlib import Path
@@ -87,7 +91,8 @@ def save(obj, path) -> None:
     rows at a time.
 
     Paths ending in ``.json`` use the JSON variant, anything else the binary
-    container.
+    container.  Either is written by :func:`_write_new`: an existing regular
+    file at ``path`` is removed first, so a hard link to it keeps its bytes.
     """
     path = Path(path)
     header, blocks = _contents(obj)
@@ -97,13 +102,30 @@ def save(obj, path) -> None:
             if values.dtype.kind == "c":
                 values = values.view("<f8").reshape(*values.shape, 2)
             header["data"] += values.tolist()
-        path.write_text(json.dumps(header))
+        _write_new(path, [json.dumps(header).encode("utf-8")])
         return
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    _write_new(path, itertools.chain([_MAGIC + struct.pack("<I", len(blob)) + blob], blocks))
+
+
+def _write_new(path, chunks) -> None:
+    """Write the bytes of ``chunks`` in order to ``path``.
+
+    A regular file already at ``path`` is removed first, so the bytes go to
+    a new file rather than over the old one: on ext4, closing a file that was
+    truncated and written again starts its writeback (``auto_da_alloc``),
+    which a new file does not.  A hard link to the old file keeps the old
+    bytes, and the new file takes the default permissions.  Anything else at
+    ``path`` (a symbolic link, a device such as ``/dev/null``, a FIFO), or a
+    file that cannot be removed, is opened and written in place.  No fsync
+    is made.
+    """
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<I", len(blob)) + blob)
-        for values in blocks:
-            fh.write(values)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def load(path):

@@ -71,7 +71,8 @@ MODES = ("tls", "ls")
 
 
 class SolverError(RuntimeError):
-    """Iteration produced a non-finite objective or a zero-norm iterate."""
+    """Iteration produced a non-finite objective, a zero-norm iterate or a
+    spectral start that overflows."""
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,17 @@ def spectral_init(y, ensemble, power_iters: int = SolverConfig.power_iters) -> n
     Y is only applied, with two matrix-vector products over the ensemble per
     iteration, and never materialized.  The eigenvector is scaled by the
     norm estimate sqrt(sum_m y_m / (2M)).  Real-valued data yields a real
-    start vector so the iteration stays real.
+    start vector so the iteration stays real.  Measurements that sum to
+    infinity, or an iterate whose norm overflows or is NaN, raise
+    :class:`SolverError`.
     """
     vectors = ensemble_array(ensemble)
     return _spectral(vectors, measurement_array(y, vectors.shape[0]), power_iters, _is_real(vectors))
 
 
+# Values near the float range overflow the sum or the products; an infinite
+# sum, or an iterate whose norm is not finite, raises SolverError instead.
+@np.errstate(over="ignore", invalid="ignore")
 def _spectral(vectors: np.ndarray, yv: np.ndarray, power_iters: int, real_data: bool) -> np.ndarray:
     """:func:`spectral_init` of checked rows and measurements, real exactly when ``real_data``."""
     if np.all(yv == 0.0):
@@ -148,18 +154,22 @@ def _spectral(vectors: np.ndarray, yv: np.ndarray, power_iters: int, real_data: 
     total = float(np.sum(yv))
     if total <= 0.0:
         raise ValueError("measurements sum to a nonpositive value")
+    if total == math.inf:
+        raise SolverError("spectral start: measurements sum to inf")
     m, n = vectors.shape
     spectral = _spectral_matrix(vectors, yv) if n * n <= m and n <= 2 * power_iters else None
     rng = make_rng(_SPECTRAL_START_SEED)
     u = _complex_normal(rng, n, real_data)
     u /= np.linalg.norm(u)
-    for _ in range(power_iters):
+    for i in range(power_iters):
         if spectral is None:
             t = inner_rows(vectors, u)
             u = vectors.T @ (yv * t)
         else:
             u = spectral @ u
         nrm = np.linalg.norm(u)
+        if not math.isfinite(nrm):
+            raise SolverError(f"spectral start: power iterate's norm became {nrm} at iteration {i + 1}")
         if nrm == 0.0:
             u = _complex_normal(rng, n, real_data)
             nrm = np.linalg.norm(u)

@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -843,6 +845,40 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_spectral_start_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # Targets inside NoiseSpec's range whose errors overflow the power loop's products.
+    config = tmp_path / "overflow.yaml"
+    config.write_text("n: 8\nratios: [4]\ntrials: 2\nnoise:\n  measurement_snr_db: -3000\n  sensing_snr_db: -3000\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("numerical failure: spectral start: power iterate's norm became ")
+    assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
+
+
+def test_solve_twice_into_one_prefix_writes_new_files_of_the_same_bytes(tmp_path):
+    prefix, out = str(tmp_path / "cdp"), tmp_path / "sol"
+    assert main(["synthesize", "--model", "cdp", "--n", "16", "--ratio", "4", "--seed", "2", "--out", prefix]) == 0
+    solve = ["solve", "--ensemble", prefix + ".ensemble.tlspr", "--measurements", prefix + ".meas.tlspr",
+             "--signal", prefix + ".signal.tlspr", "--mode", "tls", "--out", str(out)]
+    paths = [tmp_path / f"sol.{kind}" for kind in ("solution.tlspr", "corrected.tlspr", "report.json")]
+    assert main(solve) == 0
+    first = [path.read_bytes() for path in paths]
+    for path in paths:
+        os.link(path, f"{path}.old")
+    assert main(solve) == 0
+    assert [path.read_bytes() for path in paths] == first
+    # Each output is a new file; the old one lives on under its other link.
+    assert [path.stat().st_nlink for path in paths] == [1, 1, 1]
+
+
+def test_sweep_to_the_null_device_leaves_it_a_device():
+    assert run_sweep(_tiny_config(trials=1, max_iters=5), output=os.devnull) == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_cli_handcrafted_refused_without_signal(tmp_path):

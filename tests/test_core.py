@@ -15,6 +15,7 @@ from tlspr.analysis import (
     predicted_perturbation,
     solve_matrices,
 )
+from tlspr import core
 from tlspr.core import (
     DimensionMismatchError,
     MeasurementSet,
@@ -23,6 +24,7 @@ from tlspr.core import (
     complex_gaussian_vector,
     ensemble_array,
     inner,
+    inner_rows,
     make_rng,
     measurement_array,
     trial_rng,
@@ -131,6 +133,69 @@ def test_inner_self_is_real_nonnegative():
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         inner(np.ones(3, dtype=complex), np.ones(4, dtype=complex))
+
+
+def _spied_products(monkeypatch) -> list:
+    """The (address, rows) of the first operand of each ``np.matmul`` call from now on."""
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        calls.append((a.ctypes.data, a.shape[0]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+def _block_rows(n: int, itemsize: int = 16) -> int:
+    return max(8, core._ROW_BLOCK_BYTES // (8 * itemsize * n) * 8)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["complex", "real-valued", "float64"])
+@pytest.mark.parametrize("n", [1, 3, 7, 128, 257])
+def test_inner_rows_in_blocks_is_one_product_bit_for_bit(monkeypatch, n, kind, order):
+    rng = make_rng(n)
+    dtype = np.float64 if kind == "float64" else np.complex128
+    row_bytes = np.dtype(dtype).itemsize * n
+    rows = _block_rows(n, np.dtype(dtype).itemsize)
+    blocks = -(-2 * core._ROW_BLOCK_BYTES // (rows * row_bytes))  # the fewest of at least twice the block bytes
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # One row and five rows left over after the full blocks.
+    for m in (blocks * rows + 1, blocks * rows + 5):
+        vectors = rng.normal(size=(m, n)) + (1j * rng.normal(size=(m, n)) if kind == "complex" else 0.0)
+        vectors = np.asarray(vectors, dtype=dtype, order=order)
+        expect = np.conj(vectors @ np.conj(x)).view(np.uint64)
+        calls = _spied_products(monkeypatch)
+        assert np.array_equal(inner_rows(vectors, x).view(np.uint64), expect)
+        out = np.empty(m, dtype=np.complex128)
+        assert inner_rows(vectors, x, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expect)
+        monkeypatch.undo()
+        if not vectors.flags.c_contiguous:  # an (M, 1) array is row-major in either order
+            assert calls == [(vectors.ctypes.data, m)] * 2
+            continue
+        # Row-major rows: the last block first, and it takes the leftover rows.
+        starts = [vectors.ctypes.data + k * rows * vectors.strides[0] for k in reversed(range(blocks))]
+        sizes = [m - (blocks - 1) * rows] + [rows] * (blocks - 1)
+        assert calls == list(zip(starts, sizes)) * 2
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(64, 512), (64, 1023), (128, 511), (1, 65535), (70000, 2)],
+    ids=["sweep-paper", "under-two-blocks-64", "under-two-blocks-128", "under-two-blocks-1", "fewer-rows-than-8"],
+)
+def test_inner_rows_of_one_block_is_one_product(monkeypatch, n, m):
+    # 512 x 64 is the sweep-paper bench's ensemble; a block holds at least 8 rows.
+    rng = make_rng(m)
+    vectors = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    calls = _spied_products(monkeypatch)
+    got = inner_rows(vectors, x)
+    monkeypatch.undo()
+    assert calls == [(vectors.ctypes.data, m)]
+    assert np.array_equal(got.view(np.uint64), np.conj(vectors @ np.conj(x)).view(np.uint64))
 
 
 def test_ensemble_validation():

@@ -1,5 +1,8 @@
 import json
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -292,3 +295,65 @@ def test_nonfinite_payload_errors_with_the_path(tmp_path, suffix, header, messag
         with pytest.raises(FileFormatError) as info:
             load(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+def _old_and_new(tmp_path, suffix):
+    """An ensemble (the old output) and a shorter signal (the new one), with
+    the bytes ``save`` writes for the signal."""
+    rng = make_rng(18)
+    old = SensingEnsemble(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
+    new = rng.normal(size=3) + 1j * rng.normal(size=3)
+    save(new, tmp_path / f"expect{suffix}")
+    return old, new, (tmp_path / f"expect{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("suffix", [".tlspr", ".json"])
+def test_save_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, suffix):
+    old, new, expect = _old_and_new(tmp_path, suffix)
+    path = tmp_path / f"out{suffix}"
+    save(old, path)
+    assert path.stat().st_size > len(expect)
+    save(new, path)
+    assert path.read_bytes() == expect
+
+
+@pytest.mark.parametrize("suffix", [".tlspr", ".json"])
+def test_save_writes_a_new_file_and_a_hard_link_keeps_the_old_bytes(tmp_path, suffix):
+    old, new, expect = _old_and_new(tmp_path, suffix)
+    path, link = tmp_path / f"out{suffix}", tmp_path / f"link{suffix}"
+    save(old, path)
+    old_bytes = path.read_bytes()
+    os.link(path, link)
+    save(new, path)
+    assert path.read_bytes() == expect
+    assert link.read_bytes() == old_bytes
+    assert path.stat().st_nlink == link.stat().st_nlink == 1
+
+
+@pytest.mark.parametrize("suffix", [".tlspr", ".json"])
+def test_save_writes_through_a_symlink_to_its_target(tmp_path, suffix):
+    old, new, expect = _old_and_new(tmp_path, suffix)
+    path, target = tmp_path / f"out{suffix}", tmp_path / f"target{suffix}"
+    save(old, target)
+    path.symlink_to(target)
+    save(new, path)
+    assert path.is_symlink()
+    assert target.read_bytes() == expect
+
+
+def test_save_to_the_null_device_leaves_it_a_device():
+    save(np.ones(3, dtype=complex), os.devnull)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_save_to_a_fifo_writes_into_it(tmp_path):
+    _, new, expect = _old_and_new(tmp_path, ".tlspr")
+    fifo = tmp_path / "pipe.tlspr"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save(new, fifo)
+    reader.join(timeout=30)
+    assert got == [expect]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)

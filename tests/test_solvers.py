@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,24 @@ def test_spectral_init_zero_measurements():
     ens = gaussian_ensemble(make_rng(3), 4, 8)
     with pytest.raises(ValueError):
         spectral_init(np.zeros(8), ens)
+
+
+@pytest.mark.parametrize(
+    "m, scale, y, reason",
+    [
+        (32, 1e160, 1.0, "power iterate's norm became (inf|nan) at iteration 1"),
+        (64, 1e160, 1.0, "power iterate's norm became (inf|nan) at iteration 1"),
+        (32, 1.0, 1e308, "measurements sum to inf"),
+    ],
+    ids=["matrix-free", "matrix", "sum"],
+)
+def test_a_spectral_start_that_overflows_raises_solver_error(m, scale, y, reason):
+    # N = 8 builds the 8 x 8 matrix at M >= 64; |a|^2 = 1e320 overflows either product.
+    vectors = scale * gaussian_ensemble(make_rng(m), 8, m).vectors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=f"spectral start: {reason}"):
+            spectral_init(np.full(m, y), vectors)
 
 
 def test_spectral_init_real_data_stays_real():
