@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, metrics, noise, serialization
-from .core import MeasurementSet, SensingEnsemble, _check_positive, _complex_normal, _is_integer, _trial_seed
+from .core import MeasurementSet, SensingEnsemble, _check_positive, _checked, _complex_normal, _is_integer, _trial_seed
 from .core import complex_gaussian_vector, make_rng
 from .models import CdpConfig, cdp_ensemble, gaussian_ensemble, synthesize_measurements
 from .solvers import MODES, PROJECTIONS, SolverConfig, SolverError, _initial_point, solve_ls, solve_tls
@@ -74,6 +74,11 @@ SWEEP_COLUMNS = [
 
 class UsageError(ValueError):
     """Bad flags, bad config or unusable input files."""
+
+
+def _refuse(field: str, value, reason) -> None:
+    """Refuse ``value`` of the config field ``field``, naming it by its YAML key (``section.key`` in a section)."""
+    raise UsageError(f"config key {_CONFIG_KEYS.get(field, field)} does not take {value!r}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -107,22 +112,19 @@ class ExperimentConfig:
             object.__setattr__(self, name, _typed(name, getattr(self, name)))
         for name, least in (("trials", 1), ("n", 1), ("grid_points", 2)):
             if getattr(self, name) < least:
-                raise UsageError(f"{name} must be >= {least}")
-        for name, label, known in (("model", "model", MODELS), ("noise_model", "noise model", noise.NOISE_MODELS),
-                                   ("analysis_mode", "analysis_mode", ANALYSIS_MODES)):
+                _refuse(name, getattr(self, name), f"it must be >= {least}")
+        for name, known in (("model", MODELS), ("noise_model", noise.NOISE_MODELS), ("analysis_mode", ANALYSIS_MODES)):
             if getattr(self, name) not in known:
-                raise UsageError(f"unknown {label} {getattr(self, name)!r}")
-        # Checked before the CDP ratios, where int(inf) raises an OverflowError.
+                _refuse(name, getattr(self, name), f"it must be one of {', '.join(known)}")
         for r in self.ratios:
-            if not 0 < r < np.inf:
-                raise UsageError(f"config key ratios does not take {r!r}: a ratio must be finite and > 0")
-        for r in self.ratios:
+            if not 0 < r < np.inf:  # before the CDP check, where int(inf) raises an OverflowError
+                _refuse("ratios", r, "a ratio must be finite and > 0")
             if self.model == "cdp" and r != int(r):  # not float(r), which rounds and overflows
-                raise UsageError("CDP ratios are pattern counts and must be integers")
+                _refuse("ratios", r, "CDP ratios are pattern counts and must be integers")
             # Only a finite r * n is rounded, as round(inf) overflows.
             if self.model == "gaussian" and r * self.n < np.inf and _gaussian_rows(r, self.n) < 1:
-                raise UsageError(f"config key ratios does not take {r!r} at n {self.n}: its ensemble has "
-                                 f"round({r!r} * {self.n}) = 0 rows, and an ensemble needs at least one")
+                _refuse("ratios", r, f"at n {self.n} its ensemble has round({r!r} * {self.n}) = 0 rows, "
+                        "and an ensemble needs at least one")
         # No draw on an M x n complex128 ensemble beyond the machine's memory; M ~ ratio * n, as round(inf) overflows.
         if all(name in getattr(os, "sysconf_names", {}) for name in ("SC_PHYS_PAGES", "SC_PAGE_SIZE")):
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -131,20 +133,19 @@ class ExperimentConfig:
                 if need > memory > 0:
                     from decimal import Decimal  # formats an int beyond float too
 
-                    raise UsageError(f"config key ratios does not take {r!r} at n {self.n}: its ensemble needs "
-                                     f"{Decimal(need):.3g} bytes, more than the machine's {memory} bytes of memory")
-        # Each solver key through SolverConfig, each SNR through NoiseSpec and each analysis key through the
-        # package's positivity rule, alone, so that an error names its key.
-        checks = [(f"solver.{key}", SolverConfig, name, getattr(self, key)) for key, name in _SOLVER_KEYS.items()]
-        checks += [(name, noise.NoiseSpec, name, db) for name in ("measurement_snr_db", "sensing_snr_db")
+                    _refuse("ratios", r, f"at n {self.n} its ensemble needs {Decimal(need):.3g} bytes, "
+                            f"more than the machine's {memory} bytes of memory")
+        # Each solver key, SNR and analysis key alone through SolverConfig, NoiseSpec or _check_positive.
+        checks = [(key, SolverConfig, getattr(self, key)) for key in _SOLVER_KEYS]
+        checks += [(name, noise.NoiseSpec, db) for name in ("measurement_snr_db", "sensing_snr_db")
                    for db in getattr(self, name) if db is not None]
-        checks += [("analysis.lambda_ratio", functools.partial(_check_positive, allow_zero=True), "lambda_ratio",
-                    self.lambda_ratio), ("analysis.grid_decades", _check_positive, "grid_decades", self.grid_decades)]
-        for key, gate, field, value in checks:
+        checks += [("lambda_ratio", functools.partial(_check_positive, allow_zero=True), self.lambda_ratio),
+                   ("grid_decades", _check_positive, self.grid_decades)]
+        for name, gate, value in checks:
             try:
-                gate(**{field: value})
+                gate(**{_SOLVER_KEYS.get(name, name): value})
             except ValueError as exc:
-                raise UsageError(f"config key {key} does not take {value!r}: {exc}") from exc
+                _refuse(name, value, exc)
         shared = {name: getattr(self, key) for key, name in _SOLVER_KEYS.items() if name != "step_size"}
         solvers = {mode: SolverConfig(step_size=getattr(self, f"step_size_{mode}"), **shared) for mode in MODES}
         object.__setattr__(self, "_solvers", solvers)
@@ -173,29 +174,28 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-# Whether a value fits a field of each type but a list.
-_FITS = {"bool": lambda v: isinstance(v, bool), "int": _is_integer, "str": lambda v: isinstance(v, str),
-         "float": _is_number, "float | None": lambda v: v is None or _is_number(v)}
+# Each field type's test of a value (of each item, for ratios and the SNR lists of type tuple), and its words.
+_FITS = {"bool": (lambda v: isinstance(v, bool), "true or false"), "int": (_is_integer, "an integer"),
+         "str": (lambda v: isinstance(v, str), "a string"), "float": (_is_number, "a number"),
+         "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+         "ratios": (_is_number, "numbers"), "tuple": (lambda v: not isinstance(v, bool), "numbers or nulls")}
 
 
 def _typed(name: str, value):
-    """``value`` of the field ``name`` as the config stores it, or a UsageError naming its config key if it
-    does not fit the field's type.  An integer is any integral but a bool, stored as an int, as SolverConfig
-    takes one.  A float field also takes the strings that float() parses, since YAML reads 1e-6 as a string.
-    A ratio or SNR list takes one value or a list: ratios are numbers, and each SNR is null or a target that
-    NoiseSpec checks."""
-    kind = _FIELD_TYPES[name]
+    """``value`` of the field ``name`` as the config stores it, or a refusal if it does not fit the field's
+    type.  An integer is any integral but a bool, stored as an int, as SolverConfig takes one.  A float field
+    also takes the strings that float() parses, since YAML reads 1e-6 as a string.  A ratio or SNR list takes
+    one value or a list: ratios are numbers, and each SNR is null or a target that NoiseSpec checks."""
+    kind = "ratios" if name == "ratios" else _FIELD_TYPES[name]
     if kind.startswith("float") and isinstance(value, str):
         with contextlib.suppress(ValueError):
             value = float(value)
-    items = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-    if kind == "tuple":
-        fits = all(_is_number(v) if name == "ratios" else not isinstance(v, bool) for v in items)
-    else:
-        fits = _FITS[kind](value)
-    if not fits:
-        raise UsageError(f"config key {_CONFIG_KEYS.get(name, name)} does not take {value!r}")
-    return items if kind == "tuple" else operator.index(value) if kind == "int" else value
+    listed = kind in ("ratios", "tuple")
+    items = tuple(value) if listed and isinstance(value, (list, tuple)) else (value,)
+    fits, takes = _FITS[kind]
+    if not all(map(fits, items)):
+        _refuse(name, value, f"it takes {takes}")
+    return items if listed else operator.index(value) if kind == "int" else value
 
 
 def config_from_mapping(data: dict, flags: dict | None = None) -> ExperimentConfig:
@@ -243,13 +243,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
-
-
-def _write_csv(path: str, schema: str, columns: list[str], rows: list[dict]) -> None:
-    lines = [f"# {schema}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    serialization._write_new(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _noise_spec(config: ExperimentConfig, meas_db, sens_db) -> noise.NoiseSpec | None:
@@ -353,12 +346,21 @@ def worker_count() -> int:
     return int(value)
 
 
+def _trials_csv(config: ExperimentConfig, output, trial, cols, schema: str, columns: list, workers: int = 1) -> str:
+    """Write :func:`_run_trials`'s rows as CSV to ``output`` (None: the config's), checked before the first trial."""
+    path = output or config.output
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        _refuse("output", path, "it must name a file in an existing directory")
+    lines = [f"# {schema}", ",".join(columns)]
+    lines += [",".join(_fmt(row.get(col)) for col in columns) for row in _run_trials(config, trial, cols, workers)]
+    serialization._write_new(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    return path
+
+
 def run_sweep(config: ExperimentConfig, output: str | None = None) -> str:
     """Run every (ratio, SNR combination, trial) and write the CSV."""
-    out_path = output or config.output
-    rows = _run_trials(config, run_trial, ("rel_dist_tls", "rel_dist_ls", "rel_corr"), worker_count())
-    _write_csv(out_path, SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
-    return out_path
+    cols = ("rel_dist_tls", "rel_dist_ls", "rel_corr")
+    return _trials_csv(config, output, run_trial, cols, SWEEP_SCHEMA, SWEEP_COLUMNS, worker_count())
 
 
 ANALYZE_COLUMNS = [
@@ -423,30 +425,25 @@ def _analysis_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_see
 
 def run_error_analysis(config: ExperimentConfig, output: str | None = None) -> str:
     """First-order predictions, expectations, or the weight-ratio sweep."""
-    if not config.real_mode:
-        raise UsageError("error analysis requires real_mode: true")
-    if config.model != "gaussian" or config.noise_model != "gaussian":
-        raise UsageError("error analysis requires model: gaussian and noise.model: gaussian")
-    if config.analysis_mode == "none":
-        *modes, last = ANALYSIS_MODES[1:]
-        raise UsageError(f"analysis_mode must be {', '.join(modes)} or {last}")
+    for name, takes in (("real_mode", (True,)), ("model", ("gaussian",)), ("noise_model", ("gaussian",)),
+                        ("analysis_mode", ANALYSIS_MODES[1:])):
+        if getattr(config, name) not in takes:
+            _refuse(name, getattr(config, name), f"analyze takes only {', '.join(map(_fmt, takes))}")
     # The sweep centres on s2_delta / s2_eta: no target gives a zero variance (NoiseSpec keeps the rest positive).
-    if config.analysis_mode == "ml_sweep" and None in (*config.measurement_snr_db, *config.sensing_snr_db):
-        raise UsageError("ml_sweep needs finite SNR targets on both blocks")
-    out_path = output or config.output
+    for name in ("measurement_snr_db", "sensing_snr_db"):
+        if config.analysis_mode == "ml_sweep" and None in getattr(config, name):
+            _refuse(name, list(getattr(config, name)), "ml_sweep needs finite SNR targets on both blocks")
     cols = {"first_order": ("rel_e_tls", "rel_e_ls"), "expected": ("expected_sq_tls", "expected_sq_ls")}
-    rows = _run_trials(config, _analysis_trial, cols.get(config.analysis_mode, ()))
-    _write_csv(out_path, ANALYZE_SCHEMA, ANALYZE_COLUMNS, rows)
-    return out_path
+    return _trials_csv(config, output, _analysis_trial, cols.get(config.analysis_mode, ()), ANALYZE_SCHEMA,
+                       ANALYZE_COLUMNS)
 
 
 def _single(config: ExperimentConfig, *names: str) -> list:
     """The one value of each list field ``names`` of ``config``: a command
     that makes or solves one instance takes no list of several."""
     for name in names:
-        values = getattr(config, name)
-        if len(values) != 1:
-            raise UsageError(f"config key {name} takes one value for this command, got {list(values)}")
+        if len(getattr(config, name)) != 1:
+            _refuse(name, list(getattr(config, name)), "this command takes one value")
     return [getattr(config, name)[0] for name in names]
 
 
@@ -469,14 +466,16 @@ def solve_single(
         x_sharp = serialization.load(signal_path)
         if not isinstance(x_sharp, np.ndarray):
             raise UsageError("signal file does not hold a signal")
+        try:
+            _checked(x_sharp, ens, y)
+        except ValueError as exc:
+            raise UsageError(f"{ensemble_path}, {measurements_path} and signal file {signal_path} do not fit "
+                             f"together: {exc}") from exc
     spec = _noise_spec(config, *_single(config, "measurement_snr_db", "sensing_snr_db"))
     if spec is not None:
         if spec.model == "handcrafted" and (x_sharp is None or ens.model_tag == "external"):
-            raise UsageError(
-                "handcrafted errors need simulated data with a ground-truth signal file"
-            )
-        rng = make_rng(config.seed)
-        y, ens = noise.inject(rng, y, ens, spec, x_sharp=x_sharp)
+            _refuse("noise_model", spec.model, "handcrafted errors need simulated data with a ground-truth signal file")
+        y, ens = noise.inject(make_rng(config.seed), y, ens, spec, x_sharp=x_sharp)
     solver = solve_tls if mode == "tls" else solve_ls
     result = solver(y, ens, config.solver_config(mode))
     out = Path(out_prefix)

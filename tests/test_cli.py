@@ -74,7 +74,8 @@ def test_config_rejects_grid_points_below_two(tmp_path, capsys, grid_points):
     )
     rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
     assert rc == 1
-    assert "grid_points must be >= 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: config key analysis.grid_points does not take {grid_points}: it must be >= 2\n"
 
 
 @pytest.mark.parametrize(
@@ -87,7 +88,7 @@ def test_config_rejects_grid_points_below_two(tmp_path, capsys, grid_points):
         ("model: 3\n", "model"),
         ("ratios: [4, x]\n", "ratios"),
         ("ratios: [4, null]\n", "ratios"),
-        ("measurement_snr_db: abc\n", "measurement_snr_db"),
+        ("measurement_snr_db: abc\n", "noise.measurement_snr_db"),
         ("noise:\n  sensing_snr_db: [10, true]\n", "noise.sensing_snr_db"),
         ("solver:\n  threshold: 1e-6x\n", "solver.threshold"),
         ("solver:\n  threshold: true\n", "solver.threshold"),
@@ -302,7 +303,7 @@ def test_a_file_value_that_a_flag_replaces_is_never_checked(tmp_path, capsys, ar
     ],
 )
 def test_a_config_built_in_python_passes_the_type_gate_naming_the_key(field, value, key):
-    with pytest.raises(UsageError, match=f"^config key {key} does not take {re.escape(repr(value))}$"):
+    with pytest.raises(UsageError, match=f"^config key {key} does not take {re.escape(repr(value))}: it takes "):
         ExperimentConfig(**{field: value})
 
 
@@ -344,13 +345,13 @@ def test_main_builds_one_config_per_call(tmp_path, monkeypatch, capsys):
     "argv, text, key",
     [
         (["synthesize", "--ratio", "inf"], None, "ratios"),
-        (["synthesize", "--meas-snr-db", "nan"], None, "measurement_snr_db"),
+        (["synthesize", "--meas-snr-db", "nan"], None, "noise.measurement_snr_db"),
         (["sweep"], "ratios: [.inf]", "ratios"),
         (["sweep"], "ratios: [0]", "ratios"),
         (["sweep"], "ratios: [-2]", "ratios"),
         (["sweep"], "model: cdp\nratios: [.inf]", "ratios"),
-        (["sweep"], "measurement_snr_db: .nan", "measurement_snr_db"),
-        (["sweep"], "noise:\n  sensing_snr_db: [10, -.inf]", "sensing_snr_db"),
+        (["sweep"], "measurement_snr_db: .nan", "noise.measurement_snr_db"),
+        (["sweep"], "noise:\n  sensing_snr_db: [10, -.inf]", "noise.sensing_snr_db"),
     ],
 )
 def test_ratios_and_snrs_are_checked_at_the_gate(tmp_path, capsys, argv, text, key):
@@ -391,7 +392,7 @@ def test_a_ratio_that_gives_no_rows_fails_at_the_gate_before_any_draw(tmp_path, 
     drawn = _draws(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config key ratios does not take 0.01 at n 8: its ensemble has round(0.01 * 8) = 0 rows")
+    assert err.startswith("error: config key ratios does not take 0.01: at n 8 its ensemble has round(0.01 * 8) = 0")
     assert "Traceback" not in err and not drawn
     assert not list(tmp_path.glob("out*"))
 
@@ -429,20 +430,40 @@ def test_config_rejects_analysis_values_when_it_is_read(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize(
-    "noise_section",
-    ["", "  measurement_snr_db: 30\n", "  sensing_snr_db: 30\n",
-     "  measurement_snr_db: 30\n  sensing_snr_db: [30, null]\n"],
+    "noise_section, key, value",
+    [("", "measurement_snr_db", [None]), ("  measurement_snr_db: 30\n", "sensing_snr_db", [None]),
+     ("  sensing_snr_db: 30\n", "measurement_snr_db", [None]),
+     ("  measurement_snr_db: 30\n  sensing_snr_db: [30, null]\n", "sensing_snr_db", [30, None])],
     ids=["no-targets", "no-sensing", "no-measurement", "null-in-list"],
 )
-def test_ml_sweep_without_both_snr_targets_fails_before_any_trial(tmp_path, capsys, monkeypatch, noise_section):
+def test_ml_sweep_without_both_snr_targets_fails_before_any_trial(tmp_path, capsys, monkeypatch, noise_section,
+                                                                  key, value):
     config_path = tmp_path / "ml.yaml"
     config_path.write_text("n: 8\nratios: [4]\ntrials: 1\nreal_mode: true\n"
                            f"noise:\n  model: gaussian\n{noise_section}analysis:\n  mode: ml_sweep\n")
     drawn = _draws(monkeypatch)
     rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
     assert rc == 1 and not drawn
-    assert capsys.readouterr().err == "error: ml_sweep needs finite SNR targets on both blocks\n"
+    reason = "ml_sweep needs finite SNR targets on both blocks"
+    assert capsys.readouterr().err == f"error: config key noise.{key} does not take {value}: {reason}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_an_output_that_cannot_be_written_is_refused_before_the_first_trial(tmp_path, capsys, monkeypatch, command):
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text(_REAL_ANALYSIS + "solver:\n  max_iters: 40\nanalysis:\n  mode: first_order\n")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    drawn = _draws(monkeypatch)
+    reason = "it must name a file in an existing directory"
+    for out in (tmp_path / "absent" / "x.csv", tmp_path / "file" / "x.csv", tmp_path / "dir"):
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config key output does not take {str(out)!r}: {reason}\n"
+    assert not drawn and sorted(p.name for p in tmp_path.iterdir()) == ["dir", "exp.yaml", "file"]
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 0
+    assert drawn and (tmp_path / "x.csv").read_text().startswith("# tlspr-")
+    capsys.readouterr()
 
 
 def _analysis_at(meas_db, sens_db, mode):
@@ -471,7 +492,7 @@ def test_an_snr_target_whose_energy_ratio_is_not_a_positive_float_fails_at_the_g
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     reason = f"{key} must be a finite number or None, a number within about -3082.5 to 3236 dB"
-    assert err.startswith(f"error: config key {key} does not take {db}: {reason}")
+    assert err.startswith(f"error: config key noise.{key} does not take {db}: {reason}")
     assert "Traceback" not in err and not drawn
     assert not list(tmp_path.glob("out*"))
 
@@ -483,10 +504,12 @@ def test_an_snr_target_whose_energy_ratio_is_not_a_positive_float_fails_at_the_g
         ("analysis: [first_order]\n", "config section 'analysis' must be a mapping"),
         ("n: [1, 2\n", "config parse error"),
         ("- n\n- 8\n", "config root must be a mapping"),
-        ("n: 0\n", "n must be >= 1"),
-        ("model: dft\n", "unknown model 'dft'"),
-        ("noise:\n  model: laplace\n", "unknown noise model 'laplace'"),
-        ("analysis:\n  mode: exact\n", "unknown analysis_mode 'exact'"),
+        ("n: 0\n", "config key n does not take 0: it must be >= 1"),
+        ("model: dft\n", "config key model does not take 'dft': it must be one of gaussian, cdp"),
+        ("noise:\n  model: laplace\n", "config key noise.model does not take 'laplace': it must be one of gaussian, "
+         "handcrafted"),
+        ("analysis:\n  mode: exact\n", "config key analysis.mode does not take 'exact': it must be one of none, "
+         "first_order, expected, ml_sweep"),
     ],
 )
 def test_a_malformed_config_file_is_a_usage_error_naming_its_key(tmp_path, capsys, text, message):
@@ -505,15 +528,69 @@ def test_analyze_without_a_mode_lists_the_three_modes(tmp_path, capsys, monkeypa
     config_path.write_text(_REAL_ANALYSIS)
     drawn = _draws(monkeypatch)
     assert main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == "error: analysis_mode must be first_order, expected or ml_sweep\n"
+    reason = "analyze takes only first_order, expected, ml_sweep"
+    assert capsys.readouterr().err == f"error: config key analysis.mode does not take 'none': {reason}\n"
     assert not drawn and not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["measurement_snr_db", "sensing_snr_db"])
 @pytest.mark.parametrize("db", ["20", float("nan"), pytest.param(10**400, id="int-beyond-float")])
 def test_config_checks_each_snr_as_a_noise_spec_does(key, db):
-    with pytest.raises(UsageError, match=f"config key {key} does not take .*: {key} must be a finite number or None"):
+    reason = f"{key} must be a finite number or None"
+    with pytest.raises(UsageError, match=f"^config key noise.{key} does not take .*: {reason}"):
         ExperimentConfig(**{key: (10.0, db)})
+
+
+# A bad value of every ExperimentConfig field: its YAML text, the argv of a flag that sets it badly (None where
+# no flag does: argparse refuses a bad choice or integer itself, and --step-size sets step_size_tls first) and
+# the key every refusal names.
+_BAD_SETTINGS = {
+    "seed": ("seed: 1.5", None, "seed"),
+    "n": ("n: 0", ["synthesize", "--n", "0"], "n"),
+    "ratios": ("ratios: [0]", ["synthesize", "--ratio", "0"], "ratios"),
+    "model": ("model: dft", None, "model"),
+    "real_mode": ('real_mode: "no"', None, "real_mode"),
+    "trials": ("trials: 0", ["sweep", "--trials", "0"], "trials"),
+    "noise_model": ("noise:\n  model: laplace", None, "noise.model"),
+    "measurement_snr_db": ("noise:\n  measurement_snr_db: .nan", ["synthesize", "--meas-snr-db", "nan"],
+                           "noise.measurement_snr_db"),
+    "sensing_snr_db": ("noise:\n  sensing_snr_db: -7000", ["synthesize", "--sensing-snr-db", "-7000"],
+                       "noise.sensing_snr_db"),
+    "lambda_a_dag": ("solver:\n  lambda_a_dag: 0", None, "solver.lambda_a_dag"),
+    "lambda_y_dag": ("solver:\n  lambda_y_dag: .inf", None, "solver.lambda_y_dag"),
+    "step_size_tls": ("solver:\n  step_size_tls: -1.0", ["solve", "--step-size", "-1"], "solver.step_size_tls"),
+    "step_size_ls": ("solver:\n  step_size_ls: [0.1]", None, "solver.step_size_ls"),
+    "threshold": ("solver:\n  threshold: 0.0", ["solve", "--threshold", "0"], "solver.threshold"),
+    "max_iters": ("solver:\n  max_iters: -1", ["solve", "--max-iters", "-1"], "solver.max_iters"),
+    "power_iters": ("solver:\n  power_iters: 0", None, "solver.power_iters"),
+    "projection": ("solver:\n  projection: bogus", None, "solver.projection"),
+    "analysis_mode": ("analysis:\n  mode: exact", None, "analysis.mode"),
+    "lambda_ratio": ("analysis:\n  lambda_ratio: -1.0", None, "analysis.lambda_ratio"),
+    "grid_points": ("analysis:\n  grid_points: 1", None, "analysis.grid_points"),
+    "grid_decades": ("analysis:\n  grid_decades: 0", None, "analysis.grid_decades"),
+    "output": ("output: 3", ["sweep", "--out", "absent/x.csv"], "output"),
+}
+
+
+def test_the_bad_settings_cover_every_config_field():
+    assert sorted(_BAD_SETTINGS) == sorted(cli._FIELD_TYPES)
+
+
+@pytest.mark.parametrize("field", sorted(_BAD_SETTINGS))
+def test_every_setting_is_refused_by_its_yaml_key(tmp_path, capsys, monkeypatch, field):
+    import yaml
+
+    text, argv, key = _BAD_SETTINGS[field]
+    with pytest.raises(UsageError, match=f"^config key {re.escape(key)} does not take "):
+        config_from_mapping(yaml.safe_load(text))
+    if argv is not None:
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "solve":
+            argv = [*argv, "--ensemble", "absent.tlspr", "--measurements", "absent.tlspr"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key} does not take ") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_solve_injects_real_sensing_errors_into_real_files(tmp_path):
@@ -560,8 +637,8 @@ def test_synthesize_and_solve_read_the_config_noise_like_the_flags(tmp_path):
     "command, setting, key",
     [
         ("synthesize", "ratios: [4, 8]\n", "ratios"),
-        ("synthesize", "noise:\n  measurement_snr_db: [20, 30]\n", "measurement_snr_db"),
-        ("solve", "noise:\n  sensing_snr_db: [10, 20]\n", "sensing_snr_db"),
+        ("synthesize", "noise:\n  measurement_snr_db: [20, 30]\n", "noise.measurement_snr_db"),
+        ("solve", "noise:\n  sensing_snr_db: [10, 20]\n", "noise.sensing_snr_db"),
     ],
 )
 def test_one_instance_commands_reject_a_list_of_several_values(tmp_path, capsys, command, setting, key):
@@ -572,7 +649,9 @@ def test_one_instance_commands_reject_a_list_of_several_values(tmp_path, capsys,
     capsys.readouterr()
     args = [] if command == "synthesize" else ["--ensemble", f"{src}.ensemble.tlspr", "--measurements", f"{src}.meas.tlspr"]
     assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out"), *args]) == 1
-    assert f"config key {key} takes one value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} does not take [")
+    assert err.endswith("]: this command takes one value\n")
     assert not list(tmp_path.glob("out*"))
 
 
@@ -659,7 +738,8 @@ def test_a_huge_integer_cdp_ratio_is_a_usage_error(tmp_path, capsys, ratio):
 def test_a_ratio_too_large_for_memory_fails_at_the_config_gate_naming_the_key(model, ratio, size):
     with pytest.raises(UsageError) as exc:
         ExperimentConfig(model=model, n=8, ratios=(ratio,))
-    assert str(exc.value).startswith(f"config key ratios does not take {ratio!r} at n 8: its ensemble needs {size} bytes")
+    message = f"config key ratios does not take {ratio!r}: at n 8 its ensemble needs {size} bytes"
+    assert str(exc.value).startswith(message)
 
 
 def test_cli_synthesize_solve_roundtrip(tmp_path):
@@ -793,6 +873,22 @@ def test_solve_rejects_files_of_the_wrong_kind(tmp_path, capsys, ensemble, measu
     assert main([*argv, "--out", str(tmp_path / "sol")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("sol*"))
+
+
+def test_solve_refuses_a_signal_file_of_the_wrong_length_before_solving(tmp_path, capsys, monkeypatch):
+    for prefix, n in (("a", "8"), ("b", "6")):
+        assert main(["synthesize", "--n", n, "--ratio", "4", "--out", str(tmp_path / prefix)]) == 0
+    capsys.readouterr()
+    solved = []
+    monkeypatch.setattr(cli, "solve_tls", lambda *args: solved.append(args))
+    signal = str(tmp_path / "b.signal.tlspr")
+    argv = ["solve", "--ensemble", str(tmp_path / "a.ensemble.tlspr"), "--measurements", str(tmp_path / "a.meas.tlspr"),
+            "--signal", signal, "--mode", "tls", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"signal file {signal} " in err and "length 6, expected 8" in err
+    assert "Traceback" not in err and not solved
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("meas_db", [None, 30.0])
@@ -965,6 +1061,7 @@ def test_cli_analyze_requires_real_mode(tmp_path, capsys):
     config_path.write_text("analysis:\n  mode: first_order\n")
     rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+    assert capsys.readouterr().err == "error: config key real_mode does not take False: analyze takes only true\n"
 
 
 @pytest.mark.parametrize("setting", ["model: cdp\n", "noise:\n  model: handcrafted\n"], ids=["cdp", "handcrafted"])
@@ -975,7 +1072,8 @@ def test_cli_analyze_rejects_cdp_and_handcrafted_errors(tmp_path, capsys, settin
     config_path.write_text("n: 8\nratios: [4]\ntrials: 1\nreal_mode: true\nanalysis:\n  mode: first_order\n" + setting)
     rc = main(["analyze", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
     assert rc == 1
-    assert "error analysis requires model: gaussian and noise.model: gaussian" in capsys.readouterr().err
+    key, value = ("model", "cdp") if setting.startswith("model") else ("noise.model", "handcrafted")
+    assert capsys.readouterr().err == f"error: config key {key} does not take {value!r}: analyze takes only gaussian\n"
     assert not (tmp_path / "x.csv").exists()
 
 
