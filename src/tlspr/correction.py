@@ -167,7 +167,7 @@ def correct_sensing_vector(a_m, y_m: float, x, params: CorrectionParams) -> Corr
 
 class LineRoots:
     """The per-row record of one sweep, in length-M buffers reused from one
-    sweep to the next.  After :meth:`solve`, ``c`` holds |inner(a_m, x)|,
+    sweep to the next.  With c = |inner(a_m, x)|, :meth:`solve` leaves
     ``t0`` the smallest real root of the plus cubic, ``s`` the shift
     t0 + c, ``phase`` = -inner(a_m, x) / c (1 where c = 0) and ``zero`` the
     mask of the rows with c = 0 (None when there are none), so that
@@ -175,7 +175,7 @@ class LineRoots:
     and ``masks`` are the cubic's own scratch."""
 
     def __init__(self, m: int):
-        self.c, self.t0, self.s = np.empty(m), np.empty(m), np.empty(m)
+        self.t0, self.s = np.empty(m), np.empty(m)
         self.phase = np.empty(m, dtype=np.complex128)
         self.rows, self.masks = root_workspace(m)
 
@@ -185,18 +185,18 @@ class LineRoots:
         invalid operations, so call under
         ``np.errstate(divide="ignore", invalid="ignore")``."""
         alpha = 2.0 * lambda_y * norm_sq
-        c = np.abs(nu_a, out=self.c)
+        c = np.abs(nu_a, out=self.s)  # s holds c until t0 is added to it
         beta, const = self.rows[0], self.rows[1]
         np.multiply(y, -alpha, out=beta)
         beta += lambda_a
         np.multiply(c, lambda_a, out=const)
         smallest_real_root_into(self.t0, alpha, self.rows, self.masks)
-        np.add(self.t0, c, out=self.s)
         # -nu_a * (1/c): bit for bit numpy's complex quotient -nu_a / (c + 0j).
         np.multiply(nu_a, np.divide(-1.0, c, out=self.rows[0]), out=self.phase)
         self.zero = c == 0.0 if np.count_nonzero(c) < c.size else None
         if self.zero is not None:
             np.copyto(self.phase, 1.0, where=self.zero)
+        c += self.t0
 
 
 def sweep_corrections(

@@ -1263,6 +1263,28 @@ def test_analyze_maps_snr_to_the_variance_of_each_block(tmp_path, mode):
             assert float(row["optimal_ratio"]) == s2_delta / s2_eta
 
 
+def test_expected_analysis_without_a_sensing_target_expects_measurement_errors_only(tmp_path):
+    # sensing_snr_db: null is no sensing error, so sigma_delta^2 = 0.
+    config_path = tmp_path / "expected.yaml"
+    config_path.write_text("seed: 29\nn: 8\nratios: [4]\ntrials: 2\nreal_mode: true\nnoise:\n"
+                           "  measurement_snr_db: 25\n  sensing_snr_db: null\nanalysis:\n  mode: expected\n")
+    out = tmp_path / "expected.csv"
+    assert main(["analyze", "--config", str(config_path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    trials = [dict(zip(header, line.split(","))) for line in lines[2:] if line.startswith("trial,")]
+    assert len(trials) == 2
+    for k, row in enumerate(trials):
+        assert row["sensing_snr_db"] == ""
+        rng = make_rng(29 + k)
+        x = rng.normal(size=8)
+        a = rng.normal(size=(32, 8))
+        y = (a @ x) ** 2
+        s2_eta = float(np.sum(y * y)) * 10 ** (-25 / 10.0) / y.size
+        e_tls, e_ls = analysis.expected_squared_errors(a, y, x, ExperimentConfig().lambda_ratio, 0.0, s2_eta)
+        assert (float(row["expected_sq_tls"]), float(row["expected_sq_ls"])) == (e_tls, e_ls)
+
+
 def test_importing_the_cli_loads_neither_yaml_nor_the_process_pool():
     # Both load only where they are used: yaml for a config file, the pool
     # for a sweep with more than one worker.

@@ -473,11 +473,13 @@ def test_line_roots_own_the_row_record_and_the_row_builder_only_reads_its_shifts
     a[::2, :2] = rng.normal(size=(150, 2)) + 1j * rng.normal(size=(150, 2))
     norm_sq = float(np.vdot(x, x).real)
     line = correction.LineRoots(300)
+    nu = inner_rows(a, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        line.solve(inner_rows(a, x), y, lam_a, lam_y, norm_sq)
-    zero = line.c == 0.0
+        line.solve(nu, y, lam_a, lam_y, norm_sq)
+    c = np.abs(nu)
+    zero = c == 0.0
     assert np.count_nonzero(zero) == 150
-    assert _bitwise_equal(line.s, line.t0 + line.c)
+    assert _bitwise_equal(line.s, line.t0 + c)
     assert np.array_equal(line.zero, zero) and np.all(line.phase[zero] == 1.0)
     # A reused record drops the mask once no row has c = 0.
     with np.errstate(divide="ignore", invalid="ignore"):

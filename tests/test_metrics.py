@@ -84,6 +84,11 @@ def test_optimal_phase_aligns():
         assert np.linalg.norm(x - np.exp(1j * phi) * x_hat) <= 1e-9
 
 
+def test_optimal_phase_is_zero_for_orthogonal_vectors():
+    assert optimal_phase(np.array([1.0 + 2j, 0.0]), np.array([0.0, 3.0 - 1j])) == 0.0
+    assert optimal_phase(np.array([1.0 + 2j, 0.5j]), np.zeros(2, dtype=complex)) == 0.0
+
+
 def test_rel_corr_zero_cases():
     rng = make_rng(7)
     a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))

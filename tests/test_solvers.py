@@ -105,6 +105,21 @@ def test_a_spectral_start_that_overflows_raises_solver_error(m, scale, y, reason
             spectral_init(np.full(m, y), vectors)
 
 
+@pytest.mark.parametrize("m", [32, 64], ids=["matrix-free", "matrix"])
+def test_spectral_init_redraws_an_iterate_of_zero_norm(m):
+    # The one positive measurement sits on an all-zero row, so every power
+    # iterate is 0 and is redrawn; the start keeps its norm sqrt(sum(y) / 2M).
+    vectors = gaussian_ensemble(make_rng(m + 1), 8, m).vectors.copy()
+    vectors[0] = 0.0
+    y = np.zeros(m)
+    y[0] = 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x0 = spectral_init(y, vectors)
+    assert np.all(np.isfinite(x0))
+    assert abs(np.linalg.norm(x0) - np.sqrt(3.0 / (2.0 * m))) <= 1e-15
+
+
 def test_spectral_init_real_data_stays_real():
     x, ens, y = _clean_instance(4, 12, 96, real_mode=True)
     x0 = spectral_init(y, ens)
@@ -199,6 +214,12 @@ def test_objective_tls_matches_loop():
     expect = total / (2.0 * m)
     got = objective_tls(x, v, a, y, lam_a, lam_y)
     assert abs(got - expect) <= 1e-12 * max(1.0, expect)
+
+
+def test_objective_tls_rejects_ensembles_of_different_shapes():
+    x, ens, y = _clean_instance(9, 8, 32)
+    with pytest.raises(ValueError, match=r"corrected has shape \(32, 8\), original has shape \(32, 7\)"):
+        objective_tls(x, ens.vectors, ens.vectors[:, :7], y.values, 1.0, 1.0)
 
 
 def test_ls_gradient_zero_at_truth():
@@ -797,6 +818,15 @@ def test_exact_step_is_zero_along_a_zero_gradient():
     assert solvers._exact_step(r, nu, np.zeros(m, dtype=complex), np.empty(2 * m), np.empty(m)) == 0.0
 
 
+def test_exact_step_is_nan_for_non_finite_coefficients():
+    m = 8
+    rng = make_rng(63)
+    nu, nu_g = complex_gaussian_vector(rng, m), complex_gaussian_vector(rng, m)
+    r = np.abs(nu) ** 2
+    r[3] = np.inf
+    assert np.isnan(solvers._exact_step(r, nu, nu_g, np.empty(2 * m), np.empty(m)))
+
+
 def test_pr_direction_restarts_at_the_gradient():
     rng = make_rng(64)
     g, d_prev = complex_gaussian_vector(rng, 8), complex_gaussian_vector(rng, 8)
@@ -1003,8 +1033,9 @@ def test_reduced_line_slope_is_one_sided_on_rows_orthogonal_to_x0():
     nu_d = inner_rows(vectors, d)
     re_xd, dd = float(np.vdot(x0, d).real), float(np.vdot(d, d).real)
     with np.errstate(divide="ignore", invalid="ignore"):
-        along = solvers._TLSRows(vectors, yv, inner_rows(vectors, x0), lam_a, lam_y, norm_sq, 1.0)
-        zero = along.line.c == 0.0
+        nu = inner_rows(vectors, x0)
+        along = solvers._TLSRows(vectors, yv, nu, lam_a, lam_y, norm_sq, 1.0)
+        zero = np.abs(nu) == 0.0
         assert np.count_nonzero(zero) == vectors.shape[0] // 4
         # The right derivative against the naive one that took phase = 1.
         j0, slope0 = along._at(0.0, nu_d, re_xd, dd, norm_sq)
@@ -1030,6 +1061,33 @@ def test_reduced_line_slope_is_one_sided_on_rows_orthogonal_to_x0():
     res = solve_tls(y, vectors, SolverConfig(), x0=x0)
     assert res.converged and np.all(res.objective_trace[1:] <= res.objective_trace[:-1])
     assert res.objective_trace[0] < j0
+
+
+def _tls_rows_at_truth(seed):
+    x, ens, y = _clean_instance(seed, 8, 64)
+    norm_sq = float(np.vdot(x, x).real)
+    nu = inner_rows(ens.vectors, x)
+    rows = solvers._TLSRows(ens.vectors, y.values, nu, 1.0 / 8, 1.0 / norm_sq**2, norm_sq, 1.0)
+    return x, rows, nu, norm_sq
+
+
+def test_reduced_line_is_infinite_where_the_trial_norm_is_not_positive():
+    # Along d = x, ||x - t d||^2 = (1 - t)^2 ||x||^2 is exactly 0 at t = 1;
+    # the trial neither sweeps nor moves the rows' record.
+    x, rows, nu, norm_sq = _tls_rows_at_truth(4300)
+    loss, s = rows.loss, rows.line.s.copy()
+    f, g = rows._at(1.0, nu, norm_sq, norm_sq, norm_sq)
+    assert f == np.inf and np.isnan(g)
+    assert rows.loss == loss and np.array_equal(rows.line.s, s)
+
+
+def test_tls_gradient_after_a_fixed_step_to_zero_names_the_iteration():
+    x, rows, _, _ = _tls_rows_at_truth(4301)
+    x_new = np.zeros_like(x)
+    inner_rows(rows.vectors, x_new, out=rows.nu)
+    rows.moved(x, x_new)
+    with pytest.raises(SolverError, match="iterate collapsed to zero norm at iteration 7"):
+        rows.gradient(x_new, 7)
 
 
 # ---------------------------------------------------------------------------
