@@ -110,7 +110,7 @@ class ExperimentConfig:
         # However the config is built, each value first passes its field's type gate, stored as the gate gives it.
         for name in _FIELD_TYPES:
             object.__setattr__(self, name, _typed(name, getattr(self, name)))
-        for name, least in (("trials", 1), ("n", 1), ("grid_points", 2)):
+        for name, least in (("seed", 0), ("trials", 1), ("n", 1), ("grid_points", 2)):
             if getattr(self, name) < least:
                 _refuse(name, getattr(self, name), f"it must be >= {least}")
         for name, known in (("model", MODELS), ("noise_model", noise.NOISE_MODELS), ("analysis_mode", ANALYSIS_MODES)):
@@ -199,8 +199,9 @@ def _typed(name: str, value):
 
 
 def config_from_mapping(data: dict, flags: dict | None = None) -> ExperimentConfig:
-    """The config of a (possibly nested) mapping with ``flags``, a mapping of field names, laid over it; an
-    unknown key errors.  The config checks every value, so a value that a flag replaces is never checked."""
+    """The config of a (possibly nested) mapping with ``flags``, a mapping of field names, laid over it.  Each
+    setting is read from its one key, a section's field only in its section (``_CONFIG_KEYS``); any other
+    key errors.  The config checks every value, so a value that a flag replaces is never checked."""
     flat: dict = {}
     for key, value in (data or {}).items():
         if key in _NESTED_KEYS:
@@ -210,10 +211,11 @@ def config_from_mapping(data: dict, flags: dict | None = None) -> ExperimentConf
                 if sub not in _NESTED_KEYS[key]:
                     raise UsageError(f"unknown config key {key}.{sub}")
                 flat[_NESTED_KEYS[key][sub]] = v
-        elif key in _FIELD_TYPES:
+        elif key in _FIELD_TYPES and key not in _CONFIG_KEYS:
             flat[key] = value
         else:
-            raise UsageError(f"unknown config key {key!r}")
+            hint = f": write it as {_CONFIG_KEYS[key]}" if key in _CONFIG_KEYS else ""
+            raise UsageError(f"unknown config key {key!r}{hint}")
     return ExperimentConfig(**{**flat, **(flags or {})})
 
 

@@ -30,11 +30,8 @@ def dist(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
 
 
 def optimal_phase(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:
-    """Phase phi minimizing ||x_sharp - exp(j*phi)*x_hat||; 0 if degenerate."""
-    ip = inner(x_hat, x_sharp)
-    if ip == 0:
-        return 0.0
-    return float(np.angle(ip))
+    """Phase phi minimizing ||x_sharp - exp(j*phi)*x_hat||; 0 if degenerate, as np.angle(0j) is 0."""
+    return float(np.angle(inner(x_hat, x_sharp)))
 
 
 def rel_dist(x_sharp: np.ndarray, x_hat: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_config_rejects_grid_points_below_two(tmp_path, capsys, grid_points):
         ("model: 3\n", "model"),
         ("ratios: [4, x]\n", "ratios"),
         ("ratios: [4, null]\n", "ratios"),
-        ("measurement_snr_db: abc\n", "noise.measurement_snr_db"),
+        ("noise:\n  measurement_snr_db: abc\n", "noise.measurement_snr_db"),
         ("noise:\n  sensing_snr_db: [10, true]\n", "noise.sensing_snr_db"),
         ("solver:\n  threshold: 1e-6x\n", "solver.threshold"),
         ("solver:\n  threshold: true\n", "solver.threshold"),
@@ -350,7 +351,7 @@ def test_main_builds_one_config_per_call(tmp_path, monkeypatch, capsys):
         (["sweep"], "ratios: [0]", "ratios"),
         (["sweep"], "ratios: [-2]", "ratios"),
         (["sweep"], "model: cdp\nratios: [.inf]", "ratios"),
-        (["sweep"], "measurement_snr_db: .nan", "noise.measurement_snr_db"),
+        (["sweep"], "noise:\n  measurement_snr_db: .nan", "noise.measurement_snr_db"),
         (["sweep"], "noise:\n  sensing_snr_db: [10, -.inf]", "noise.sensing_snr_db"),
     ],
 )
@@ -478,7 +479,7 @@ def _analysis_at(meas_db, sens_db, mode):
         (["analyze"], _analysis_at(-3100, 30, "expected"), "measurement_snr_db", "-3100"),
         (["analyze"], _analysis_at(-3100, 30, "ml_sweep"), "measurement_snr_db", "-3100"),
         (["analyze"], _analysis_at(30, 4000, "ml_sweep"), "sensing_snr_db", "4000"),
-        (["sweep"], "n: 8\nratios: [4]\ntrials: 1\nmeasurement_snr_db: 7000", "measurement_snr_db", "7000"),
+        (["sweep"], "n: 8\nratios: [4]\ntrials: 1\nnoise:\n  measurement_snr_db: 7000", "measurement_snr_db", "7000"),
     ],
     ids=["synthesize-overflow", "expected-overflow", "ml_sweep-overflow", "ml_sweep-underflow", "sweep-underflow"],
 )
@@ -591,6 +592,72 @@ def test_every_setting_is_refused_by_its_yaml_key(tmp_path, capsys, monkeypatch,
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {key} does not take ") and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+
+def test_only_seven_fields_have_no_section():
+    top = sorted(set(cli._FIELD_TYPES) - set(cli._CONFIG_KEYS))
+    assert top == ["model", "n", "output", "ratios", "real_mode", "seed", "trials"]
+    assert len(cli._CONFIG_KEYS) == 15
+
+
+def _default_setting(field: str):
+    """``field``'s default as a YAML value: a list for a tuple."""
+    value = getattr(ExperimentConfig(), field)
+    return list(value) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("field", sorted(cli._CONFIG_KEYS))
+def test_a_section_field_at_the_top_level_is_refused_by_its_section_key(tmp_path, capsys, monkeypatch, field):
+    import yaml
+
+    key = cli._CONFIG_KEYS[field]
+    section, sub = key.split(".")
+    value = _default_setting(field)
+    message = f"unknown config key '{field}': write it as {key}"
+    drawn = _draws(monkeypatch)
+    # Alone, and beside its section key in either order: a setting is read only from its one key.
+    for data in ({field: value}, {field: value, section: {sub: value}}, {section: {sub: value}, field: value}):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            config_from_mapping(data)
+        config_path = tmp_path / "top.yaml"
+        config_path.write_text(yaml.safe_dump(data, sort_keys=False))
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            load_config(str(config_path))
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not drawn and not (tmp_path / "x.csv").exists()
+    assert getattr(config_from_mapping({section: {sub: value}}), field) == getattr(ExperimentConfig(), field)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["synthesize", "--seed", "-1"], None), (["selftest", "--seed", "-1"], None), (["sweep"], "seed: -1")],
+    ids=["synthesize-flag", "selftest-flag", "sweep-yaml"],
+)
+def test_a_negative_seed_is_refused_at_the_gate_before_any_draw(tmp_path, capsys, monkeypatch, argv, text):
+    with pytest.raises(UsageError, match="^config key seed does not take -1: it must be >= 0$"):
+        ExperimentConfig(seed=-1)
+    if text is not None:
+        (tmp_path / "exp.yaml").write_text(text + "\n")
+        argv = [*argv, "--config", str(tmp_path / "exp.yaml")]
+    drawn = _draws(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: config key seed does not take -1: it must be >= 0\n"
+    assert not drawn and not list(tmp_path.glob("out*"))
+    assert ExperimentConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_the_documented_config_grammar_names_each_setting_by_its_one_key(doc):
+    import yaml
+
+    text = (Path(__file__).resolve().parents[1] / doc).read_text()
+    grammar = text.split("### Config grammar (YAML)", 1)[1]
+    data = yaml.safe_load(grammar.split("```yaml\n", 1)[1].split("```", 1)[0])
+    config_from_mapping(data)
+    keys = [f"{k}.{sub}" for k, v in data.items() if k in cli._NESTED_KEYS for sub in v]
+    keys += [k for k in data if k not in cli._NESTED_KEYS]
+    assert sorted(keys) == sorted(cli._CONFIG_KEYS.get(name, name) for name in cli._FIELD_TYPES)
 
 
 def test_solve_injects_real_sensing_errors_into_real_files(tmp_path):
