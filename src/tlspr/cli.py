@@ -238,7 +238,7 @@ def load_config(path: str | None, flags: dict | None = None) -> ExperimentConfig
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -383,12 +383,16 @@ ANALYZE_COLUMNS = [
 
 
 def _analysis_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_seed: int, trial_index: int) -> dict:
-    """One seeded real Gaussian instance and its ``config.analysis_mode`` prediction."""
-    rng = make_rng(trial_seed)
-    x = rng.normal(size=config.n)
-    a = rng.normal(size=(_gaussian_rows(ratio, config.n), config.n))
-    y = (a @ x) ** 2
+    """The ``config.analysis_mode`` prediction on the instance of the sweep
+    trial seeded ``trial_seed``: its signal, clean rows and clean
+    measurements, and for ``first_order`` its noisy minus clean data."""
     mode = config.analysis_mode
+    # The other modes read no errors: without targets, _simulate stops at the clean instance it draws first.
+    targets = (meas_db, sens_db) if mode == "first_order" else (None, None)
+    x_sharp, y_obs, ens_obs, ens = _simulate(make_rng(trial_seed), config, ratio, *targets)
+    # Contiguous real copies: the analysis reads each many times, and strided .real views slow it ~2x.
+    a, x = np.ascontiguousarray(ens.vectors.real), np.ascontiguousarray(x_sharp.real)
+    y = synthesize_measurements(ens, x_sharp).values
     row = {
         "record": "trial",
         "mode": mode,
@@ -398,7 +402,7 @@ def _analysis_trial(config: ExperimentConfig, ratio, meas_db, sens_db, trial_see
         "trial_index": trial_index,
     }
     if mode == "first_order":
-        e_a, e_y = noise.real_errors_at_snr(rng, a, y, meas_db, sens_db)
+        e_a, e_y = ens_obs.vectors.real - a, y_obs.values - y
         pred = analysis.first_order_errors(
             analysis.ErrorAnalysisInputs(a, y, x, e_a, e_y, config.lambda_ratio)
         )

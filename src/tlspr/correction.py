@@ -179,11 +179,11 @@ class LineRoots:
         self.phase = np.empty(m, dtype=np.complex128)
         self.rows, self.masks = root_workspace(m)
 
+    # The root and the rows with nu_a = 0 make invalid operations.
+    @np.errstate(divide="ignore", invalid="ignore")
     def solve(self, nu_a, y, lambda_a: float, lambda_y: float, norm_sq: float) -> None:
         """Fill the buffers for the rows with inner(a_m, x) = ``nu_a`` at
-        ||x||^2 = ``norm_sq``.  The root and the rows with nu_a = 0 make
-        invalid operations, so call under
-        ``np.errstate(divide="ignore", invalid="ignore")``."""
+        ||x||^2 = ``norm_sq``."""
         alpha = 2.0 * lambda_y * norm_sq
         c = np.abs(nu_a, out=self.s)  # s holds c until t0 is added to it
         beta, const = self.rows[0], self.rows[1]
@@ -234,8 +234,7 @@ def _swept(nu_a: np.ndarray, y: np.ndarray, lambda_a: float, lambda_y: float, no
     """:func:`sweep_corrections` of checked input, given nu_a = inner(a_m, x)
     and ||x||^2 = ``norm_sq``."""
     line = LineRoots(y.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        line.solve(nu_a, y, lambda_a, lambda_y, norm_sq)
+    line.solve(nu_a, y, lambda_a, lambda_y, norm_sq)
     t0 = line.t0
     # |phase * t0 - nu_a| = |t0 + |nu_a|| = |s|, since phase = -nu_a / |nu_a|.
     f_star = lambda_a * (line.s ** 2 / norm_sq) + lambda_y * (y - t0 * t0) ** 2

@@ -76,11 +76,11 @@ def _residuals_ok(coeffs: np.ndarray, roots: np.ndarray) -> bool:
     return True
 
 
-def _polish(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Guarded Newton refinement; wildly scaled coefficients otherwise lose
+def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Two guarded Newton steps; wildly scaled coefficients otherwise lose
     several digits to cancellation in the closed form."""
     a, b, c, d = coeffs
-    for _ in range(steps):
+    for _ in range(2):
         p = ((a * roots + b) * roots + c) * roots + d
         dp = (3.0 * a * roots + 2.0 * b) * roots + c
         safe = np.abs(dp) > 0

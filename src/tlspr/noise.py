@@ -85,19 +85,6 @@ def error_variance(clean: np.ndarray, target_db: float | None) -> float:
     return float(np.sum((clean * clean.conj()).real)) * snr_scale(2 * target_db) / clean.size
 
 
-def real_errors_at_snr(rng: np.random.Generator, a: np.ndarray, y: np.ndarray, meas_db, sens_db):
-    """iid real Gaussian errors ``(e_a, e_y)``, drawn in that order and rescaled
-    to ``sens_db`` and ``meas_db``.  No target, or an all-zero clean block,
-    gets a zero error (:func:`inject` raises on the latter)."""
-    errors = rng.normal(size=a.shape), rng.normal(size=y.shape)
-    for error, clean, target_db in zip(errors, (a, y), (sens_db, meas_db)):
-        if target_db is None or not np.any(clean):
-            error[...] = 0.0
-        else:
-            _rescale(error, clean, target_db)
-    return errors
-
-
 def handcrafted_row_scales(clean_y: np.ndarray, x_norm_sq: float) -> np.ndarray:
     """Per-row amplification 1 + 4*||x#||^2*y_m applied before rescaling."""
     return 1.0 + 4.0 * x_norm_sq * np.asarray(clean_y, dtype=np.float64)

@@ -506,8 +506,7 @@ class _TLSRows:
         self.lambda_a, self.lambda_y = lambda_a, lambda_y
         self.line, self.work = LineRoots(m), np.empty(m)
         self.nu, self.nu_t = nu, np.empty_like(nu)
-        with np.errstate(divide="ignore", invalid="ignore"):  # see LineRoots.solve
-            self.loss = self._sweep(nu, norm_sq)
+        self.loss = self._sweep(nu, norm_sq)
         # The last search's step, and the step tried first without one.
         self.step, self.first_step = 0.0, first_step
         self.behind = None

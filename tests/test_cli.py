@@ -1256,45 +1256,6 @@ def test_analyze_ml_sweep(tmp_path, monkeypatch):
         assert abs(np.log10(opt) - np.log10(arg)) <= 0.1 + 1e-9
 
 
-def _exact_snr_errors_inline(rng, a, y, meas_db, sens_db):
-    # The analysis error draw as written before it shared noise._rescale.
-    e_a = rng.normal(size=a.shape)
-    e_y = rng.normal(size=y.shape)
-    if sens_db is not None:
-        e_a *= np.linalg.norm(a) * 10 ** (-sens_db / 20.0) / np.linalg.norm(e_a)
-    else:
-        e_a[:] = 0.0
-    if meas_db is not None:
-        e_y *= np.linalg.norm(y) * 10 ** (-meas_db / 20.0) / np.linalg.norm(e_y)
-    else:
-        e_y[:] = 0.0
-    return e_a, e_y
-
-
-def test_analyze_errors_byte_identical_to_inline_rescale(tmp_path, monkeypatch):
-    cfg = ExperimentConfig(
-        seed=17,
-        n=12,
-        ratios=(4, 8),
-        trials=3,
-        real_mode=True,
-        measurement_snr_db=(None, 25.0),
-        sensing_snr_db=(30, None),
-        analysis_mode="first_order",
-    )
-    run_error_analysis(cfg, output=str(tmp_path / "shared.csv"))
-    shared = noise.real_errors_at_snr
-    monkeypatch.setattr(noise, "real_errors_at_snr", _exact_snr_errors_inline)
-    run_error_analysis(cfg, output=str(tmp_path / "inline.csv"))
-    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
-    # a zero-norm clean block still gets a zero error, as inline
-    a, y = np.zeros((3, 2)), np.ones(3)
-    got = shared(make_rng(1), a, y, 20.0, 10.0)
-    want = _exact_snr_errors_inline(make_rng(1), a, y, 20.0, 10.0)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
 @pytest.mark.parametrize("mode", ["expected", "ml_sweep"])
 def test_analyze_maps_snr_to_the_variance_of_each_block(tmp_path, mode):
     cfg = ExperimentConfig(
@@ -1316,10 +1277,9 @@ def test_analyze_maps_snr_to_the_variance_of_each_block(tmp_path, mode):
     assert len(trials) == len(combos) * cfg.trials
     for k, row in enumerate(trials):
         ratio, meas_db, sens_db = combos[k // cfg.trials]
-        rng = make_rng(cfg.seed + 100003 * (k // cfg.trials) + k % cfg.trials)
-        x = rng.normal(size=cfg.n)
-        a = rng.normal(size=(ratio * cfg.n, cfg.n))
-        y = (a @ x) ** 2
+        x, _, _, ens = cli._simulate(trial_rng(cfg.seed, k % cfg.trials, k // cfg.trials), cfg, ratio, meas_db, sens_db)
+        y = synthesize_measurements(ens, x).values
+        a, x = ens.vectors.real, x.real
         # sigma^2 = ||C||_F^2 10^(-dB/10) / C.size for each clean block C
         s2_delta = float(np.sum(a * a)) * 10 ** (-sens_db / 10.0) / a.size
         s2_eta = float(np.sum(y * y)) * 10 ** (-meas_db / 10.0) / y.size
@@ -1341,15 +1301,50 @@ def test_expected_analysis_without_a_sensing_target_expects_measurement_errors_o
     header = lines[1].split(",")
     trials = [dict(zip(header, line.split(","))) for line in lines[2:] if line.startswith("trial,")]
     assert len(trials) == 2
+    cfg = load_config(str(config_path))
     for k, row in enumerate(trials):
         assert row["sensing_snr_db"] == ""
-        rng = make_rng(29 + k)
-        x = rng.normal(size=8)
-        a = rng.normal(size=(32, 8))
-        y = (a @ x) ** 2
+        x, _, _, ens = cli._simulate(trial_rng(29, k), cfg, 4, 25, None)
+        y = synthesize_measurements(ens, x).values
+        a, x = ens.vectors.real, x.real
         s2_eta = float(np.sum(y * y)) * 10 ** (-25 / 10.0) / y.size
         e_tls, e_ls = analysis.expected_squared_errors(a, y, x, ExperimentConfig().lambda_ratio, 0.0, s2_eta)
         assert (float(row["expected_sq_tls"]), float(row["expected_sq_ls"])) == (e_tls, e_ls)
+
+
+@pytest.mark.parametrize("mode", ["first_order", "expected"])
+def test_analyze_row_predicts_the_sweep_trial_of_its_seed(tmp_path, mode):
+    # Row k of combination c is computed on the instance of sweep trial
+    # trial_rng(seed, k, c): its signal, clean rows and clean measurements,
+    # and for first_order its noisy minus clean data.
+    config_path = tmp_path / "paired.yaml"
+    config_path.write_text("seed: 17\nn: 12\nratios: [4, 8]\ntrials: 3\nreal_mode: true\nnoise:\n"
+                           "  measurement_snr_db: [null, 25]\n  sensing_snr_db: [30, null]\n"
+                           f"analysis:\n  mode: {mode}\n  lambda_ratio: 1.3\n")
+    out = tmp_path / "paired.csv"
+    assert main(["analyze", "--config", str(config_path), "--out", str(out)]) == 0
+    cfg = load_config(str(config_path))
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    trials = [dict(zip(header, line.split(","))) for line in lines[2:] if line.startswith("trial,")]
+    combos = [(r, m, s) for r in cfg.ratios for m in cfg.measurement_snr_db for s in cfg.sensing_snr_db]
+    assert len(trials) == len(combos) * cfg.trials == 24
+    for k, row in enumerate(trials):
+        c, t = divmod(k, cfg.trials)
+        ratio, meas_db, sens_db = combos[c]
+        x, y_obs, ens_obs, ens = cli._simulate(trial_rng(cfg.seed, t, c), cfg, ratio, meas_db, sens_db)
+        y = synthesize_measurements(ens, x).values
+        # A C-order copy, as analyze passes: BLAS rounds a strided view's products differently.
+        a, x = np.ascontiguousarray(ens.vectors.real), x.real
+        if mode == "first_order":
+            pred = analysis.first_order_errors(analysis.ErrorAnalysisInputs(
+                a, y, x, ens_obs.vectors.real - a, y_obs.values - y, cfg.lambda_ratio))
+            want = {"rel_e_tls": pred.rel_e_tls, "rel_e_ls": pred.rel_e_ls}
+        else:
+            s2_delta, s2_eta = noise.error_variance(a, sens_db), noise.error_variance(y, meas_db)
+            e_tls, e_ls = analysis.expected_squared_errors(a, y, x, cfg.lambda_ratio, s2_delta, s2_eta)
+            want = {"expected_sq_tls": e_tls, "expected_sq_ls": e_ls}
+        assert {col: row[col] for col in want} == {col: cli._fmt(v) for col, v in want.items()}, k
 
 
 def test_importing_the_cli_loads_neither_yaml_nor_the_process_pool():
